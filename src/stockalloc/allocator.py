@@ -12,7 +12,9 @@ program over (a, c) with c_k >= xi_k - a, c >= 0 is kept as an independent
 cross-check (`solve_lp`).
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +73,10 @@ class AllocationProblem:
 
 @dataclass(frozen=True)
 class FillStep:
-    """One consumed segment of the water-filling order (audit trail)."""
+    """One consumed segment of the water-filling order (audit trail).
+
+    Steps are not kept by the solver; `FillTrace` derives them on request.
+    """
 
     facility: int
     start: float
@@ -89,11 +94,48 @@ class FillStep:
         }
 
 
+class FillTrace(Sequence):
+    """The `FillStep`s of one greedy solve, derived on request.
+
+    Holds the solve's sorted samples and the amount it took from each
+    segment in level-major order. Segments it took nothing from are not
+    steps. `len()` counts the steps without building them.
+    """
+
+    def __init__(self, sorted_samples, takes):
+        self._sorted = sorted_samples
+        self._takes = takes
+
+    def __len__(self):
+        return int(np.count_nonzero(self._takes))
+
+    @cached_property
+    def _steps(self):
+        K, N = self._sorted.shape
+        idx = np.flatnonzero(self._takes)
+        starts = np.vstack([np.zeros((1, N)), self._sorted[:-1]]).ravel()[idx]
+        takes = self._takes[idx]
+        values = ((K - np.arange(K, dtype=float)) / K)[idx // N]
+        return [
+            FillStep(int(f), float(s), float(s + t), float(t), float(v))
+            for f, s, t, v in zip(idx % N, starts, takes, values)
+        ]
+
+    def __getitem__(self, i):
+        return self._steps[i]
+
+
 @dataclass
 class AllocationResult:
+    """Optimal allocation, its mean shortfall, and the fill order.
+
+    `fill_trace` is a sequence of `FillStep`s; for `solve_greedy` it is a
+    `FillTrace`, which builds the steps only when they are read.
+    """
+
     allocation: np.ndarray
     objective: float
-    fill_trace: list = field(default_factory=list)
+    fill_trace: Sequence = ()
 
     def to_dict(self):
         return {
@@ -124,60 +166,44 @@ def saa_objective(problem, a):
 
 
 def solve_greedy(problem):
-    """Exact optimum by water-filling, O(N K log(N K)).
+    """Exact optimum by level-wise water-filling, O(K N log K).
 
     Per facility the sorted samples 0 <= s_1 <= ... <= s_K cut the
-    allocation axis into segments; the segment ending at s_{j+1} reduces
-    the mean shortfall by (K - j)/K per unit. Segments are consumed in
-    order of decreasing marginal value; ties go to the lower facility
-    index, then the lower segment start, which makes the returned optimum
-    unique and deterministic. Allocation never exceeds a facility's
-    largest sample (beyond it the marginal value is zero).
+    allocation axis into K segments; the segment ending at s_{j+1}
+    reduces the mean shortfall by (K - j)/K per unit. All facilities share
+    these K levels, so the greedy order is level-major: every facility's
+    level-0 segment in facility order, then level 1, and so on. That is
+    the order of decreasing marginal value with ties going to the lower
+    facility index, which makes the returned optimum unique and
+    deterministic. The budget runs out inside one binding segment: every
+    facility gets its segments below the binding level, and those of the
+    binding level up to the binding facility. Allocation never exceeds a
+    facility's largest sample (beyond it the marginal value is zero). The
+    sort dominates the cost; the rest is a few vector passes.
     """
     samples = problem.samples
     K, N = samples.shape
     sorted_samples = np.sort(samples, axis=0)
+    takes = sorted_samples.copy()  # segment lengths, then cut to what is taken
+    takes[1:] -= sorted_samples[:-1]
+    flat = takes.ravel()  # level-major order
 
-    # Segment bookkeeping in flat arrays: one candidate segment per
-    # (facility, sample index); zero-length segments are dropped.
-    starts = np.vstack([np.zeros((1, N)), sorted_samples[:-1, :]])
-    ends = sorted_samples
-    lengths = ends - starts
-    values = ((K - np.arange(K, dtype=float)) / K)[:, None] * np.ones((1, N))
-    facilities = np.broadcast_to(np.arange(N), (K, N))
-
-    keep = lengths.ravel() > 0.0
-    seg_fac = facilities.ravel()[keep]
-    seg_start = starts.ravel()[keep]
-    seg_end = ends.ravel()[keep]
-    seg_len = lengths.ravel()[keep]
-    seg_val = values.ravel()[keep]
-
-    order = np.lexsort((seg_start, seg_fac, -seg_val))
-
-    allocation = np.zeros(N)
-    trace = []
-    remaining = float(problem.budget)
-    for idx in order:
-        if remaining <= 0.0:
-            break
-        take = min(seg_len[idx], remaining)
-        fac = int(seg_fac[idx])
-        allocation[fac] += take
-        remaining -= take
-        trace.append(
-            FillStep(
-                facility=fac,
-                start=float(seg_start[idx]),
-                end=float(seg_start[idx] + take),
-                amount=float(take),
-                marginal_value=float(seg_val[idx]),
-            )
-        )
+    # Budget left after each segment: the same float sequence as spending
+    # it one segment at a time.
+    remaining = np.subtract.accumulate(np.concatenate(([float(problem.budget)], flat)))
+    spent = np.flatnonzero(remaining <= 0.0)
+    if spent.size:  # the budget runs out inside segment spent[0] - 1
+        last = spent[0] - 1
+        flat[last + 1 :] = 0.0
+        if last >= 0:
+            flat[last] = remaining[last]
+    # A -0.0 sample makes a -0.0 segment; adding 0.0 keeps it from showing
+    # as a -0.0 allocation, which a fill that skips empty segments never gives.
+    allocation = np.cumsum(takes, axis=0)[-1] + 0.0
     return AllocationResult(
         allocation=allocation,
         objective=saa_objective(problem, allocation),
-        fill_trace=trace,
+        fill_trace=FillTrace(sorted_samples, flat),
     )
 
 
@@ -220,5 +246,4 @@ def solve_lp(problem, tolerance=1e-8, max_iter=20000):
     return AllocationResult(
         allocation=allocation,
         objective=saa_objective(problem, allocation),
-        fill_trace=[],
     )

@@ -15,7 +15,7 @@ constant changes nothing about the trained forest.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -382,8 +382,3 @@ def train_forest(table, params=None, seed=0):
         builder = _TreeBuilder(Xb, yb, wb, rng, params, min_leaf)
         trees.append(builder.build())
     return Forest(trees=trees, feature_dim=X.shape[1], seed=seed, params=params)
-
-
-def with_params(params, **overrides):
-    """Convenience for deriving tweaked hyperparameters."""
-    return replace(params, **overrides)

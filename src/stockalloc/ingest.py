@@ -243,6 +243,8 @@ class FeatureTable:
             raise ShapeError("target/weight lengths disagree")
         if n and not np.all(np.isfinite(self.X)):
             raise ValueError("features must be finite")
+        if n and not np.all(np.isfinite(self.y)):
+            raise ValueError("targets must be finite")
         if n and (np.any(self.weights < 0) or not np.all(np.isfinite(self.weights))):
             raise ValueError("weights must be finite and nonnegative")
         if not self.feature_names:

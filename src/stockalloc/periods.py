@@ -20,10 +20,6 @@ def period_str(index):
     return f"{index // 12:04d}-{index % 12 + 1:02d}"
 
 
-def shift_period(period, months):
-    return period_str(period_index(period) + months)
-
-
 def month_of(period):
     return period_index(period) % 12 + 1
 

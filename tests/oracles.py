@@ -78,3 +78,56 @@ def random_instance(rng, max_n=8, max_k=5, max_value=20):
     cap_total = int(samples.max(axis=0).sum())
     budget = float(rng.integers(0, cap_total + 3))
     return samples, budget
+
+
+def reference_greedy(samples, budget):
+    """Water-filling one segment at a time: the reference greedy solver.
+
+    Per facility the sorted samples cut the allocation axis into segments;
+    the segment ending at the (j+1)-th smallest sample is worth (K - j)/K
+    per unit. Segments are consumed in order of decreasing value, ties to
+    the lower facility, then the lower start, until the budget is spent.
+    Returns (allocation, mean shortfall, fill steps as dicts).
+    """
+    samples = np.asarray(samples, dtype=float)
+    K, N = samples.shape
+    sorted_samples = np.sort(samples, axis=0)
+
+    # Segment bookkeeping in flat arrays: one candidate segment per
+    # (facility, sample index); zero-length segments are dropped.
+    starts = np.vstack([np.zeros((1, N)), sorted_samples[:-1, :]])
+    ends = sorted_samples
+    lengths = ends - starts
+    values = ((K - np.arange(K, dtype=float)) / K)[:, None] * np.ones((1, N))
+    facilities = np.broadcast_to(np.arange(N), (K, N))
+
+    keep = lengths.ravel() > 0.0
+    seg_fac = facilities.ravel()[keep]
+    seg_start = starts.ravel()[keep]
+    seg_end = ends.ravel()[keep]
+    seg_len = lengths.ravel()[keep]
+    seg_val = values.ravel()[keep]
+
+    order = np.lexsort((seg_start, seg_fac, -seg_val))
+
+    allocation = np.zeros(N)
+    trace = []
+    remaining = float(budget)
+    for idx in order:
+        if remaining <= 0.0:
+            break
+        take = min(seg_len[idx], remaining)
+        fac = int(seg_fac[idx])
+        allocation[fac] += take
+        remaining -= take
+        trace.append(
+            {
+                "facility": fac,
+                "start": float(seg_start[idx]),
+                "end": float(seg_start[idx] + take),
+                "amount": float(take),
+                "marginal_value": float(seg_val[idx]),
+            }
+        )
+    objective = float(np.maximum(samples - allocation[None, :], 0.0).sum() / K)
+    return allocation, objective, trace

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stockalloc import allocator
 from stockalloc import (
     AllocationProblem,
     ShapeError,
@@ -14,6 +17,7 @@ from oracles import (
     integer_grid_optimum,
     integer_grid_optimum_literal,
     random_instance,
+    reference_greedy,
     saa_loops,
     shortfall_loops,
 )
@@ -110,6 +114,60 @@ class TestSolveGreedy:
         p = problem([[0.0, 3.0], [0.0, 5.0]], 10.0)
         res = solve_greedy(p)
         assert res.allocation[0] == 0.0
+
+
+@st.composite
+def greedy_instances(draw):
+    """Small instances rich in ties: integer or float samples, -0.0, all-zero
+    columns, and budgets of zero, exactly a level total, the total demand
+    and beyond it, or anything in between."""
+    K = draw(st.integers(1, 8))
+    N = draw(st.integers(1, 8))
+    value = st.one_of(
+        st.integers(0, 6).map(float),
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+        st.just(-0.0),
+    )
+    samples = np.array(
+        draw(st.lists(st.lists(value, min_size=N, max_size=N), min_size=K, max_size=K))
+    )
+    samples[:, draw(st.lists(st.integers(0, N - 1), max_size=N))] = 0.0
+    level_totals = np.sort(samples, axis=0).sum(axis=1)  # budget to fill levels 0..j
+    total = float(samples.max(axis=0).sum())
+    budget = draw(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from([float(b) for b in level_totals]),
+            st.just(total),
+            st.floats(total, total + 10.0),
+            st.floats(0.0, total),
+        )
+    )
+    return samples, budget
+
+
+class TestMatchesReferenceGreedy:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(greedy_instances())
+    def test_bit_identical_to_segment_loop(self, instance):
+        samples, budget = instance
+        ref_allocation, ref_objective, ref_trace = reference_greedy(samples, budget)
+        res = solve_greedy(problem(samples, budget))
+        assert np.array_equal(res.allocation, ref_allocation)
+        assert res.allocation.tobytes() == ref_allocation.tobytes()  # -0.0 included
+        assert res.objective == ref_objective
+        assert len(res.fill_trace) == len(ref_trace)
+        assert [s.to_dict() for s in list(res.fill_trace)] == ref_trace
+        assert res.to_dict()["fill_trace"] == ref_trace
+
+    def test_trace_length_builds_no_steps(self, monkeypatch):
+        res = solve_greedy(problem([[2, 1], [4, 1]], 3))
+
+        def no_steps(*args):
+            raise AssertionError("len() built a FillStep")
+
+        monkeypatch.setattr(allocator, "FillStep", no_steps)
+        assert len(res.fill_trace) == 2  # level 0 of both facilities spends it all
 
 
 class TestSolveLp:

@@ -116,6 +116,11 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_forest(table(np.ones((3, 2)), np.ones(3), np.array([1.0, -1.0, 1.0])))
 
+    def test_non_finite_target_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="targets must be finite"):
+                train_forest(table(np.ones((4, 2)), [1.0, bad, 2.0, 3.0]), small_params())
+
     def test_mae_criterion_trains(self):
         rng = np.random.default_rng(10)
         X = rng.uniform(0, 1, size=(50, 2))

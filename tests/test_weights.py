@@ -18,7 +18,10 @@ from stockalloc import (
     retrain_weighted,
     train_forest,
 )
+from stockalloc import weights
 from stockalloc.weights import apply_report
+
+from oracles import reference_greedy
 
 
 class TestLossGradient:
@@ -85,6 +88,22 @@ class TestPolicyJacobian:
         cfg = WeightConfig(jacobian_mode="diagonal_fd", fd_step=0.01)
         J = policy_jacobian(p, cfg)
         assert np.array_equal(J, np.diag(np.diag(J)))
+
+    @pytest.mark.parametrize("mode", ["diagonal_fd", "full_fd"])
+    def test_fd_jacobian_equals_reference_solver_jacobian(self, mode, monkeypatch):
+        rng = np.random.default_rng(20)
+        samples = rng.gamma(2.0, 5.0, size=(100, 20))
+        p = AllocationProblem(samples, 0.6 * float(samples.mean(axis=0).sum()))
+        cfg = WeightConfig(jacobian_mode=mode)
+        J = policy_jacobian(p, cfg)
+        assert np.count_nonzero(J)
+
+        class Reference:
+            def __init__(self, problem):
+                self.allocation = reference_greedy(problem.samples, problem.budget)[0]
+
+        monkeypatch.setattr(weights, "solve_greedy", Reference)
+        assert np.array_equal(J, policy_jacobian(p, cfg))
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
