@@ -10,37 +10,40 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .allocator import AllocationProblem, solve_greedy
-from .errors import ConfigError, StockAllocError
+from .errors import ConfigError, SchemaError, StockAllocError
 from .forest import Forest, ForestParams, train_forest
 from .ingest import (
     FeatureTable,
     build_feature_table,
     clean_records,
+    group_rows,
+    net_requirement,
     parse_records,
-    split_train_eval,
     write_exclusions_csv,
     write_rejects_csv,
 )
-from .periods import period_index
 from .pipeline import (
     RunConfig,
     compare,
+    evaluate,
+    model_samples,
+    prepare_table,
     report_to_json,
-    unmet_demand_pct,
+    solve_products,
     write_breakdown_csv,
 )
 from .synth import TwoClassScenario, generate
 from .weights import (
+    DEFAULT_BUDGET_FRACTION,
     WeightConfig,
     WeightReport,
     apply_report,
     budgets_from_fraction,
     compute_weights,
-    requirement,
 )
 
 _EXIT_BY_CATEGORY = {"config": 2, "schema": 2, "data": 3, "shape": 3, "solver": 4, "internal": 4}
@@ -145,9 +148,8 @@ def cmd_weights(args):
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
     wcfg = _weight_config(cfg.get("weight_config", {}), args)
-    fraction = args.budget_fraction if args.budget_fraction is not None else 0.7
     budgets = budgets_from_fraction(
-        table, fraction, inventory_feature=wcfg.inventory_feature
+        table, args.budget_fraction, inventory_feature=wcfg.inventory_feature
     )
     report = compute_weights(table, model, budgets, wcfg)
     report.to_csv(args.out)
@@ -169,67 +171,62 @@ def cmd_retrain(args):
 def cmd_allocate(args):
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
-    eval_period = args.eval_period or max(set(table.periods), key=period_index)
-    _, eval_table = split_train_eval(table, eval_period)
-    inv = args.inventory_feature
-
-    groups = {}
-    for i, product in enumerate(eval_table.product_ids):
-        groups.setdefault(product, []).append(i)
-
-    payload = {"eval_period": eval_period, "products": {}}
-    for product, rows in sorted(groups.items()):
-        rows = np.asarray(rows)
-        X = eval_table.X[rows]
-        samples = model.predict_samples(X)
-        realized = eval_table.y[rows]
-        if inv is not None:
-            samples = requirement(samples, X[:, inv][:, None])
-            realized = requirement(realized, X[:, inv])
-        if args.budget is not None:
-            budget = args.budget
-        else:
-            fraction = args.budget_fraction if args.budget_fraction is not None else 0.7
-            budget = fraction * float(realized.sum())
-        result = solve_greedy(AllocationProblem.from_row_samples(samples, budget))
-        payload["products"][product] = {
+    prepared = prepare_table(
+        table, args.eval_period, args.budget_fraction, inventory_feature=args.inventory_feature
+    )
+    if args.budget is not None:
+        prepared = replace(prepared, budgets_eval={prepared.eval_period: args.budget})
+    products = {}
+    for product, rows, budget, result in solve_products(prepared, model_samples(prepared, model)):
+        products[product] = {
             "budget": budget,
-            "facility_ids": [eval_table.facility_ids[i] for i in rows],
+            "facility_ids": [prepared.eval_table.facility_ids[i] for i in rows],
             "allocation": result.allocation.tolist(),
             "objective": result.objective,
             "fill_trace": [s.to_dict() for s in result.fill_trace],
         }
+    payload = {"eval_period": prepared.eval_period, "products": products}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"allocated {len(payload['products'])} product(s) -> {args.out}")
+    print(f"allocated {len(products)} product(s) -> {args.out}")
     return 0
 
 
+def _read_allocation(path):
+    """Load an `allocate` JSON file; a malformed one raises SchemaError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
+    try:
+        for entry in payload["products"].values():
+            if len(np.asarray(entry["allocation"], dtype=float)) != len(entry["facility_ids"]):
+                raise ValueError("'allocation' and 'facility_ids' differ in length")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: not an allocation file: {exc!r}") from exc
+    return payload
+
+
 def cmd_evaluate(args):
-    with open(args.allocation, "r", encoding="utf-8") as fh:
-        allocation = json.load(fh)
+    allocation = _read_allocation(args.allocation)
     table = FeatureTable.from_csv(args.features)
-    eval_period = allocation.get("eval_period")
-    report = {}
+    prepared = prepare_table(
+        table, allocation.get("eval_period"), inventory_feature=args.inventory_feature
+    )
+    eval_table = prepared.eval_table
+    groups = group_rows(eval_table.product_ids)
+    allocations, realized = {}, {}
     for product, entry in sorted(allocation["products"].items()):
-        fac_order = entry["facility_ids"]
-        realized = {}
-        for i in range(len(table)):
-            if table.product_ids[i] == product and (
-                eval_period is None or table.periods[i] == eval_period
-            ):
-                value = float(table.y[i])
-                if args.inventory_feature is not None:
-                    value = max(value - float(table.X[i, args.inventory_feature]), 0.0)
-                realized[table.facility_ids[i]] = value
-        missing = [f for f in fac_order if f not in realized]
+        rows = groups.get(product, [])
+        demand = net_requirement(eval_table, rows, eval_table.y[rows], args.inventory_feature)
+        by_facility = dict(zip((eval_table.facility_ids[i] for i in rows), demand))
+        missing = [f for f in entry["facility_ids"] if f not in by_facility]
         if missing:
             raise ConfigError(f"realized demand missing for facilities {missing[:3]}...")
-        xi = np.array([realized[f] for f in fac_order])
-        report[product] = {
-            "unmet_demand_pct": unmet_demand_pct(np.array(entry["allocation"]), xi)
-        }
-    text = json.dumps(report, indent=2, sort_keys=True)
+        realized[product] = np.array([by_facility[f] for f in entry["facility_ids"]])
+        allocations[product] = np.array(entry["allocation"], dtype=float)
+    text = json.dumps(evaluate(allocations, realized), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -279,11 +276,11 @@ def cmd_compare(args):
     if bool(args.csv) == bool(args.synth):
         raise ConfigError("compare needs exactly one of --csv or --synth")
     config = _run_config_from_args(args)
-    report, outcomes, weight_report, prepared = compare(config)
+    report, outcomes, weight_report, _ = compare(config)
     out = _ensure_out(args.out)
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report_to_json(report))
-    write_breakdown_csv(os.path.join(out, "breakdown.csv"), outcomes, prepared)
+    write_breakdown_csv(os.path.join(out, "breakdown.csv"), outcomes)
     weight_report.to_csv(os.path.join(out, "weights.csv"))
     for product, entry in sorted(report["products"].items()):
         parts = []
@@ -338,7 +335,7 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, help="forest JSON from `train`")
     p.add_argument("--out", required=True, help="output weights CSV path")
-    p.set_defaults(func=cmd_weights)
+    p.set_defaults(func=cmd_weights, budget_fraction=DEFAULT_BUDGET_FRACTION)
 
     p = sub.add_parser("retrain", help="retrain the forest with decision weights")
     add_common(p)
@@ -355,7 +352,7 @@ def build_parser():
     p.add_argument("--eval-period", dest="eval_period", default=None)
     p.add_argument("--budget", type=float, default=None, help="absolute budget per product")
     p.add_argument("--inventory-feature", dest="inventory_feature", type=int, default=None)
-    p.set_defaults(func=cmd_allocate)
+    p.set_defaults(func=cmd_allocate, budget_fraction=DEFAULT_BUDGET_FRACTION)
 
     p = sub.add_parser("evaluate", help="score an allocation against realized demand")
     p.add_argument("--allocation", required=True)

@@ -266,6 +266,20 @@ class _TreeBuilder:
         return gains
 
 
+def feature_rows(x, feature_dim):
+    """A model's input as an (n, feature_dim) float matrix, and whether `x`
+    was a single feature vector. Shared by every model's predictions."""
+    X = np.asarray(x, dtype=float)
+    single = X.ndim == 1
+    if single:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != feature_dim:
+        raise ShapeError(
+            f"expected feature dimension {feature_dim}, got shape {np.asarray(x).shape}"
+        )
+    return X, single
+
+
 @dataclass
 class Forest:
     trees: list
@@ -277,21 +291,9 @@ class Forest:
     def n_trees(self):
         return len(self.trees)
 
-    def _check_input(self, x):
-        X = np.asarray(x, dtype=float)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.feature_dim:
-            raise ShapeError(
-                f"expected feature dimension {self.feature_dim}, got shape "
-                f"{np.asarray(x).shape}"
-            )
-        return X, single
-
     def predict_point(self, x):
         """Mean of the raw per-tree outputs."""
-        X, single = self._check_input(x)
+        X, single = feature_rows(x, self.feature_dim)
         out = np.zeros(X.shape[0])
         for tree in self.trees:
             out += tree.apply(X)
@@ -303,7 +305,7 @@ class Forest:
 
         Shape (K,) for a single feature vector, else (n_rows, K).
         """
-        X, single = self._check_input(x)
+        X, single = feature_rows(x, self.feature_dim)
         out = np.empty((X.shape[0], self.n_trees))
         for k, tree in enumerate(self.trees):
             out[:, k] = tree.apply(X)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInputError, NotFoundError, SchemaError, ShapeError
-from .periods import period_index, period_str, month_of, year_of
+from .periods import period_index, period_str
 
 BALANCE_TOL = 1e-9
 
@@ -184,12 +184,9 @@ def clean_records(records, outlier_multiplier=10.0):
         else:
             survivors.append(i)
 
-    by_series = {}
-    for i in survivors:
-        by_series.setdefault((records[i].facility_id, records[i].product_id), []).append(i)
-
-    for series in by_series.values():
-        alive = list(series)
+    series_keys = ((records[i].facility_id, records[i].product_id) for i in survivors)
+    for rows in group_rows(series_keys).values():
+        alive = [survivors[j] for j in rows]
         while True:
             flagged = []
             for i in alive:
@@ -351,6 +348,7 @@ class FeatureTable:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a `to_csv` file; a malformed line raises SchemaError naming it."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -362,12 +360,22 @@ class FeatureTable:
             d = len(header) - 5
             fac, prod, per, rows, ys, ws = [], [], [], [], [], []
             for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(header):
+                    raise SchemaError(f"{where}: {len(row)} cells, header has {len(header)}")
+                try:
+                    period_index(row[2])
+                    values = [float(v) for v in row[3:]]
+                except ValueError as exc:
+                    raise SchemaError(f"{where}: {exc}") from exc
+                if not all(map(math.isfinite, values)) or values[-1] < 0:
+                    raise SchemaError(f"{where}: values must be finite, the weight nonnegative")
                 fac.append(row[0])
                 prod.append(row[1])
                 per.append(row[2])
-                rows.append([float(v) for v in row[3 : 3 + d]])
-                ys.append(float(row[3 + d]))
-                ws.append(float(row[4 + d]))
+                rows.append(values[:d])
+                ys.append(values[d])
+                ws.append(values[d + 1])
         return cls(
             facility_ids=fac,
             product_ids=prod,
@@ -379,116 +387,110 @@ class FeatureTable:
         )
 
 
-def build_features(records, lag_months=10, as_of=None, region_codes=None, extra_features=None):
+def group_rows(keys):
+    """Row indices per distinct key: keys sorted, rows in table order, int64."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return {key: np.asarray(groups[key], dtype=np.int64) for key in sorted(groups)}
+
+
+def net_requirement(table, rows, values, inventory_feature):
+    """What a budget has to cover: demand minus on-hand inventory, floored at 0.
+
+    `values` are demands for the table rows `rows`, shape (rows,) or
+    (rows, K); the inventory is feature `inventory_feature` of those rows.
+    With no inventory feature the demands are the requirement.
+    """
+    values = np.asarray(values, dtype=float)
+    if inventory_feature is None:
+        return values
+    inventory = table.X[rows, inventory_feature]
+    if values.ndim == 2:
+        inventory = inventory[:, None]
+    return np.clip(values - inventory, 0.0, None)
+
+
+def build_features(records, lag_months=10, as_of=None):
     """Build one feature row per (facility, product) observed at `as_of`.
 
-    The feature vector holds the `lag_months` trailing demands (missing
-    months encoded as -1 with a companion 0/1 presence flag per lag), the
-    month-of-year, the year, and an integer region code. `extra_features`
-    may be a callable (facility_id, product_id, as_of, history) -> dict of
-    additional named features; `history` maps absolute month index to
-    demand for that series.
+    The one-period case of `build_feature_table`; `as_of` defaults to the
+    latest record period and becomes the table's horizon.
     """
+    records = list(records)
+    if as_of is None and records:
+        as_of = max((r.period for r in records), key=period_index)
+    if as_of is not None:
+        as_of = period_str(period_index(as_of))
+    return _lag_table(records, lag_months, [as_of], horizon=as_of)
+
+
+def build_feature_table(records, lag_months=10, periods=None):
+    """Lagged feature rows for every period (default: every record period).
+
+    A row is one (facility, product) observed at a period. Its features are
+    the `lag_months` trailing demands (missing months encoded as -1 with a
+    companion 0/1 presence flag per lag), the month-of-year, the year, and
+    an integer region code. Rows run in period order, then (facility,
+    product) order.
+    """
+    records = list(records)
+    if periods is None:
+        periods = sorted({r.period for r in records}, key=period_index)
+    table = _lag_table(records, lag_months, periods)
+    if not len(table):
+        raise EmptyInputError("no records at the requested periods")
+    return table
+
+
+def _lag_table(records, lag_months, periods, horizon=None):
+    """Index every series once, then emit each period's rows from that index."""
     if lag_months < 1:
         raise ValueError("lag_months must be >= 1")
-    records = list(records)
     if not records:
         raise EmptyInputError("no records to build features from")
-    if as_of is None:
-        as_of = max((r.period for r in records), key=period_index)
-    as_of = period_str(period_index(as_of))
-    as_of_idx = period_index(as_of)
-    if all(period_index(r.period) > as_of_idx for r in records):
-        raise EmptyInputError(f"as_of {as_of} precedes every record")
-
-    if region_codes is None:
-        region_codes = region_code_map(records)
-
-    history = {}
-    current = {}
+    codes = {r: i for i, r in enumerate(sorted({rec.region for rec in records}))}
+    history, current = {}, {}
     for rec in records:
         key = (rec.facility_id, rec.product_id)
         history.setdefault(key, {})[period_index(rec.period)] = rec.demand
-        if rec.period == as_of:
-            current[key] = rec
+        current.setdefault(rec.period, {})[key] = rec
+    first = min(min(series) for series in history.values())
 
-    fac, prod, rows, targets = [], [], [], []
-    names = None
-    for key in sorted(current):
-        rec = current[key]
-        series = history[key]
-        lags, flags = [], []
-        for j in range(1, lag_months + 1):
-            past = series.get(as_of_idx - j)
-            if past is None:
-                lags.append(-1.0)
-                flags.append(0.0)
-            else:
-                lags.append(float(past))
-                flags.append(1.0)
-        feats = lags + flags + [
-            float(month_of(as_of)),
-            float(year_of(as_of)),
-            float(region_codes.get(rec.region, -1)),
-        ]
-        base_names = (
-            [f"lag_{j}" for j in range(1, lag_months + 1)]
-            + [f"lag_{j}_present" for j in range(1, lag_months + 1)]
-            + ["month", "year", "region_code"]
-        )
-        if extra_features is not None:
-            extra = extra_features(rec.facility_id, rec.product_id, as_of, series)
-            for k in sorted(extra):
-                feats.append(float(extra[k]))
-                base_names.append(k)
-        if names is None:
-            names = base_names
-        elif names != base_names:
-            raise ShapeError("extra_features returned inconsistent feature names")
-        fac.append(rec.facility_id)
-        prod.append(rec.product_id)
-        rows.append(feats)
-        targets.append(rec.demand)
+    fac, prod, per, targets = [], [], [], []
+    lags = range(1, lag_months + 1)
+    n = sum(len(current.get(period_str(period_index(p)), ())) for p in periods)
+    X = np.empty((n, 2 * lag_months + 3))  # filled in place: no list of all rows
+    for period in periods:
+        t = period_index(period)
+        as_of = period_str(t)
+        if t < first:
+            raise EmptyInputError(f"as_of {as_of} precedes every record")
+        at = current.get(as_of, {})
+        for key in sorted(at):
+            rec = at[key]
+            past = [history[key].get(t - j) for j in lags]
+            X[len(fac)] = (
+                [-1.0 if v is None else float(v) for v in past]
+                + [0.0 if v is None else 1.0 for v in past]
+                + [float(t % 12 + 1), float(t // 12), float(codes[rec.region])]
+            )
+            fac.append(rec.facility_id)
+            prod.append(rec.product_id)
+            per.append(as_of)
+            targets.append(rec.demand)
 
-    d = len(names) if names else 2 * lag_months + 3
-    n = len(fac)
+    names = [f"lag_{j}" for j in lags] + [f"lag_{j}_present" for j in lags]
     return FeatureTable(
         facility_ids=fac,
         product_ids=prod,
-        periods=[as_of] * n,
-        X=np.array(rows, dtype=float).reshape(n, d),
+        periods=per,
+        X=X,
         y=np.array(targets, dtype=float),
-        weights=np.ones(n),
-        feature_names=names or [],
-        horizon=as_of,
+        weights=np.ones(len(fac)),
+        feature_names=names + ["month", "year", "region_code"],
+        horizon=horizon,
     )
-
-
-def region_code_map(records):
-    """Stable region -> integer code mapping over a record collection."""
-    return {r: i for i, r in enumerate(sorted({rec.region for rec in records}))}
-
-
-def build_feature_table(records, lag_months=10, periods=None, extra_features=None):
-    """Stack `build_features` over several periods with one shared region map."""
-    records = list(records)
-    if not records:
-        raise EmptyInputError("no records to build features from")
-    codes = region_code_map(records)
-    if periods is None:
-        periods = sorted({r.period for r in records}, key=period_index)
-    tables = [
-        build_features(
-            records,
-            lag_months=lag_months,
-            as_of=p,
-            region_codes=codes,
-            extra_features=extra_features,
-        )
-        for p in periods
-    ]
-    out = FeatureTable.concat(tables)
-    return out
 
 
 def split_train_eval(table, eval_period):

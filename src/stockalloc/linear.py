@@ -14,7 +14,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, ShapeError
+from .errors import DegenerateWeightsError
+from .forest import feature_rows
 
 
 def _quantile_grid(k):
@@ -33,25 +34,13 @@ class LinearModel:
     def feature_dim(self):
         return len(self.coef)
 
-    def _check_input(self, x):
-        X = np.asarray(x, dtype=float)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.feature_dim:
-            raise ShapeError(
-                f"expected feature dimension {self.feature_dim}, got shape "
-                f"{np.asarray(x).shape}"
-            )
-        return X, single
-
     def predict_point(self, x):
-        X, single = self._check_input(x)
+        X, single = feature_rows(x, self.feature_dim)
         out = X @ self.coef + self.intercept
         return float(out[0]) if single else out
 
     def predict_samples(self, x):
-        X, single = self._check_input(x)
+        X, single = feature_rows(x, self.feature_dim)
         point = X @ self.coef + self.intercept
         z = _quantile_grid(self.n_samples)
         out = np.clip(point[:, None] + self.resid_scale * z[None, :], 0.0, None)

@@ -19,10 +19,3 @@ def period_index(period):
 def period_str(index):
     return f"{index // 12:04d}-{index % 12 + 1:02d}"
 
-
-def month_of(period):
-    return period_index(period) % 12 + 1
-
-
-def year_of(period):
-    return period_index(period) // 12

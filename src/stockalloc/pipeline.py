@@ -19,19 +19,26 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocator import AllocationProblem, solve_greedy
-from .errors import ConfigError
+from .errors import ConfigError, EmptyInputError
 from .forest import ForestParams, train_forest
-from .ingest import build_feature_table, clean_records, parse_records, split_train_eval
+from .ingest import (
+    build_feature_table,
+    clean_records,
+    group_rows,
+    net_requirement,
+    parse_records,
+    split_train_eval,
+)
 from .linear import train_linear
-from .periods import period_index
+from .periods import period_index, period_str
 from .synth import INVENTORY_FEATURE, TwoClassScenario, generate
 from .weights import (
+    DEFAULT_BUDGET_FRACTION,
     WeightConfig,
     apply_report,
     budgets_from_fraction,
     compute_weights,
     lookup_budget,
-    requirement,
 )
 
 POLICY_ORDER = ("decision_blind", "decision_aware", "rolling_average", "oracle")
@@ -46,7 +53,7 @@ class RunConfig:
     lag_months: int = 10
     outlier_multiplier: float = 10.0
     eval_period: str | None = None  # None -> latest period present
-    budget_fraction: float | None = None  # None -> scenario fraction, else 0.7
+    budget_fraction: float | None = None  # None -> scenario's, else the default
     budgets: dict | None = None  # explicit period/(period, product) -> units
     model: str = "forest"  # or "linear"
     forest_params: ForestParams = field(default_factory=ForestParams)
@@ -78,7 +85,7 @@ class RunConfig:
             return self.budget_fraction
         if self.scenario is not None:
             return self.scenario.budget_fraction
-        return 0.7
+        return DEFAULT_BUDGET_FRACTION
 
     def training_signature(self):
         sig = {"model": self.model, "seed": self.seed}
@@ -104,7 +111,7 @@ class PreparedRun:
 
 
 def prepare(config):
-    """Load or generate data and fix the train/eval split and budgets."""
+    """Load or generate data, then split it and fix budgets (`prepare_table`)."""
     rejects, exclusions, truth = [], [], None
     if config.scenario is not None:
         table, truth = generate(config.scenario, periods=config.periods)
@@ -112,19 +119,40 @@ def prepare(config):
         records, rejects = parse_records(config.csv_path, schema=config.schema)
         kept, exclusions = clean_records(records, outlier_multiplier=config.outlier_multiplier)
         table = build_feature_table(kept, lag_months=config.lag_months)
+    prepared = prepare_table(
+        table,
+        eval_period=config.eval_period,
+        budget_fraction=config.resolved_budget_fraction(),
+        budgets=config.budgets,
+        inventory_feature=config.resolved_inventory_feature(),
+    )
+    return replace(prepared, rejects=rejects, exclusions=exclusions, ground_truth=truth)
 
-    eval_period = config.eval_period or max(set(table.periods), key=period_index)
+
+def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTION,
+                  budgets=None, inventory_feature=None):
+    """Split a feature table at the evaluation period and fix the budgets.
+
+    The evaluation period defaults to the table's latest and is normalized
+    to "YYYY-MM". Budgets are `budgets` when given (period or (period,
+    product) -> units), else `budget_fraction` of each (period, product)
+    group's realized requirement. `compare`, `stockalloc allocate` and
+    `stockalloc evaluate` all split here.
+    """
+    if not len(table):
+        raise EmptyInputError("feature table has no rows")
+    try:
+        eval_period = period_str(
+            period_index(eval_period or max(set(table.periods), key=period_index))
+        )
+    except ValueError as exc:
+        raise ConfigError(f"eval period: {exc}") from exc
     train, eval_table = split_train_eval(table, eval_period)
-    inv = config.resolved_inventory_feature()
-
-    if config.budgets is not None:
-        budgets_train = dict(config.budgets)
-        budgets_eval = dict(config.budgets)
+    if budgets is not None:
+        budgets_train, budgets_eval = dict(budgets), dict(budgets)
     else:
-        fraction = config.resolved_budget_fraction()
-        budgets_train = budgets_from_fraction(train, fraction, inventory_feature=inv)
-        budgets_eval = budgets_from_fraction(eval_table, fraction, inventory_feature=inv)
-
+        budgets_train = budgets_from_fraction(train, budget_fraction, inventory_feature)
+        budgets_eval = budgets_from_fraction(eval_table, budget_fraction, inventory_feature)
     return PreparedRun(
         table=table,
         train=train,
@@ -132,10 +160,7 @@ def prepare(config):
         eval_period=eval_period,
         budgets_train=budgets_train,
         budgets_eval=budgets_eval,
-        inventory_feature=inv,
-        rejects=rejects,
-        exclusions=exclusions,
-        ground_truth=truth,
+        inventory_feature=inventory_feature,
     )
 
 
@@ -170,23 +195,6 @@ def evaluate(allocations, realized):
     return report
 
 
-def _eval_groups(prepared):
-    """Per-product row indices of the evaluation table, in table order."""
-    groups = {}
-    for i, product in enumerate(prepared.eval_table.product_ids):
-        groups.setdefault(product, []).append(i)
-    return {p: np.asarray(rows) for p, rows in sorted(groups.items())}
-
-
-def _requirements(prepared, rows, values):
-    if prepared.inventory_feature is None:
-        return np.asarray(values, dtype=float)
-    inv = prepared.eval_table.X[rows, prepared.inventory_feature]
-    if np.ndim(values) == 2:
-        return requirement(np.asarray(values, float), inv[:, None])
-    return requirement(np.asarray(values, float), inv)
-
-
 @dataclass
 class PolicyOutcome:
     policy: str
@@ -202,13 +210,32 @@ class PolicyOutcome:
         return float(np.mean(vals)) if vals else None
 
 
-def _allocate_policy(name, prepared, point_by_product, samples_by_product, training):
-    per_product = {}
+def _eval_groups(prepared):
+    return group_rows(prepared.eval_table.product_ids)
+
+
+def _eval_requirement(prepared, rows, values):
+    return net_requirement(prepared.eval_table, rows, values, prepared.inventory_feature)
+
+
+def solve_products(prepared, samples_by_product):
+    """Solve each evaluation product's problem at its budget, in product order.
+
+    Yields (product, rows of the evaluation table, budget, result). Every
+    policy and `stockalloc allocate` allocate through this loop; only the
+    latter reads the result's fill trace, so outcomes do not keep it.
+    """
     for product, rows in _eval_groups(prepared).items():
-        realized_req = _requirements(prepared, rows, prepared.eval_table.y[rows])
         budget = float(lookup_budget(prepared.budgets_eval, prepared.eval_period, product))
         problem = AllocationProblem.from_row_samples(samples_by_product[product], budget)
-        result = solve_greedy(problem)
+        yield product, rows, budget, solve_greedy(problem)
+
+
+def _allocate_policy(name, prepared, point_by_product, samples_by_product, training):
+    eval_table = prepared.eval_table
+    per_product = {}
+    for product, rows, budget, result in solve_products(prepared, samples_by_product):
+        realized_req = _eval_requirement(prepared, rows, eval_table.y[rows])
         point = point_by_product.get(product)
         per_product[product] = {
             "allocation": result.allocation,
@@ -216,23 +243,29 @@ def _allocate_policy(name, prepared, point_by_product, samples_by_product, train
             "budget": budget,
             "realized_requirement": realized_req,
             "unmet_demand_pct": unmet_demand_pct(result.allocation, realized_req),
-            "mdape": None
-            if point is None
-            else mdape(point, prepared.eval_table.y[rows]),
-            "facility_ids": [prepared.eval_table.facility_ids[i] for i in rows],
+            "mdape": None if point is None else mdape(point, eval_table.y[rows]),
+            "facility_ids": [eval_table.facility_ids[i] for i in rows],
         }
     return PolicyOutcome(policy=name, per_product=per_product, training=training)
 
 
+def model_samples(prepared, model):
+    """Per evaluation product, the model's scenario samples as net requirements."""
+    X = prepared.eval_table.X
+    return {
+        product: _eval_requirement(prepared, rows, model.predict_samples(X[rows]))
+        for product, rows in _eval_groups(prepared).items()
+    }
+
+
 def _model_policy(name, config, prepared, model, weights_label):
-    points, samples = {}, {}
-    for product, rows in _eval_groups(prepared).items():
-        X = prepared.eval_table.X[rows]
-        points[product] = np.atleast_1d(model.predict_point(X))
-        raw = model.predict_samples(X)
-        samples[product] = _requirements(prepared, rows, raw)
+    X = prepared.eval_table.X
+    points = {
+        product: np.atleast_1d(model.predict_point(X[rows]))
+        for product, rows in _eval_groups(prepared).items()
+    }
     training = dict(config.training_signature(), weights=weights_label)
-    return _allocate_policy(name, prepared, points, samples, training)
+    return _allocate_policy(name, prepared, points, model_samples(prepared, model), training)
 
 
 def _train_model(config, table):
@@ -299,7 +332,7 @@ def run_rolling_average(config, prepared=None, window=None):
     points, samples = {}, {}
     for product, rows in _eval_groups(prepared).items():
         points[product] = forecasts[rows]
-        samples[product] = _requirements(prepared, rows, forecasts[rows][:, None])
+        samples[product] = _eval_requirement(prepared, rows, forecasts[rows][:, None])
     training = {"window": window, "weights": "none"}
     return _allocate_policy("rolling_average", prepared, points, samples, training)
 
@@ -307,10 +340,10 @@ def run_rolling_average(config, prepared=None, window=None):
 def run_oracle(config, prepared=None):
     """Perfect foresight: allocate against the realized requirement itself."""
     prepared = prepared or prepare(config)
-    samples = {}
-    for product, rows in _eval_groups(prepared).items():
-        realized_req = _requirements(prepared, rows, prepared.eval_table.y[rows])
-        samples[product] = realized_req[:, None]
+    samples = {
+        product: _eval_requirement(prepared, rows, prepared.eval_table.y[rows])[:, None]
+        for product, rows in _eval_groups(prepared).items()
+    }
     training = {"weights": "perfect_foresight"}
     return _allocate_policy("oracle", prepared, {}, samples, training)
 
@@ -326,13 +359,10 @@ def compare(config):
     outcomes = {o.policy: o for o in (blind, aware, rolling, oracle)}
 
     products = {}
-    for product, rows in _eval_groups(prepared).items():
-        realized_req = _requirements(prepared, rows, prepared.eval_table.y[rows])
+    for product, base in oracle.per_product.items():
         entry = {
-            "total_requirement": float(realized_req.sum()),
-            "budget": float(
-                lookup_budget(prepared.budgets_eval, prepared.eval_period, product)
-            ),
+            "total_requirement": float(base["realized_requirement"].sum()),
+            "budget": base["budget"],
             "policies": {},
         }
         for name in POLICY_ORDER:
@@ -367,7 +397,7 @@ def report_to_json(report):
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def write_breakdown_csv(path, outcomes, prepared):
+def write_breakdown_csv(path, outcomes):
     """Per-facility shortfall breakdown across all policies."""
     import csv as _csv
 
@@ -377,8 +407,7 @@ def write_breakdown_csv(path, outcomes, prepared):
         for name in POLICY_ORDER:
             header += [f"{name}_allocation", f"{name}_shortfall"]
         writer.writerow(header)
-        for product, rows in _eval_groups(prepared).items():
-            base = outcomes[POLICY_ORDER[0]].per_product[product]
+        for product, base in outcomes[POLICY_ORDER[0]].per_product.items():
             for j, fac in enumerate(base["facility_ids"]):
                 row = [product, fac, repr(float(base["realized_requirement"][j]))]
                 for name in POLICY_ORDER:

@@ -20,9 +20,11 @@ import numpy as np
 from .allocator import AllocationProblem, solve_greedy
 from .errors import ConfigError, MissingWeightError, ShapeError
 from .forest import train_forest
+from .ingest import group_rows, net_requirement
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
 EXPANSION_POINTS = ("model", "realized")
+DEFAULT_BUDGET_FRACTION = 0.7
 
 
 @dataclass(frozen=True)
@@ -166,18 +168,6 @@ def policy_jacobian(problem, config):
     return J
 
 
-def requirement(values, inventory):
-    """Net replenishment requirement: demand minus on-hand inventory."""
-    return np.clip(values - inventory, 0.0, None)
-
-
-def _group_rows(table):
-    groups = {}
-    for i, (period, product) in enumerate(zip(table.periods, table.product_ids)):
-        groups.setdefault((period, product), []).append(i)
-    return dict(sorted(groups.items()))
-
-
 def lookup_budget(budgets, period, product):
     if (period, product) in budgets:
         return budgets[(period, product)]
@@ -195,10 +185,8 @@ def budgets_from_fraction(table, fraction, inventory_feature=None):
     if fraction < 0:
         raise ConfigError("budget fraction must be nonnegative")
     budgets = {}
-    for key, rows in _group_rows(table).items():
-        realized = table.y[rows]
-        if inventory_feature is not None:
-            realized = requirement(realized, table.X[rows, inventory_feature])
+    for key, rows in group_rows(zip(table.periods, table.product_ids)).items():
+        realized = net_requirement(table, rows, table.y[rows], inventory_feature)
         budgets[key] = fraction * float(realized.sum())
     return budgets
 
@@ -221,7 +209,7 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
     reference = {}
     modes = {}
 
-    groups = _group_rows(train)
+    groups = group_rows(zip(train.periods, train.product_ids))
     panels = {}
     for (period, product), rows in groups.items():
         panels.setdefault(product, set()).update(
@@ -229,18 +217,11 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         )
 
     for (period, product), rows in groups.items():
-        rows = np.asarray(rows)
-        xi_star = train.y[rows]
-        inv = None
-        if config.inventory_feature is not None:
-            inv = train.X[rows, config.inventory_feature]
-            xi_star = requirement(xi_star, inv)
-
+        xi_star = net_requirement(train, rows, train.y[rows], config.inventory_feature)
         budget = float(lookup_budget(budget_per_period, period, product))
         if config.expansion_point == "model":
             samples = initial_model.predict_samples(train.X[rows])
-            if inv is not None:
-                samples = requirement(samples, inv[:, None])
+            samples = net_requirement(train, rows, samples, config.inventory_feature)
             problem = AllocationProblem.from_row_samples(samples, budget)
         else:
             problem = AllocationProblem(xi_star[None, :], budget)

@@ -131,3 +131,84 @@ def reference_greedy(samples, budget):
         )
     objective = float(np.maximum(samples - allocation[None, :], 0.0).sum() / K)
     return allocation, objective, trace
+
+
+def _month_index(period):
+    year, month = str(period).strip().split("-")
+    return int(year) * 12 + int(month) - 1
+
+
+def _month_str(index):
+    return f"{index // 12:04d}-{index % 12 + 1:02d}"
+
+
+def reference_features(records, lag_months, as_of, region_codes):
+    """One period's lag rows, re-indexing every record: the reference featurizer.
+
+    Records are read by attribute (facility_id, product_id, period, region,
+    demand). Returns (facility_ids, product_ids, rows, targets) as lists,
+    rows sorted by (facility, product).
+    """
+    as_of = _month_str(_month_index(as_of))
+    as_of_idx = _month_index(as_of)
+    history = {}
+    current = {}
+    for rec in records:
+        key = (rec.facility_id, rec.product_id)
+        history.setdefault(key, {})[_month_index(rec.period)] = rec.demand
+        if rec.period == as_of:
+            current[key] = rec
+
+    fac, prod, rows, targets = [], [], [], []
+    for key in sorted(current):
+        rec = current[key]
+        series = history[key]
+        lags, flags = [], []
+        for j in range(1, lag_months + 1):
+            past = series.get(as_of_idx - j)
+            if past is None:
+                lags.append(-1.0)
+                flags.append(0.0)
+            else:
+                lags.append(float(past))
+                flags.append(1.0)
+        rows.append(
+            lags
+            + flags
+            + [
+                float(as_of_idx % 12 + 1),
+                float(as_of_idx // 12),
+                float(region_codes.get(rec.region, -1)),
+            ]
+        )
+        fac.append(rec.facility_id)
+        prod.append(rec.product_id)
+        targets.append(rec.demand)
+    return fac, prod, rows, targets
+
+
+def reference_feature_table(records, lag_months=10, periods=None):
+    """`reference_features` stacked over periods with one shared region map.
+
+    Returns (facility_ids, product_ids, periods, X, y, feature_names); X is
+    (rows, 2 * lag_months + 3) and may have no rows.
+    """
+    records = list(records)
+    codes = {r: i for i, r in enumerate(sorted({rec.region for rec in records}))}
+    if periods is None:
+        periods = sorted({r.period for r in records}, key=_month_index)
+    fac, prod, per, rows, targets = [], [], [], [], []
+    for period in periods:
+        f, p, r, t = reference_features(records, lag_months, period, codes)
+        fac += f
+        prod += p
+        per += [_month_str(_month_index(period))] * len(f)
+        rows += r
+        targets += t
+    names = (
+        [f"lag_{j}" for j in range(1, lag_months + 1)]
+        + [f"lag_{j}_present" for j in range(1, lag_months + 1)]
+        + ["month", "year", "region_code"]
+    )
+    X = np.array(rows, dtype=float).reshape(len(fac), len(names))
+    return fac, prod, per, X, np.array(targets, dtype=float), names

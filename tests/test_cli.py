@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import stockalloc
+from stockalloc import AllocationProblem, FeatureTable, Forest, solve_greedy
 from stockalloc.cli import load_config_file, main
 
 LEDGER_HEADER = (
@@ -17,19 +20,19 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def write_ledger(path, months=6, facilities=4):
+def write_ledger(path, months=6, facilities=4, products=("ors",)):
     rng = np.random.default_rng(3)
     rows = [LEDGER_HEADER.strip()]
     for f in range(facilities):
-        stock = 40.0
-        for m in range(1, months + 1):
-            received = float(rng.integers(5, 15))
-            dispensed = float(rng.integers(1, 10))
-            closing = stock + received - dispensed
-            rows.append(
-                f"fac{f},ors,2021-{m:02d},r{f % 2},{stock},{received},{dispensed},0,{closing}"
-            )
-            stock = closing
+        for product in products:
+            stock = 40.0
+            for m in range(1, months + 1):
+                received = float(rng.integers(5, 15))
+                dispensed = float(rng.integers(1, 10))
+                closing = stock + received - dispensed
+                rows.append(f"fac{f},{product},2021-{m:02d},r{f % 2},"
+                            f"{stock},{received},{dispensed},0,{closing}")
+                stock = closing
     path.write_text("\n".join(rows) + "\n")
     return path
 
@@ -141,6 +144,116 @@ class TestModelCommands:
         assert 0.0 <= scored["synthetic"]["unmet_demand_pct"] <= 100.0
 
 
+class TestMultiProductAllocation:
+    def test_allocate_and_evaluate_match_direct_solves(self, tmp_path):
+        ledger = write_ledger(tmp_path / "ledger.csv", months=7, facilities=5,
+                              products=("ors", "zinc"))
+        work = tmp_path / "work"
+        assert run_cli("ingest", "--csv", str(ledger), "--out", str(work),
+                       "--lag-months", "3") == 0
+        features, forest_path = work / "features.csv", work / "forest.json"
+        cfg = tmp_path / "forest.cfg"
+        cfg.write_text('{"n_trees": 6, "max_depth": 4}')
+        assert run_cli("train", "--features", str(features), "--out", str(forest_path),
+                       "--config", str(cfg), "--seed", "1") == 0
+        table, model = FeatureTable.from_csv(features), Forest.load(forest_path)
+
+        for flags, budget_of in ((["--budget-fraction", "0.6"], lambda y: 0.6 * float(y.sum())),
+                                 (["--budget", "20"], lambda y: 20.0)):
+            allocation, scored = tmp_path / "allocation.json", tmp_path / "eval.json"
+            assert run_cli("allocate", "--features", str(features), "--model", str(forest_path),
+                           "--out", str(allocation), *flags) == 0
+            payload = json.loads(allocation.read_text())
+            assert payload["eval_period"] == "2021-07"
+            assert sorted(payload["products"]) == ["ors", "zinc"]
+            expected = {}
+            for product, entry in payload["products"].items():
+                rows = [i for i, (p, t) in enumerate(zip(table.product_ids, table.periods))
+                        if p == product and t == "2021-07"]
+                y = table.y[rows]
+                budget = budget_of(y)
+                direct = solve_greedy(AllocationProblem(model.predict_samples(table.X[rows]).T,
+                                                        budget))
+                assert entry["facility_ids"] == [table.facility_ids[i] for i in rows]
+                assert entry["budget"] == budget
+                assert entry["allocation"] == direct.allocation.tolist()
+                assert 0 < sum(entry["allocation"]) <= budget + 1e-9
+                unmet = 100.0 * np.maximum(y - direct.allocation, 0.0).sum() / y.sum()
+                expected[product] = {"unmet_demand_pct": float(unmet)}
+            assert run_cli("evaluate", "--allocation", str(allocation),
+                           "--features", str(features), "--out", str(scored)) == 0
+            assert json.loads(scored.read_text()) == expected
+
+
+class TestEvalPeriodSplit:
+    def test_compare(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": "linear", "linear_samples": 20, "periods": 4}')
+        out = tmp_path / "run"
+        assert run_cli("compare", "--synth", "--config", str(cfg), "--seed", "1",
+                       "--eval-period", "2020-2", "--out", str(out)) == 0
+        assert json.loads((out / "report.json").read_text())["eval_period"] == "2020-02"
+
+    def test_allocate_evaluate_round_trip(self, tmp_path):
+        assert run_cli("synth", "--out", str(tmp_path), "--periods", "3", "--seed", "4") == 0
+        features, forest_path = str(tmp_path / "features.csv"), str(tmp_path / "forest.json")
+        assert run_cli("train", "--features", features, "--out", forest_path,
+                       "--config", str(self._small_forest(tmp_path))) == 0
+        allocation = tmp_path / "allocation.json"
+        assert run_cli("allocate", "--features", features, "--model", forest_path,
+                       "--out", str(allocation), "--eval-period", "2020-2") == 0
+        assert json.loads(allocation.read_text())["eval_period"] == "2020-02"
+        scored = tmp_path / "eval.json"
+        assert run_cli("evaluate", "--allocation", str(allocation), "--features", features,
+                       "--out", str(scored)) == 0
+        assert 0.0 <= json.loads(scored.read_text())["synthetic"]["unmet_demand_pct"] <= 100.0
+
+
+    def test_bad_period_is_a_config_error(self, tmp_path, capsys):
+        assert run_cli("compare", "--synth", "--eval-period", "2020-13",
+                       "--out", str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err.startswith("config error: eval period: ")
+
+    def test_table_without_rows_is_a_data_error(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", str(tmp_path), "--periods", "2") == 0
+        features = tmp_path / "features.csv"
+        forest_path = str(tmp_path / "forest.json")
+        assert run_cli("train", "--features", str(features), "--out", forest_path,
+                       "--config", str(self._small_forest(tmp_path))) == 0
+        features.write_text(features.read_text().splitlines()[0] + "\n")
+        assert run_cli("allocate", "--features", str(features), "--model", forest_path,
+                       "--out", str(tmp_path / "allocation.json")) == 3
+        assert capsys.readouterr().err.startswith("data error: feature table has no rows")
+
+    @staticmethod
+    def _small_forest(tmp_path):
+        cfg = tmp_path / "forest.cfg"
+        cfg.write_text('{"n_trees": 4, "max_depth": 3}')
+        return cfg
+
+
+FEATURE_HEADER = "facility_id,product_id,period,f_0,target,weight\na,p,2021-01,1.0,2.0,1.0\n"
+
+
+@pytest.mark.parametrize("command, text, where", [
+    ("train", FEATURE_HEADER + "b,p,2021-01,1.0,nan,1.0\n", ", line 3: "),
+    ("train", FEATURE_HEADER + "b,p,2021-01,x,2.0,1.0\n", ", line 3: "),
+    ("train", FEATURE_HEADER + "b,p,2021-01,1.0\n", ", line 3: "),
+    ("evaluate", '{"eval_period": "2021-01"}', ": "),
+], ids=["nan_target", "non_numeric_cell", "short_row", "allocation_without_products"])
+def test_malformed_input_is_a_schema_error(tmp_path, capsys, command, text, where):
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURE_HEADER)
+    if command == "train":
+        argv = ("train", "--features", str(bad), "--out", str(tmp_path / "forest.json"))
+    else:
+        argv = ("evaluate", "--allocation", str(bad), "--features", str(features))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"schema error: {bad}{where}")
+
+
 class TestCompareCommand:
     def test_synth_compare_writes_report(self, tmp_path):
         out = tmp_path / "run"
@@ -204,10 +317,13 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # The child imports the same stockalloc as this test, installed or not.
+        src = os.path.dirname(os.path.dirname(stockalloc.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         res = subprocess.run(
             [sys.executable, "-m", "stockalloc", "synth", "--out",
              str(tmp_path / "o"), "--periods", "2"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert res.returncode == 0
         assert "generated" in res.stdout

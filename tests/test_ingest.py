@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockalloc import (
     EmptyInputError,
@@ -13,6 +17,8 @@ from stockalloc import (
     parse_records,
     split_train_eval,
 )
+
+from oracles import reference_feature_table
 
 HEADER = (
     "facility_id,product_id,period,region,opening_balance,quantity_received,"
@@ -247,14 +253,53 @@ class TestBuildFeatures:
         assert np.all(np.isfinite(t.X))
         assert len(set(map(len, [t.facility_ids, t.product_ids, t.periods]))) == 1
 
-    def test_extra_feature_hook(self):
-        def extras(facility, product, as_of, history):
-            return {"n_months_seen": float(len(history))}
 
-        series = [record(period="2021-01"), record(period="2021-02")]
-        t = build_features(series, lag_months=1, as_of="2021-02", extra_features=extras)
-        assert "n_months_seen" in t.feature_names
-        assert t.X[0][t.feature_names.index("n_months_seen")] == 2.0
+_FIRST_MONTH = 2019 * 12 + 10  # 2019-11: ledgers cross a year boundary
+
+
+def _month(offset):
+    index = _FIRST_MONTH + offset
+    return f"{index // 12:04d}-{index % 12 + 1:02d}"
+
+
+@st.composite
+def ledgers(draw):
+    """Records over 4 facilities, 3 products, 3 regions and 18 months, with
+    missing months, re-reported (facility, product, period) keys, a lag
+    window of 1 to 12, and either the default periods or an explicit list
+    that may hold months with no rows, or before every record."""
+    demand = st.one_of(
+        st.integers(0, 50).map(float),
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    )
+    rec = st.builds(
+        lambda f, p, r, m, d: record(facility=f"f{f}", product=f"p{p}", region=f"r{r}",
+                                     period=_month(m), dispensed=d),
+        st.integers(0, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 17), demand,
+    )
+    records = draw(st.lists(rec, min_size=1, max_size=40))
+    for i in draw(st.lists(st.integers(0, len(records) - 1), max_size=5)):
+        records.append(replace(records[i], quantity_dispensed=draw(demand)))
+    explicit = st.lists(st.integers(-2, 20).map(_month), min_size=1, max_size=6)
+    return records, draw(st.integers(1, 12)), draw(st.one_of(st.none(), explicit))
+
+
+class TestMatchesReferenceFeaturizer:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ledgers())
+    def test_bit_identical_to_per_period_loop(self, ledger):
+        records, lag_months, periods = ledger
+        fac, prod, per, X, y, names = reference_feature_table(records, lag_months, periods)
+        precedes = periods is not None and min(periods) < min(r.period for r in records)
+        if not fac or precedes:
+            with pytest.raises(EmptyInputError):
+                build_feature_table(records, lag_months=lag_months, periods=periods)
+            return
+        t = build_feature_table(records, lag_months=lag_months, periods=periods)
+        assert (t.facility_ids, t.product_ids, t.periods) == (fac, prod, per)
+        assert t.feature_names == names
+        assert t.X.shape == X.shape and t.X.tobytes() == X.tobytes()
+        assert t.y.tobytes() == y.tobytes()
 
 
 class TestSplit:
