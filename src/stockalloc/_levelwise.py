@@ -1,0 +1,286 @@
+"""Level-wise growth of the trees of a weighted forest (see `forest.train_forest`).
+
+Trees are grown a block at a time; at each depth one vectorized pass finds
+the best split of every open node of the block.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .forest import Tree
+
+
+@dataclass
+class _Data:
+    X: np.ndarray  # (n, d) positive-weight rows
+    y: np.ndarray
+    w: np.ndarray
+    rank: np.ndarray  # (d, n) dense value ranks
+    n_rank: int
+
+
+def grow_trees(X, y, w, params, seed, block_rows):
+    """The forest's trees, grown in blocks of as many trees as fit
+    `block_rows` bootstrap rows (at least one); every weight is positive."""
+    probs = w / w.sum()
+    # Dense rank of each value within its feature: sorting by rank sorts by
+    # value, and equal values share a rank.
+    rank = np.empty(X.shape[::-1], dtype=np.int32)
+    for f in range(X.shape[1]):
+        column = X[:, f].copy()
+        order = np.argsort(column, kind="stable")
+        ordered = column[order]
+        rank[f, order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+    n_rank = int(rank.max()) + 1 if rank.size else 1
+    data = _Data(X, y, w, rank, n_rank)
+
+    per_block = max(1, block_rows // len(y))
+    trees = []
+    for first in range(0, params.n_trees, per_block):
+        block = range(first, min(first + per_block, params.n_trees))
+        trees += _grow_block(data, probs, params, seed, block)
+    return trees
+
+
+def _grow_block(data, probs, params, seed, tree_ids):
+    """Grow the trees `tree_ids` breadth first; one vectorized pass per depth.
+
+    `rows` holds the table rows of the bootstrap samples of the open nodes,
+    grouped by node in level order and in bootstrap order within a node;
+    `node` gives each one's node.
+    """
+    n, d = data.X.shape
+    m = params.resolve_features_per_split(d)
+    rngs, draws = [], []
+    min_leaf = np.empty(len(tree_ids))
+    for t, k in enumerate(tree_ids):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        draw = rng.choice(n, size=n, replace=True, p=probs)
+        min_leaf[t] = params.min_leaf_weight * (data.w[draw].sum() / n)
+        rngs.append(rng)
+        draws.append(draw)
+    rows = np.concatenate(draws)
+    del draws
+
+    n_trees = len(tree_ids)
+    level_tree = np.arange(n_trees)  # tree of each node at this depth
+    level_id = np.zeros(n_trees, dtype=np.int64)  # its level-order id in its tree
+    node = np.repeat(np.arange(n_trees), n)
+    n_nodes = np.zeros(n_trees, dtype=np.int64)
+    levels = []
+    for depth in range(params.max_depth + 1):
+        size = len(level_tree)
+        weight, wy, wyy, varied = _node_sums(node, data.y[rows], data.w[rows], size)
+        n_nodes += np.bincount(level_tree, minlength=n_trees)
+        feature = np.full(size, -1, dtype=np.int64)
+        threshold = np.zeros(size)
+        left = np.full(size, -1, dtype=np.int64)
+        right = np.full(size, -1, dtype=np.int64)
+        levels.append((level_tree, level_id, feature, threshold, left, right, wy / weight, weight))
+        if depth == params.max_depth:
+            break
+        is_open = varied & (weight >= 2 * min_leaf[level_tree])
+        opened = np.flatnonzero(is_open)
+        if not opened.size:
+            break
+        keep = is_open[node]
+        rows = rows[keep]
+        node = (np.cumsum(is_open) - 1)[node[keep]]
+        tree = level_tree[opened]
+        if m < d:
+            # One draw per tree and depth: a uniform row per open node, in
+            # level order; its m smallest entries pick the node's features.
+            counts = np.bincount(tree, minlength=n_trees)
+            u = np.concatenate([rngs[t].random((c, d)) for t, c in enumerate(counts) if c])
+            chosen = np.zeros((len(opened), d), dtype=bool)
+            np.put_along_axis(chosen, np.argsort(u, axis=1, kind="stable")[:, :m], True, axis=1)
+        else:
+            chosen = np.ones((len(opened), d), dtype=bool)
+        best_f, best_thr, last_left = _best_splits(
+            data, rows, node, chosen, weight[opened], wy[opened], wyy[opened],
+            min_leaf[tree],
+        )
+        split = best_f >= 0
+        if not split.any():
+            break
+        parents = opened[split]
+        feature[parents] = best_f[split]
+        threshold[parents] = best_thr[split]
+        child_tree = np.repeat(level_tree[parents], 2)
+        child_id = (
+            n_nodes[child_tree]
+            + np.arange(len(child_tree))
+            - np.searchsorted(child_tree, child_tree)
+        )
+        left[parents] = child_id[0::2]
+        right[parents] = child_id[1::2]
+
+        # Route the rows of split nodes: child 2i is the left child of the
+        # i-th split node, 2i + 1 its right child.
+        f_row = best_f[node]
+        keep = f_row >= 0
+        rows, node, f_row = rows[keep], node[keep], f_row[keep]
+        go_right = data.rank[f_row, rows] > last_left[node]
+        child = 2 * (np.cumsum(split) - 1)[node] + go_right
+        order = np.argsort(child, kind="stable")
+        rows, node = rows[order], child[order]
+        level_tree, level_id = child_tree, child_id
+
+    # Each tree gets arrays of its own, so it does not keep its block alive.
+    columns = [np.concatenate(c) for c in zip(*levels)]
+    order = np.argsort(columns[0] * n_nodes.max() + columns[1], kind="stable")
+    feature, threshold, left, right, value, support = (c[order] for c in columns[2:])
+    ends = np.cumsum(n_nodes)
+    return [
+        Tree(
+            feature=feature[a:b].copy(),
+            threshold=threshold[a:b].copy(),
+            left=left[a:b].copy(),
+            right=right[a:b].copy(),
+            value=value[a:b].copy(),
+            support=support[a:b].copy(),
+        )
+        for a, b in zip(ends - n_nodes, ends)
+    ]
+
+
+def _node_sums(node, y, w, size):
+    """Weight, w*y and w*y^2 sums per node and whether its targets vary;
+    `node` is sorted and every node has a row."""
+    wy = w * y
+    starts = np.searchsorted(node, np.arange(size))
+    varied = np.maximum.reduceat(y, starts) > np.minimum.reduceat(y, starts)
+    return (
+        np.bincount(node, w, minlength=size),
+        np.bincount(node, wy, minlength=size),
+        np.bincount(node, wy * y, minlength=size),
+        varied,
+    )
+
+
+def _best_splits(data, rows, node, chosen, weight, wy, wyy, min_leaf):
+    """Best split of every open node: feature (-1 if none), threshold, and
+    the rank of the threshold's value in the feature (rows ranked higher go
+    right).
+
+    `rows` are the table rows of the open nodes' samples, `node` the open
+    node of each (sorted) and `chosen` the (node, feature) pairs to scan;
+    the weight, w*y and w*y^2 sums and min_leaf come per open node.
+
+    A node's feature is scanned as in one sort of its values: boundaries
+    between distinct values whose sides both weigh >= min_leaf, gain =
+    parent SSE - left SSE - right SSE. Gains within `tol` count as tied:
+    a feature keeps the first boundary within tol of its best, and a
+    feature replaces the node's best only if it beats it by more than tol,
+    so ties go to the lowest feature, then the lowest threshold. Gains come
+    out of cancelling moment sums, so their float error scales with the
+    node's raw second moment, and so does tol; uniform weight rescaling
+    then cannot flip a tie between equivalent splits.
+    """
+    d = chosen.shape[1]
+    n_open = len(weight)
+    tol = 1e-11 * wyy
+    best_f = np.full(n_open, -1, dtype=np.int64)
+    best_thr = np.zeros(n_open)
+    last_left = np.zeros(n_open, dtype=np.int64)
+
+    # One sort puts every (node, feature) pair's values in order: a segment
+    # per pair, nodes in level order, features ascending within a node.
+    pair, f = np.nonzero(chosen[node])
+    if not pair.size:
+        return best_f, best_thr, last_left
+    key = node[pair]
+    key *= d
+    key += f
+    key *= data.n_rank
+    key += data.rank[f, rows[pair]]
+    del f
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    row = rows[pair[order]]
+    del pair, order
+    offset = _run_offsets(key // data.n_rank)
+    sums = np.empty((3, len(row)))
+    sums[0] = data.w[row]
+    np.multiply(sums[0], data.y[row], out=sums[1])
+    np.multiply(sums[1], data.y[row], out=sums[2])
+    _segment_cumsum(sums, offset)
+
+    # Candidate cut k: last row of the left side, the value rises at k + 1.
+    cut = np.flatnonzero((key[1:] > key[:-1]) & (offset[1:] > 0))
+    segment = key[cut] // data.n_rank
+    del key, offset
+    lw, ly, ly2 = sums[:, cut]
+    del sums
+    at = segment // d
+    rw = weight[at] - lw
+    ok = (lw >= min_leaf[at]) & (rw >= min_leaf[at])
+    cut, segment, at, lw, ly, ly2, rw = (a[ok] for a in (cut, segment, at, lw, ly, ly2, rw))
+    if not cut.size:
+        return best_f, best_thr, last_left
+    ry = wy[at] - ly
+    ry2 = wyy[at] - ly2
+    parent = wyy - wy**2 / weight
+    gain = parent[at] - (ly2 - ly**2 / lw) - (ry2 - ry**2 / rw)
+    del lw, ly, ly2, rw, ry, ry2
+
+    # Per segment: the first cut within tol of the segment's best gain.
+    starts, counts = _runs(segment)
+    top = np.maximum.reduceat(gain, starts)
+    near = np.flatnonzero(gain >= np.repeat(top - tol[at[starts]], counts))
+    first = near[_runs(segment[near])[0]]
+    gain, segment, cut = gain[first], segment[first], cut[first]
+    at, f = segment // d, segment % d
+    below, above = data.X[row[cut], f], data.X[row[cut + 1], f]
+    threshold = 0.5 * (below + above)
+    # The midpoint of two adjacent floats can round up to `above` (or
+    # overflow); `below` then separates the sides as well.
+    threshold = np.where(threshold < above, threshold, below)
+    rank_left = data.rank[f, row[cut]]
+
+    # Per node, features in ascending order: the s-th feature with a cut
+    # takes over if it beats the best so far by more than tol.
+    slot = _run_offsets(at)
+    best_gain = np.zeros(n_open)
+    for s in range(int(slot.max()) + 1):
+        mine = np.flatnonzero(slot == s)
+        mine = mine[gain[mine] > best_gain[at[mine]] + tol[at[mine]]]
+        best_gain[at[mine]] = gain[mine]
+        best_f[at[mine]] = f[mine]
+        best_thr[at[mine]] = threshold[mine]
+        last_left[at[mine]] = rank_left[mine]
+    return best_f, best_thr, last_left
+
+
+def _runs(keys):
+    """Start and length of each run of equal values in sorted, non-empty `keys`."""
+    edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+    return edges[:-1], np.diff(edges)
+
+
+def _run_offsets(keys):
+    """Position of each element of sorted `keys` inside its run."""
+    starts, counts = _runs(keys)
+    offsets = np.arange(len(keys))
+    offsets -= np.repeat(starts, counts)
+    return offsets
+
+
+def _segment_cumsum(sums, offset):
+    """Prefix sums of each row of `sums`, restarted at every segment, in place.
+
+    `offset` is each column's position inside its segment. The log-step
+    scan adds only values of the same segment, so a node's sums carry the
+    rounding of its own values alone, as sums taken inside the node do:
+    they are independent of the other nodes and trees of the block, and as
+    precise as the node's moment that scales the tie tolerance.
+    """
+    step = 1
+    longest = int(offset.max()) + 1
+    while step < longest:
+        inside = offset[step:] >= step
+        for series in sums:
+            series[step:] += series[:-step] * inside
+        step *= 2
+    return sums

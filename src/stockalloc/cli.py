@@ -73,16 +73,30 @@ def _ensure_out(path):
     return path
 
 
+def _config_int(value):
+    """An integer setting: a JSON integer (or integral float), a `key = value`
+    string, or None; anything else is passed on for ForestParams to reject."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def _forest_params(cfg):
+    """ForestParams from a config section; a bad value is a ConfigError."""
     fields = {}
-    for key in ("n_trees", "max_depth", "features_per_split"):
-        if key in cfg:
-            fields[key] = int(cfg[key]) if cfg[key] is not None else None
-    if "min_leaf_weight" in cfg:
-        fields["min_leaf_weight"] = float(cfg["min_leaf_weight"])
-    if "criterion" in cfg:
-        fields["criterion"] = str(cfg["criterion"])
-    return ForestParams(**fields)
+    try:
+        for key in ("n_trees", "max_depth", "features_per_split"):
+            if key in cfg:
+                fields[key] = _config_int(cfg[key])
+        if "min_leaf_weight" in cfg:
+            fields["min_leaf_weight"] = float(cfg["min_leaf_weight"])
+        if "criterion" in cfg:
+            fields["criterion"] = str(cfg["criterion"])
+        return ForestParams(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"forest params: {exc}") from exc
 
 
 def _weight_config(cfg, args):

@@ -15,14 +15,24 @@ constant changes nothing about the trained forest.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, ShapeError
+from .errors import DegenerateWeightsError, SchemaError, ShapeError
 
 FOREST_FORMAT = "stockalloc-forest"
 FOREST_VERSION = 1
+
+# Bootstrap rows grown together: a block holds as many trees as fit, and at
+# least one. It bounds the memory of one depth's pass and does not change
+# the forest.
+BLOCK_ROWS = 4096
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -31,21 +41,33 @@ class ForestParams:
     max_depth: int = 12
     min_leaf_weight: float = 5.0
     features_per_split: int | None = None  # None -> ceil(sqrt(d))
-    criterion: str = "mse"  # "mse" or "mae"
+    criterion: str = "mse"  # the only criterion; a forest JSON still records it
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.min_leaf_weight <= 0:
-            raise ValueError("min_leaf_weight must be positive")
-        if self.criterion not in ("mse", "mae"):
-            raise ValueError(f"unknown criterion {self.criterion!r}")
+        if not _is_int(self.n_trees) or self.n_trees < 1:
+            raise ValueError(f"n_trees must be an integer >= 1, got {self.n_trees!r}")
+        if not _is_int(self.max_depth) or self.max_depth < 0:
+            raise ValueError(f"max_depth must be an integer >= 0, got {self.max_depth!r}")
+        if not (
+            isinstance(self.min_leaf_weight, numbers.Real)
+            and math.isfinite(self.min_leaf_weight)
+            and self.min_leaf_weight > 0
+        ):
+            raise ValueError(f"min_leaf_weight must be positive, got {self.min_leaf_weight!r}")
+        if self.features_per_split is not None and (
+            not _is_int(self.features_per_split) or self.features_per_split < 1
+        ):
+            raise ValueError(
+                f"features_per_split must be None or an integer >= 1, "
+                f"got {self.features_per_split!r}"
+            )
+        if self.criterion != "mse":
+            raise ValueError(f"unknown criterion {self.criterion!r}, only 'mse' is supported")
 
     def resolve_features_per_split(self, d):
-        m = self.features_per_split or int(math.ceil(math.sqrt(d)))
-        return max(1, min(m, d))
+        if self.features_per_split is None:
+            return int(math.ceil(math.sqrt(d)))
+        return min(self.features_per_split, d)
 
     def to_dict(self):
         return {
@@ -100,170 +122,22 @@ class Tree:
             support=np.array(d["support"], dtype=float),
         )
 
-
-def _weighted_median(y, w):
-    order = np.argsort(y, kind="stable")
-    cw = np.cumsum(w[order])
-    idx = np.searchsorted(cw, 0.5 * cw[-1])
-    return y[order[min(idx, len(y) - 1)]]
-
-
-def _abs_deviation(y, w):
-    if len(y) == 0:
-        return 0.0
-    return float(np.sum(w * np.abs(y - _weighted_median(y, w))))
-
-
-class _TreeBuilder:
-    def __init__(self, X, y, w, rng, params, min_leaf):
-        self.X, self.y, self.w = X, y, w
-        self.rng = rng
-        self.params = params
-        self.min_leaf = min_leaf
-        self.m_features = params.resolve_features_per_split(X.shape[1])
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-        self.support = []
-
-    def _new_node(self, mean, weight):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(mean)
-        self.support.append(weight)
-        return len(self.feature) - 1
-
-    def build(self):
-        idx_all = np.arange(len(self.y))
-        w_all = self.w[idx_all].sum()
-        mean_all = float(np.dot(self.w, self.y) / w_all)
-        root = self._new_node(mean_all, w_all)
-        stack = [(root, idx_all, 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            split = self._find_split(idx, depth)
-            if split is None:
-                continue
-            f, thr, left_idx, right_idx = split
-            wl = self.w[left_idx]
-            wr = self.w[right_idx]
-            left = self._new_node(float(np.dot(wl, self.y[left_idx]) / wl.sum()), wl.sum())
-            right = self._new_node(float(np.dot(wr, self.y[right_idx]) / wr.sum()), wr.sum())
-            self.feature[node] = f
-            self.threshold[node] = thr
-            self.left[node] = left
-            self.right[node] = right
-            # Right pushed first so the left child is processed next;
-            # any fixed order works, it only has to be deterministic.
-            stack.append((right, right_idx, depth + 1))
-            stack.append((left, left_idx, depth + 1))
-        return Tree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=float),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            value=np.array(self.value, dtype=float),
-            support=np.array(self.support, dtype=float),
-        )
-
-    def _find_split(self, idx, depth):
-        if depth >= self.params.max_depth or len(idx) < 2:
-            return None
-        ys = self.y[idx]
-        ws = self.w[idx]
-        total_w = ws.sum()
-        if total_w < 2 * self.min_leaf:
-            return None
-        if np.all(ys == ys[0]):
-            return None
-        if self.params.criterion == "mse":
-            mean = np.dot(ws, ys) / total_w
-            parent = float(np.dot(ws, (ys - mean) ** 2))
-            moment = float(np.dot(ws, ys * ys))
-        else:
-            parent = _abs_deviation(ys, ws)
-            moment = float(np.dot(ws, np.abs(ys)))
-        if parent <= 0.0:
-            return None
-        # Gains within `tol` of each other count as tied; ties resolve to
-        # the lowest feature index, then the lowest threshold. Gains come
-        # out of cancelling cumulative moment sums, so their float error
-        # scales with the raw second moment, not with the gain itself; the
-        # tolerance must do the same or uniform weight rescaling can flip
-        # ties between equivalent splits.
-        tol = 1e-11 * moment
-        feats = np.sort(
-            self.rng.choice(self.X.shape[1], size=self.m_features, replace=False)
-        )
-        best_gain = 0.0
-        best = None
-        for f in feats:
-            found = self._scan_feature(idx, f, ys, ws, total_w, tol)
-            if found is not None and found[0] > best_gain + tol:
-                best_gain, best = found[0], (f,) + found[1:]
-        if best is None:
-            return None
-        f, thr = best
-        vals = self.X[idx, f]
-        mask = vals <= thr
-        return f, thr, idx[mask], idx[~mask]
-
-    def _scan_feature(self, idx, f, ys, ws, total_w, tol):
-        vals = self.X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        v = vals[order]
-        boundaries = np.flatnonzero(v[:-1] < v[1:])
-        if boundaries.size == 0:
-            return None
-        yy = ys[order]
-        ww = ws[order]
-        cw = np.cumsum(ww)
-        feasible = (cw[boundaries] >= self.min_leaf) & (
-            total_w - cw[boundaries] >= self.min_leaf
-        )
-        boundaries = boundaries[feasible]
-        if boundaries.size == 0:
-            return None
-        if self.params.criterion == "mse":
-            gains = self._mse_gains(yy, ww, cw, total_w, boundaries)
-        else:
-            gains = self._mae_gains(yy, ww, boundaries)
-        # First boundary within tol of the max: lowest threshold on ties.
-        j = int(np.flatnonzero(gains >= gains.max() - tol)[0])
-        cut = boundaries[j]
-        thr = 0.5 * (v[cut] + v[cut + 1])
-        return float(gains[j]), float(thr)
-
-    def _mse_gains(self, yy, ww, cw, total_w, boundaries):
-        cwy = np.cumsum(ww * yy)
-        cwy2 = np.cumsum(ww * yy * yy)
-        lw = cw[boundaries]
-        ly = cwy[boundaries]
-        ly2 = cwy2[boundaries]
-        rw = total_w - lw
-        ry = cwy[-1] - ly
-        ry2 = cwy2[-1] - ly2
-        parent = cwy2[-1] - cwy[-1] ** 2 / total_w
-        sse_left = ly2 - ly**2 / lw
-        sse_right = ry2 - ry**2 / rw
-        return parent - sse_left - sse_right
-
-    def _mae_gains(self, yy, ww, boundaries):
-        # O(n) per boundary; the mae criterion is an opt-in for small
-        # studies, the default mse path never comes through here.
-        parent = _abs_deviation(yy, ww)
-        gains = np.empty(boundaries.size)
-        for j, cut in enumerate(boundaries):
-            gains[j] = (
-                parent
-                - _abs_deviation(yy[: cut + 1], ww[: cut + 1])
-                - _abs_deviation(yy[cut + 1 :], ww[cut + 1 :])
-            )
-        return gains
+    def problem(self, feature_dim):
+        """Why these arrays are not a tree `apply` can walk, or None."""
+        arrays = (self.feature, self.threshold, self.left, self.right, self.value, self.support)
+        size = len(self.feature)
+        if size == 0 or any(a.ndim != 1 or len(a) != size for a in arrays):
+            return "node arrays must be non-empty lists of one length"
+        if not (np.all(np.isfinite(self.threshold)) and np.all(np.isfinite(self.value))):
+            return "thresholds and values must be finite"
+        if np.any(self.feature < -1) or np.any(self.feature >= feature_dim):
+            return f"feature indices must lie in [-1, {feature_dim})"
+        # Children come after their parent, so every walk ends at a leaf.
+        inner = np.flatnonzero(self.feature >= 0)
+        for child in (self.left[inner], self.right[inner]):
+            if np.any(child <= inner) or np.any(child >= size):
+                return f"child indices must follow their parent and be < {size}"
+        return None
 
 
 def feature_rows(x, feature_dim):
@@ -324,19 +198,32 @@ class Forest:
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        if payload.get("format") != FOREST_FORMAT:
-            raise ValueError("not a stockalloc forest file")
+    def from_json(cls, text, source="forest JSON"):
+        """Read `to_json` output; anything else raises SchemaError naming `source`."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{source}, line {exc.lineno}: {exc.msg}") from exc
+        if not isinstance(payload, dict) or payload.get("format") != FOREST_FORMAT:
+            raise SchemaError(f"{source}: not a stockalloc forest file")
         if payload.get("version") != FOREST_VERSION:
-            raise ValueError(f"unsupported forest version {payload.get('version')}")
-        params = ForestParams(**payload["params"])
-        return cls(
-            trees=[Tree.from_dict(t) for t in payload["trees"]],
-            feature_dim=int(payload["feature_dim"]),
-            seed=int(payload["seed"]),
-            params=params,
-        )
+            raise SchemaError(f"{source}: unsupported forest version {payload.get('version')!r}")
+        try:
+            params = ForestParams(**payload["params"])
+            feature_dim = payload["feature_dim"]
+            seed = payload["seed"]
+            if not (_is_int(feature_dim) and feature_dim >= 0 and _is_int(seed)):
+                raise ValueError("feature_dim and seed must be integers")
+            if not isinstance(payload["trees"], list) or not payload["trees"]:
+                raise ValueError("trees must be a non-empty list")
+            trees = [Tree.from_dict(t) for t in payload["trees"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{source}: bad forest: {exc!r}") from exc
+        for k, tree in enumerate(trees):
+            problem = tree.problem(feature_dim)
+            if problem:
+                raise SchemaError(f"{source}: tree {k}: {problem}")
+        return cls(trees=trees, feature_dim=feature_dim, seed=seed, params=params)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -344,16 +231,26 @@ class Forest:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+        return cls.from_json(text, source=str(path))
 
 
 def train_forest(table, params=None, seed=0):
     """Grow a weighted forest on a FeatureTable.
 
+    Trees grow level by level, a block of trees at a time: one vectorized
+    pass per depth finds the best split of every open node of the block
+    (`stockalloc._levelwise`). Nodes are numbered in level order: the root is 0 and
+    each depth's nodes follow the previous depth's, left child before right.
+
     Deterministic given (table, params, seed): tree k draws its bootstrap
-    and split-feature subsets from an RNG stream derived from
-    (seed, tree index), so serial and parallel training would agree.
+    and then, once per depth, the feature subsets of its open nodes from an
+    RNG stream derived from (seed, k). A tree therefore depends neither on
+    the other trees nor on how many trees share its block.
     Rows with zero weight are dropped up front; they can neither be
     resampled nor influence any split, and excluding them keeps the RNG
     stream identical to a table that never contained them.
@@ -371,16 +268,11 @@ def train_forest(table, params=None, seed=0):
     pos = w > 0
     if not pos.any():
         raise DegenerateWeightsError("all row weights are zero")
-    Xp, yp, wp = X[pos], y[pos], w[pos]
-    probs = wp / wp.sum()
-    n = len(yp)
+    if not pos.all():
+        X, y, w = X[pos], y[pos], w[pos]
+    # The builder is loaded on first use: importing the package to load or
+    # predict with a forest, or for the linear model, does not load it.
+    from ._levelwise import grow_trees
 
-    trees = []
-    for k in range(params.n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        draw = rng.choice(n, size=n, replace=True, p=probs)
-        Xb, yb, wb = Xp[draw], yp[draw], wp[draw]
-        min_leaf = params.min_leaf_weight * (wb.sum() / n)
-        builder = _TreeBuilder(Xb, yb, wb, rng, params, min_leaf)
-        trees.append(builder.build())
+    trees = grow_trees(X, y, w, params, seed, BLOCK_ROWS)
     return Forest(trees=trees, feature_dim=X.shape[1], seed=seed, params=params)

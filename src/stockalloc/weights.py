@@ -13,18 +13,22 @@ runs a fixed, small number of times regardless of model size.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .allocator import AllocationProblem, solve_greedy
-from .errors import ConfigError, MissingWeightError, ShapeError
+from .errors import ConfigError, EmptyInputError, MissingWeightError, SchemaError, ShapeError
 from .forest import train_forest
 from .ingest import group_rows, net_requirement
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
 EXPANSION_POINTS = ("model", "realized")
 DEFAULT_BUDGET_FRACTION = 0.7
+WEIGHTS_CSV_HEADER = [
+    "period", "facility_id", "product_id", "gradient", "raw_weight", "final_weight"
+]
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,7 @@ class WeightReport:
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["period", "facility_id", "product_id", "gradient", "raw_weight", "final_weight"]
-            )
+            writer.writerow(WEIGHTS_CSV_HEADER)
             for i in range(len(self)):
                 writer.writerow(
                     [
@@ -99,17 +101,33 @@ class WeightReport:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a `to_csv` file; a malformed line raises SchemaError naming it."""
         periods, fac, prod, g, raw, final = [], [], [], [], [], []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyInputError(f"{path} is empty")
+            if header != WEIGHTS_CSV_HEADER:
+                raise SchemaError(f"{path} is not a weights CSV")
             for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(header):
+                    raise SchemaError(f"{where}: {len(row)} cells, header has {len(header)}")
+                try:
+                    values = [float(v) for v in row[3:]]
+                except ValueError as exc:
+                    raise SchemaError(f"{where}: {exc}") from exc
+                if not all(map(math.isfinite, values)) or values[2] < 0:
+                    raise SchemaError(
+                        f"{where}: values must be finite, the final weight nonnegative"
+                    )
                 periods.append(row[0])
                 fac.append(row[1])
                 prod.append(row[2])
-                g.append(float(row[3]))
-                raw.append(float(row[4]))
-                final.append(float(row[5]))
+                g.append(values[0])
+                raw.append(values[1])
+                final.append(values[2])
         return cls(
             facility_ids=fac,
             product_ids=prod,

@@ -212,3 +212,184 @@ def reference_feature_table(records, lag_months=10, periods=None):
     )
     X = np.array(rows, dtype=float).reshape(len(fac), len(names))
     return fac, prod, per, X, np.array(targets, dtype=float), names
+
+
+class _ReferenceParams:
+    def __init__(self, max_depth, features_per_split):
+        self.max_depth = max_depth
+        self.features_per_split = features_per_split
+        self.criterion = "mse"
+
+    def resolve_features_per_split(self, d):
+        m = self.features_per_split or int(np.ceil(np.sqrt(d)))
+        return max(1, min(m, d))
+
+
+class _ReferenceTreeBuilder:
+    """The depth-first tree builder, verbatim apart from the deleted `mae`
+    criterion: one node at a time, one feature scan at a time."""
+
+    def __init__(self, X, y, w, rng, params, min_leaf):
+        self.X, self.y, self.w = X, y, w
+        self.rng = rng
+        self.params = params
+        self.min_leaf = min_leaf
+        self.m_features = params.resolve_features_per_split(X.shape[1])
+        self.feature = []
+        self.threshold = []
+        self.left = []
+        self.right = []
+        self.value = []
+        self.support = []
+
+    def _new_node(self, mean, weight):
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(mean)
+        self.support.append(weight)
+        return len(self.feature) - 1
+
+    def build(self):
+        idx_all = np.arange(len(self.y))
+        w_all = self.w[idx_all].sum()
+        mean_all = float(np.dot(self.w, self.y) / w_all)
+        root = self._new_node(mean_all, w_all)
+        stack = [(root, idx_all, 0)]
+        while stack:
+            node, idx, depth = stack.pop()
+            split = self._find_split(idx, depth)
+            if split is None:
+                continue
+            f, thr, left_idx, right_idx = split
+            wl = self.w[left_idx]
+            wr = self.w[right_idx]
+            left = self._new_node(float(np.dot(wl, self.y[left_idx]) / wl.sum()), wl.sum())
+            right = self._new_node(float(np.dot(wr, self.y[right_idx]) / wr.sum()), wr.sum())
+            self.feature[node] = f
+            self.threshold[node] = thr
+            self.left[node] = left
+            self.right[node] = right
+            # Right pushed first so the left child is processed next;
+            # any fixed order works, it only has to be deterministic.
+            stack.append((right, right_idx, depth + 1))
+            stack.append((left, left_idx, depth + 1))
+        return {
+            "feature": np.array(self.feature, dtype=np.int64),
+            "threshold": np.array(self.threshold, dtype=float),
+            "left": np.array(self.left, dtype=np.int64),
+            "right": np.array(self.right, dtype=np.int64),
+            "value": np.array(self.value, dtype=float),
+            "support": np.array(self.support, dtype=float),
+        }
+
+    def _find_split(self, idx, depth):
+        if depth >= self.params.max_depth or len(idx) < 2:
+            return None
+        ys = self.y[idx]
+        ws = self.w[idx]
+        total_w = ws.sum()
+        if total_w < 2 * self.min_leaf:
+            return None
+        if np.all(ys == ys[0]):
+            return None
+        mean = np.dot(ws, ys) / total_w
+        parent = float(np.dot(ws, (ys - mean) ** 2))
+        moment = float(np.dot(ws, ys * ys))
+        if parent <= 0.0:
+            return None
+        # Gains within `tol` of each other count as tied; ties resolve to
+        # the lowest feature index, then the lowest threshold. Gains come
+        # out of cancelling cumulative moment sums, so their float error
+        # scales with the raw second moment, not with the gain itself; the
+        # tolerance must do the same or uniform weight rescaling can flip
+        # ties between equivalent splits.
+        tol = 1e-11 * moment
+        feats = np.sort(
+            self.rng.choice(self.X.shape[1], size=self.m_features, replace=False)
+        )
+        best_gain = 0.0
+        best = None
+        for f in feats:
+            found = self._scan_feature(idx, f, ys, ws, total_w, tol)
+            if found is not None and found[0] > best_gain + tol:
+                best_gain, best = found[0], (f,) + found[1:]
+        if best is None:
+            return None
+        f, thr = best
+        vals = self.X[idx, f]
+        mask = vals <= thr
+        return f, thr, idx[mask], idx[~mask]
+
+    def _scan_feature(self, idx, f, ys, ws, total_w, tol):
+        vals = self.X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        v = vals[order]
+        boundaries = np.flatnonzero(v[:-1] < v[1:])
+        if boundaries.size == 0:
+            return None
+        yy = ys[order]
+        ww = ws[order]
+        cw = np.cumsum(ww)
+        feasible = (cw[boundaries] >= self.min_leaf) & (
+            total_w - cw[boundaries] >= self.min_leaf
+        )
+        boundaries = boundaries[feasible]
+        if boundaries.size == 0:
+            return None
+        gains = self._mse_gains(yy, ww, cw, total_w, boundaries)
+        # First boundary within tol of the max: lowest threshold on ties.
+        j = int(np.flatnonzero(gains >= gains.max() - tol)[0])
+        cut = boundaries[j]
+        thr = 0.5 * (v[cut] + v[cut + 1])
+        return float(gains[j]), float(thr)
+
+    def _mse_gains(self, yy, ww, cw, total_w, boundaries):
+        cwy = np.cumsum(ww * yy)
+        cwy2 = np.cumsum(ww * yy * yy)
+        lw = cw[boundaries]
+        ly = cwy[boundaries]
+        ly2 = cwy2[boundaries]
+        rw = total_w - lw
+        ry = cwy[-1] - ly
+        ry2 = cwy2[-1] - ly2
+        parent = cwy2[-1] - cwy[-1] ** 2 / total_w
+        sse_left = ly2 - ly**2 / lw
+        sse_right = ry2 - ry**2 / rw
+        return parent - sse_left - sse_right
+
+
+def reference_forest(X, y, w, n_trees, max_depth, min_leaf_weight, features_per_split, seed):
+    """Trees of the depth-first builder, each a dict of flat node arrays.
+
+    Tree k bootstraps from the RNG stream of (seed, k), as the package's
+    `train_forest` does; zero-weight rows are dropped first. Nodes are
+    numbered in creation order (a split creates both children).
+    """
+    X, y, w = (np.asarray(a, dtype=float) for a in (X, y, w))
+    params = _ReferenceParams(max_depth, features_per_split)
+    pos = w > 0
+    Xp, yp, wp = X[pos], y[pos], w[pos]
+    probs = wp / wp.sum()
+    n = len(yp)
+    trees = []
+    for k in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        draw = rng.choice(n, size=n, replace=True, p=probs)
+        Xb, yb, wb = Xp[draw], yp[draw], wp[draw]
+        min_leaf = min_leaf_weight * (wb.sum() / n)
+        trees.append(_ReferenceTreeBuilder(Xb, yb, wb, rng, params, min_leaf).build())
+    return trees
+
+
+def preorder(tree):
+    """Node indices of a tree (anything with `feature`, `left`, `right`
+    items) in preorder: node, left subtree, right subtree."""
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if tree["feature"][node] >= 0:
+            stack += [int(tree["right"][node]), int(tree["left"][node])]
+    return order

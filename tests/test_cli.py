@@ -235,23 +235,52 @@ class TestEvalPeriodSplit:
 FEATURE_HEADER = "facility_id,product_id,period,f_0,target,weight\na,p,2021-01,1.0,2.0,1.0\n"
 
 
+FOREST_WITH_UNKNOWN_PARAM = json.dumps({
+    "format": "stockalloc-forest", "version": 1, "feature_dim": 1, "seed": 0,
+    "params": {"n_trees": 1, "depth": 3}, "trees": [],
+})
+
+
 @pytest.mark.parametrize("command, text, where", [
     ("train", FEATURE_HEADER + "b,p,2021-01,1.0,nan,1.0\n", ", line 3: "),
     ("train", FEATURE_HEADER + "b,p,2021-01,x,2.0,1.0\n", ", line 3: "),
     ("train", FEATURE_HEADER + "b,p,2021-01,1.0\n", ", line 3: "),
     ("evaluate", '{"eval_period": "2021-01"}', ": "),
-], ids=["nan_target", "non_numeric_cell", "short_row", "allocation_without_products"])
+    ("allocate", FEATURE_HEADER, ", line 1: "),
+    ("allocate", FOREST_WITH_UNKNOWN_PARAM, ": bad forest: TypeError"),
+    ("retrain", "period,facility_id,product_id,gradient,raw_weight,final_weight\n"
+                "2021-01,a,p,x,1.0,1.0\n", ", line 2: "),
+], ids=["nan_target", "non_numeric_cell", "short_row", "allocation_without_products",
+        "model_not_json", "model_unknown_param", "weights_non_numeric_cell"])
 def test_malformed_input_is_a_schema_error(tmp_path, capsys, command, text, where):
     bad = tmp_path / "bad"
     bad.write_text(text)
     features = tmp_path / "features.csv"
     features.write_text(FEATURE_HEADER)
-    if command == "train":
-        argv = ("train", "--features", str(bad), "--out", str(tmp_path / "forest.json"))
-    else:
-        argv = ("evaluate", "--allocation", str(bad), "--features", str(features))
+    out = str(tmp_path / "out")
+    argv = {
+        "train": ("train", "--features", str(bad), "--out", out),
+        "evaluate": ("evaluate", "--allocation", str(bad), "--features", str(features)),
+        "allocate": ("allocate", "--features", str(features), "--model", str(bad), "--out", out),
+        "retrain": ("retrain", "--features", str(features), "--weights", str(bad), "--out", out),
+    }[command]
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith(f"schema error: {bad}{where}")
+
+
+@pytest.mark.parametrize("config", [
+    "n_trees = 0", "max_depth = 2.5", "criterion = mae", "features_per_split = 0",
+    "min_leaf_weight = heavy", '{"max_depth": 2.5}',
+])
+def test_bad_forest_config_is_a_config_error(tmp_path, capsys, config):
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURE_HEADER)
+    cfg = tmp_path / "forest.cfg"
+    cfg.write_text(config + "\n")
+    argv = ("train", "--features", str(features), "--config", str(cfg),
+            "--out", str(tmp_path / "forest.json"))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("config error: forest params: ")
 
 
 class TestCompareCommand:

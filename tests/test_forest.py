@@ -1,14 +1,24 @@
+import json
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stockalloc import (
     DegenerateWeightsError,
     FeatureTable,
     Forest,
     ForestParams,
+    SchemaError,
     ShapeError,
     train_forest,
 )
+from stockalloc import forest as forest_module
+
+from oracles import preorder, reference_forest
 
 
 def table(X, y, w=None):
@@ -49,6 +59,18 @@ class TestTraining:
             leaves = sorted(tree.value[1:3])
             assert leaves == [0.0, 10.0]
         assert mixed > 0
+
+    def test_split_between_adjacent_floats(self):
+        # The midpoint of these two doubles rounds up to the larger one; the
+        # threshold must still send it right, or the right child is empty.
+        low, high = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+        X = np.array([[low]] * 20 + [[high]] * 20)
+        y = np.array([0.0] * 20 + [10.0] * 20)
+        f = train_forest(table(X, y), ForestParams(n_trees=5, max_depth=1, min_leaf_weight=0.5))
+        for tree in f.trees:
+            assert tree.threshold[0] == low
+            assert list(tree.value[1:]) == [0.0, 10.0] and np.all(tree.support > 0)
+        assert list(f.predict_point(X[[0, -1]])) == [0.0, 10.0]
 
     def test_zero_weight_rows_change_nothing(self):
         rng = np.random.default_rng(5)
@@ -92,6 +114,28 @@ class TestTraining:
             assert np.array_equal(ta.value, tb.value)
         assert np.array_equal(base.predict_point(probe), pow2.predict_point(probe))
 
+    @pytest.mark.parametrize("case", ["skewed", "tied"])
+    def test_weight_scale_invariance_when_rounding_decides(self, case):
+        # Skewed: heavy-tailed targets put nodes of tiny moment next to huge
+        # ones, and ties inside them stay ties only if each node's sums are
+        # as precise as the node itself. Tied: uniform weights and a few
+        # repeated targets make boundaries of one feature tie up to rounding,
+        # which only the tolerance resolves the same way at every scale.
+        rng = np.random.default_rng(19)
+        X = rng.integers(0, 6, size=(400, 4)).astype(float)
+        if case == "skewed":
+            y = np.round(rng.lognormal(0, 3, 400), 2)
+            w = rng.uniform(0.1, 3.0, 400)
+        else:
+            y = rng.choice([0.1, 0.7, 2.3, 13.9], size=400)
+            w = np.ones(400)
+        params = ForestParams(n_trees=20, max_depth=10, min_leaf_weight=0.5)
+        base = train_forest(table(X, y, w), params, seed=20)
+        scaled = train_forest(table(X, y, w * np.pi), params, seed=20)
+        for ta, tb in zip(base.trees, scaled.trees):
+            assert np.array_equal(ta.feature, tb.feature)
+            assert np.array_equal(ta.threshold, tb.threshold)
+
     def test_monotone_step_function_fits_exactly(self):
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 1, size=(300, 2))
@@ -121,13 +165,17 @@ class TestTraining:
             with pytest.raises(ValueError, match="targets must be finite"):
                 train_forest(table(np.ones((4, 2)), [1.0, bad, 2.0, 3.0]), small_params())
 
-    def test_mae_criterion_trains(self):
-        rng = np.random.default_rng(10)
-        X = rng.uniform(0, 1, size=(50, 2))
-        y = 3.0 * X[:, 0] + rng.normal(0, 0.01, 50)
-        f = train_forest(table(X, y), small_params(criterion="mae", n_trees=5), seed=1)
-        resid = np.abs(f.predict_point(X) - y)
-        assert np.median(resid) < 0.5
+    def test_mae_criterion_rejected(self):
+        with pytest.raises(ValueError, match="criterion"):
+            ForestParams(criterion="mae")
+
+    @pytest.mark.parametrize("fields", [
+        {"n_trees": 0}, {"max_depth": -1}, {"max_depth": 2.5}, {"min_leaf_weight": 0.0},
+        {"features_per_split": 0}, {"features_per_split": -2},
+    ])
+    def test_bad_params_rejected(self, fields):
+        with pytest.raises(ValueError):
+            ForestParams(**fields)
 
 
 class TestPrediction:
@@ -201,6 +249,142 @@ class TestSerialization:
         f.save(path)
         assert Forest.load(path).to_json() == f.to_json()
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p.update(version=2), "unsupported forest version 2"),
+        (lambda p: p.pop("params"), "bad forest: KeyError"),
+        (lambda p: p["params"].update(depth=3), "unexpected keyword argument 'depth'"),
+        (lambda p: p["params"].update(criterion="mae"), "unknown criterion 'mae'"),
+        (lambda p: p.update(feature_dim="2"), "feature_dim and seed must be integers"),
+        (lambda p: p.update(trees=[]), "trees must be a non-empty list"),
+        (lambda p: p["trees"][1]["value"].pop(), "tree 1: node arrays must be"),
+        (lambda p: p["trees"][0]["left"].__setitem__(0, 99), "tree 0: child indices"),
+        (lambda p: p["trees"][0]["right"].__setitem__(0, 0), "tree 0: child indices"),
+        (lambda p: p["trees"][0]["feature"].__setitem__(0, 2), "tree 0: feature indices"),
+    ], ids=["version", "no_params", "unknown_param", "mae", "feature_dim", "no_trees",
+            "unequal_arrays", "child_out_of_range", "child_cycle", "feature_out_of_range"])
+    def test_malformed_payload_is_a_schema_error(self, change, message):
+        rng = np.random.default_rng(21)
+        t = table(rng.uniform(size=(40, 2)), rng.uniform(0, 9, 40))
+        forest = train_forest(t, small_params(n_trees=2, max_depth=3), seed=2)
+        payload = json.loads(forest.to_json())
+        assert payload["trees"][0]["feature"][0] >= 0  # the root of tree 0 splits
+        change(payload)
+        with pytest.raises(SchemaError, match=re.escape(message)) as info:
+            Forest.from_json(json.dumps(payload), source="model.json")
+        assert str(info.value).startswith("model.json: ")
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("facility_id,product_id\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}, line 1: ")):
+            Forest.load(path)
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text")):
+            Forest.load(path)
+
     def test_rejects_foreign_payload(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="not a stockalloc forest file"):
             Forest.from_json('{"format": "something-else", "version": 1}')
+
+
+@st.composite
+def forest_inputs(draw):
+    """Small tables with tied integer and float features; integer, float,
+    few repeated float or constant nonnegative targets; zero-weight rows;
+    and uniform weights that put min_leaf exactly on a side's weight."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    columns = [
+        draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        if draw(st.booleans())
+        else draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+        for _ in range(d)
+    ]
+    targets = draw(st.sampled_from(["integer", "float", "repeated", "constant"]))
+    if targets == "integer":
+        y = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    elif targets == "float":
+        y = draw(st.lists(st.floats(0, 100), min_size=n, max_size=n))
+    elif targets == "repeated":  # ties between splits, up to rounding
+        y = draw(st.lists(st.sampled_from([0.1, 0.7, 2.3, 13.9]), min_size=n, max_size=n))
+    else:
+        y = [draw(st.floats(0, 100))] * n
+    weights = draw(st.sampled_from(["ones", "steps", "float"]))
+    if weights == "ones":
+        w = [1.0] * n
+    elif weights == "steps":
+        w = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    else:
+        w = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 3.0)), min_size=n, max_size=n))
+    w[draw(st.integers(0, n - 1))] = 1.0  # at least one row can be drawn
+    params = ForestParams(
+        n_trees=draw(st.integers(1, 3)),
+        max_depth=draw(st.integers(0, 6)),
+        min_leaf_weight=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])),
+        features_per_split=d,
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    X = np.array(columns, dtype=float).T.reshape(n, d)
+    return X, np.array(y, dtype=float), np.array(w), params, seed
+
+
+def level_order(tree):
+    order, queue = [], [0]
+    while queue:
+        node = queue.pop(0)
+        order.append(node)
+        if tree.feature[node] >= 0:
+            queue += [int(tree.left[node]), int(tree.right[node])]
+    return order
+
+
+class TestMatchesReferenceBuilder:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(forest_inputs())
+    def test_same_trees_with_every_feature_scanned(self, case):
+        X, y, w, params, seed = case
+        forest = train_forest(table(X, y, w), params, seed=seed)
+        reference = reference_forest(
+            X, y, w, params.n_trees, params.max_depth, params.min_leaf_weight,
+            params.features_per_split, seed,
+        )
+        # Where a midpoint rounds up to the upper value, the reference sends
+        # both sides left and grows an empty child; the level-wise builder
+        # keeps the lower value as threshold (test_split_between_adjacent_floats).
+        assume(all(np.all(ref["support"] > 0) for ref in reference))
+        for tree, ref in zip(forest.trees, reference, strict=True):
+            assert level_order(tree) == list(range(len(tree.feature)))
+            mine, theirs = preorder(vars(tree)), preorder(ref)
+            assert [(tree.feature[i], tree.threshold[i]) for i in mine] == [
+                (ref["feature"][i], ref["threshold"][i]) for i in theirs
+            ]
+            for name in ("value", "support"):
+                np.testing.assert_allclose(
+                    getattr(tree, name)[mine], ref[name][theirs], rtol=1e-12, atol=0
+                )
+
+
+class TestBlocks:
+    def test_forest_does_not_depend_on_the_block_size(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        X = rng.integers(0, 8, size=(80, 5)).astype(float)
+        y = rng.choice([0.1, 0.7, 2.3, 13.9], size=80)
+        t = table(X, y, rng.uniform(0.1, 3.0, 80))
+        params = small_params(n_trees=7, max_depth=8)
+        monkeypatch.setattr(forest_module, "BLOCK_ROWS", 1)
+        one_tree = train_forest(t, params, seed=16).to_json()
+        monkeypatch.setattr(forest_module, "BLOCK_ROWS", 80 * 7)
+        all_trees = train_forest(t, params, seed=16).to_json()
+        assert one_tree == all_trees
+
+    def test_heap_peak_on_the_benchmark_shape(self):
+        rng = np.random.default_rng(17)
+        X = rng.uniform(0, 50, size=(300, 3))
+        t = table(X, rng.poisson(X[:, 0] + 5).astype(float))
+        tracemalloc.start()
+        try:
+            train_forest(t, seed=18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6

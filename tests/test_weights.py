@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from stockalloc import (
     FeatureTable,
     ForestParams,
     MissingWeightError,
+    SchemaError,
     ShapeError,
     WeightConfig,
     WeightReport,
@@ -19,7 +22,7 @@ from stockalloc import (
     train_forest,
 )
 from stockalloc import weights
-from stockalloc.weights import apply_report
+from stockalloc.weights import WEIGHTS_CSV_HEADER, apply_report
 
 from oracles import reference_greedy
 
@@ -367,3 +370,21 @@ class TestReportCsv:
         assert np.array_equal(back.final_weights, report.final_weights)
         assert np.array_equal(back.gradients, report.gradients)
         assert back.row_keys() == report.row_keys()
+
+    @pytest.mark.parametrize("line, message", [
+        ("2021-01,f0,p,-1.0,1.0\n", "5 cells, header has 6"),
+        ("2021-01,f0,p,x,1.0,1.0\n", "could not convert"),
+        ("2021-01,f0,p,-1.0,inf,1.0\n", "values must be finite"),
+        ("2021-01,f0,p,-1.0,1.0,-1.0\n", "final weight nonnegative"),
+    ], ids=["short_row", "non_numeric", "non_finite", "negative_weight"])
+    def test_malformed_line_is_a_schema_error(self, tmp_path, line, message):
+        path = tmp_path / "weights.csv"
+        path.write_text(",".join(WEIGHTS_CSV_HEADER) + "\n2021-01,f1,p,0.0,1.0,1.0\n" + line)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}, line 3: .*{message}"):
+            WeightReport.from_csv(path)
+
+    def test_foreign_header_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "weights.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(SchemaError, match="not a weights CSV"):
+            WeightReport.from_csv(path)
