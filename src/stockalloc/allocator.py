@@ -97,14 +97,24 @@ class FillStep:
 class FillTrace(Sequence):
     """The `FillStep`s of one greedy solve, derived on request.
 
-    Holds the solve's sorted samples and the amount it took from each
-    segment in level-major order. Segments it took nothing from are not
-    steps. `len()` counts the steps without building them.
+    Holds the solve's sorted samples, its segment lengths and its cut (see
+    `_cut`). Segments it took nothing from are not steps.
     """
 
-    def __init__(self, sorted_samples, takes):
+    def __init__(self, sorted_samples, lengths, segment, leftover):
         self._sorted = sorted_samples
-        self._takes = takes
+        self._lengths = lengths
+        self._cut = (segment, leftover)
+
+    @cached_property
+    def _takes(self):
+        """The amount taken from each segment, level-major."""
+        segment, leftover = self._cut
+        flat = self._lengths.ravel().copy()
+        if segment < flat.size:
+            flat[segment] = leftover
+            flat[segment + 1 :] = 0.0
+        return flat
 
     def __len__(self):
         return int(np.count_nonzero(self._takes))
@@ -165,6 +175,54 @@ def saa_objective(problem, a):
     return float(np.maximum(problem.samples - a[None, :], 0.0).sum() / problem.n_samples)
 
 
+def _segments(sorted_samples):
+    """Segment lengths: each sorted sample minus the one below it, the
+    lowest minus zero."""
+    takes = sorted_samples.copy()
+    takes[1:] -= sorted_samples[:-1]
+    return takes
+
+
+def _level_sums(takes):
+    """Row j holds each facility's first j segments, summed in level order
+    (row 0 is zero)."""
+    sums = np.zeros((takes.shape[0] + 1, takes.shape[1]))
+    np.cumsum(takes, axis=0, out=sums[1:])
+    return sums
+
+
+def _cut(remaining, spent):
+    """Where the budget runs out, as (segment, leftover).
+
+    `remaining` is the budget left after each level-major segment, the
+    budget itself first; it never increases, and `spent` is its first
+    index <= 0 (its length if none). Segments before `segment` are taken
+    whole, `segment` takes `leftover`, the rest nothing. A zero budget cuts
+    at segment 0 with nothing left over, a budget that never runs out past
+    the last segment.
+    """
+    if spent == 0:
+        return 0, 0.0
+    if spent == len(remaining):
+        return spent - 1, 0.0
+    return spent - 1, remaining[spent - 1]
+
+
+def _allocation_at(sums, facilities, segment, leftover):
+    """What `facilities` take at a cut, from their `_level_sums` columns.
+
+    The binding facility, `segment` mod N, takes its levels below the
+    cut level plus `leftover`; the facilities before it also take the cut
+    level, those after it not. These are the floats of summing the taken
+    segments in level order, except that -0.0 comes out as 0.0 (a -0.0
+    sample makes a -0.0 segment, and a fill that skips empty segments
+    never gives a -0.0 allocation). Broadcasts over arrays of cuts.
+    """
+    level, binding = np.divmod(segment, sums.shape[1])
+    taken = sums[level + (facilities < binding), facilities]
+    return taken + np.where(facilities == binding, leftover, 0.0)
+
+
 def solve_greedy(problem):
     """Exact optimum by level-wise water-filling, O(K N log K).
 
@@ -182,29 +240,106 @@ def solve_greedy(problem):
     sort dominates the cost; the rest is a few vector passes.
     """
     samples = problem.samples
-    K, N = samples.shape
+    N = samples.shape[1]
     sorted_samples = np.sort(samples, axis=0)
-    takes = sorted_samples.copy()  # segment lengths, then cut to what is taken
-    takes[1:] -= sorted_samples[:-1]
-    flat = takes.ravel()  # level-major order
-
+    takes = _segments(sorted_samples)
     # Budget left after each segment: the same float sequence as spending
     # it one segment at a time.
-    remaining = np.subtract.accumulate(np.concatenate(([float(problem.budget)], flat)))
-    spent = np.flatnonzero(remaining <= 0.0)
-    if spent.size:  # the budget runs out inside segment spent[0] - 1
-        last = spent[0] - 1
-        flat[last + 1 :] = 0.0
-        if last >= 0:
-            flat[last] = remaining[last]
-    # A -0.0 sample makes a -0.0 segment; adding 0.0 keeps it from showing
-    # as a -0.0 allocation, which a fill that skips empty segments never gives.
-    allocation = np.cumsum(takes, axis=0)[-1] + 0.0
+    remaining = np.subtract.accumulate(np.concatenate(([float(problem.budget)], takes.ravel())))
+    segment, leftover = _cut(remaining, np.count_nonzero(remaining > 0.0))
+    allocation = _allocation_at(_level_sums(takes), np.arange(N), segment, leftover)
     return AllocationResult(
         allocation=allocation,
         objective=saa_objective(problem, allocation),
-        fill_trace=FillTrace(sorted_samples, flat),
+        fill_trace=FillTrace(sorted_samples, takes, segment, leftover),
     )
+
+
+# Levels past the unshifted cut that a shifted walk covers before it checks
+# whether the budget has run out; if not, the walk goes on to the end. A
+# finite-difference step moves the cut by well under a level (no walk of
+# the synth_linear_fd benchmark inputs went on), and each level walked
+# costs N subtractions.
+_SHIFT_WINDOW_LEVELS = 2
+
+
+def _shifted_cuts(budget, takes, shifted_takes):
+    """Cuts of the problems in which facility n's segments are those of
+    `shifted_takes[s][:, n]`, as (segment, leftover) arrays of shape (S, N).
+
+    One buffer holds the budget and the level-major segments and is walked
+    again for each shifted problem. The entries of a walk before facility
+    n's first segment are those of the unshifted walk, so it starts there.
+    It stops a few levels past the unshifted cut and goes on to the end
+    only if the budget has not run out by then; either way the floats are
+    those of a walk over the whole shifted problem.
+    """
+    N = takes.shape[1]
+    walk = np.concatenate(([float(budget)], takes.ravel()))
+    remaining = np.subtract.accumulate(walk)
+    unshifted_spent = int(np.count_nonzero(remaining > 0.0))
+    unshifted_cut = _cut(remaining, unshifted_spent)
+    head = remaining[:N].copy()
+    stop = min(walk.size, unshifted_spent + _SHIFT_WINDOW_LEVELS * N)
+
+    # Facilities from unshifted_spent on take nothing before the budget
+    # runs out, so their shifts keep the unshifted cut.
+    segment = np.full((len(shifted_takes), N), unshifted_cut[0])
+    leftover = np.full((len(shifted_takes), N), unshifted_cut[1])
+    for n in range(min(N, unshifted_spent)):
+        walk[n] = head[n]
+        for s, shifted in enumerate(shifted_takes):
+            walk[n + 1 :: N] = shifted[:, n]
+            np.subtract.accumulate(walk[n:stop], out=remaining[n:stop])
+            end = stop
+            if end < walk.size and remaining[end - 1] > 0.0:
+                kept = walk[end - 1]
+                walk[end - 1] = remaining[end - 1]
+                np.subtract.accumulate(walk[end - 1 :], out=remaining[end - 1 :])
+                walk[end - 1] = kept
+                end = walk.size
+            spent = n + int(np.count_nonzero(remaining[n:end] > 0.0))
+            segment[s, n], leftover[s, n] = _cut(remaining, spent)
+        walk[n + 1 :: N] = takes[:, n]
+    return segment, leftover
+
+
+def shifted_allocations(problem, step, own_only=False):
+    """`solve_greedy` allocations with one facility's demand shifted by +-step.
+
+    Returns (up, down). Column n of `up` is the allocation after adding
+    `step` to every sample of facility n; column n of `down` after
+    subtracting it, clipped at zero. With `own_only`, entry n is facility
+    n's own allocation there. The result is bit for bit that of solving
+    the 2N shifted problems, from one sort: both shifts are monotone, so
+    the sorted shifted column is the shifted sorted column, and every
+    other column keeps its segments and level sums. Only the
+    remaining-budget walk is redone (`_shifted_cuts`).
+    """
+    sorted_samples = np.sort(problem.samples, axis=0)
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(sorted_samples[-1] + step)):
+            raise ValueError("shifted samples must be finite")
+    takes = _segments(sorted_samples)
+    shifted_takes = (
+        _segments(sorted_samples + step),
+        _segments(np.maximum(sorted_samples - step, 0.0)),
+    )
+    segment, leftover = _shifted_cuts(problem.budget, takes, shifted_takes)
+    facilities = np.arange(takes.shape[1])
+    own = [
+        _allocation_at(_level_sums(t), facilities, segment[s], leftover[s])
+        for s, t in enumerate(shifted_takes)
+    ]
+    if own_only:
+        return own[0], own[1]
+    sums = _level_sums(takes)
+    columns = []
+    for s in range(2):
+        a = _allocation_at(sums, facilities[:, None], segment[s], leftover[s])
+        a[facilities, facilities] = own[s]
+        columns.append(a)
+    return columns[0], columns[1]
 
 
 def solve_lp(problem, tolerance=1e-8, max_iter=20000):

@@ -50,12 +50,21 @@ _EXIT_BY_CATEGORY = {"config": 2, "schema": 2, "data": 3, "shape": 3, "solver": 
 
 
 def load_config_file(path):
-    """Read a config file: JSON object, or simple `key = value` lines."""
+    """Read a config file: JSON object, or simple `key = value` lines.
+
+    Text that is not valid JSON or a JSON value that is not an object is
+    a ConfigError naming the file (and the line, for bad JSON)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
+    if stripped.startswith(("{", "[")):
+        try:
+            config = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        return config
     config = {}
     for line in text.splitlines():
         line = line.strip()
@@ -100,13 +109,29 @@ def _forest_params(cfg):
 
 
 def _weight_config(cfg, args):
-    fields = dict(cfg)
-    if getattr(args, "jacobian", None):
-        fields["jacobian_mode"] = args.jacobian
-    known = {"jacobian_mode", "fd_step", "weight_floor", "normalization",
-             "expansion_point", "inventory_feature"}
-    fields = {k: v for k, v in fields.items() if k in known}
-    return WeightConfig(**fields)
+    """WeightConfig from a config section; a bad value is a ConfigError."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"weight config: expected an object, got {cfg!r}")
+    fields = {}
+    try:
+        for key in ("jacobian_mode", "normalization", "expansion_point"):
+            if key in cfg:
+                fields[key] = str(cfg[key])
+        for key in ("fd_step", "weight_floor"):
+            if cfg.get(key) is not None:
+                fields[key] = float(cfg[key])
+        if cfg.get("inventory_feature") is not None:
+            feature = _config_int(cfg["inventory_feature"])
+            if not isinstance(feature, int):
+                raise ConfigError(
+                    f"weight config: inventory_feature must be an integer, got {feature!r}"
+                )
+            fields["inventory_feature"] = feature
+        if getattr(args, "jacobian", None):
+            fields["jacobian_mode"] = args.jacobian
+        return WeightConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"weight config: {exc}") from exc
 
 
 def cmd_ingest(args):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .allocator import AllocationProblem, solve_greedy
+from .allocator import AllocationProblem, shifted_allocations, solve_greedy
 from .errors import ConfigError, EmptyInputError, MissingWeightError, SchemaError, ShapeError
 from .forest import train_forest
 from .ingest import group_rows, net_requirement
@@ -43,10 +43,10 @@ class WeightConfig:
     def __post_init__(self):
         if self.jacobian_mode not in JACOBIAN_MODES:
             raise ConfigError(f"jacobian_mode must be one of {JACOBIAN_MODES}")
-        if self.fd_step is not None and self.fd_step <= 0:
-            raise ConfigError("fd_step must be positive")
-        if self.weight_floor < 0:
-            raise ConfigError("weight_floor must be >= 0")
+        if self.fd_step is not None and not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ConfigError("fd_step must be finite and positive")
+        if not (math.isfinite(self.weight_floor) and self.weight_floor >= 0):
+            raise ConfigError("weight_floor must be finite and >= 0")
         if self.normalization not in ("none", "mean_one"):
             raise ConfigError("normalization must be 'none' or 'mean_one'")
         if self.expansion_point not in EXPANSION_POINTS:
@@ -148,24 +148,18 @@ def loss_gradient(a, xi_star):
     return np.where(xi_star > a, -1.0, 0.0)
 
 
-def _fd_columns(problem, h):
+def _fd_columns(problem, h, diagonal=False):
     """Central-difference sensitivity of the greedy optimum, one column per
     facility. A facility's perturbation shifts all K of its samples
     together: the derivative is with respect to the demand point, not any
     individual scenario. Perturbed samples are clipped at zero to stay a
-    valid problem."""
-    samples = problem.samples
-    N = problem.n_facilities
-    J = np.zeros((N, N))
-    for n in range(N):
-        up = samples.copy()
-        up[:, n] = up[:, n] + h
-        down = samples.copy()
-        down[:, n] = np.clip(down[:, n] - h, 0.0, None)
-        a_up = solve_greedy(AllocationProblem(up, problem.budget)).allocation
-        a_down = solve_greedy(AllocationProblem(down, problem.budget)).allocation
-        J[:, n] = (a_up - a_down) / (2.0 * h)
-    return J
+    valid problem. The 2N perturbed optima come from one sort of the
+    problem and an exact re-walk of its budget (`shifted_allocations`),
+    bit for bit those of solving each perturbed problem. With `diagonal`
+    only J[n, n] is filled."""
+    up, down = shifted_allocations(problem, h, own_only=diagonal)
+    J = (up - down) / (2.0 * h)
+    return np.diag(J) if diagonal else J
 
 
 def resolve_fd_step(config, demand_scale):
@@ -175,15 +169,14 @@ def resolve_fd_step(config, demand_scale):
 
 
 def policy_jacobian(problem, config):
-    """Estimate d a*_n / d xi_n' for the greedy allocation policy."""
+    """Estimate d a*_n / d xi_n' for the greedy allocation policy: the
+    identity, or central differences (`_fd_columns`) from one sort of the
+    problem, all of them (`full_fd`) or only the diagonal (`diagonal_fd`)."""
     N = problem.n_facilities
     if config.jacobian_mode == "identity":
         return np.eye(N)
     h = resolve_fd_step(config, problem.samples.mean())
-    J = _fd_columns(problem, h)
-    if config.jacobian_mode == "diagonal_fd":
-        return np.diag(np.diag(J))
-    return J
+    return _fd_columns(problem, h, diagonal=config.jacobian_mode == "diagonal_fd")
 
 
 def lookup_budget(budgets, period, product):

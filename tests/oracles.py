@@ -133,6 +133,25 @@ def reference_greedy(samples, budget):
     return allocation, objective, trace
 
 
+def reference_fd_columns(samples, budget, h, diagonal=False):
+    """Central-difference Jacobian of the greedy optimum, one full solve
+    per perturbation: column n is (a*(up_n) - a*(down_n)) / 2h, where up_n
+    adds h to every sample of facility n and down_n subtracts it, clipped
+    at zero. With `diagonal` only the diagonal is kept."""
+    samples = np.asarray(samples, dtype=float)
+    N = samples.shape[1]
+    J = np.zeros((N, N))
+    for n in range(N):
+        up = samples.copy()
+        up[:, n] = up[:, n] + h
+        down = samples.copy()
+        down[:, n] = np.clip(down[:, n] - h, 0.0, None)
+        a_up = reference_greedy(up, budget)[0]
+        a_down = reference_greedy(down, budget)[0]
+        J[:, n] = (a_up - a_down) / (2.0 * h)
+    return np.diag(np.diag(J)) if diagonal else J
+
+
 def _month_index(period):
     year, month = str(period).strip().split("-")
     return int(year) * 12 + int(month) - 1

@@ -12,6 +12,7 @@ from stockalloc import (
     solve_greedy,
     solve_lp,
 )
+from stockalloc.allocator import shifted_allocations
 
 from oracles import (
     integer_grid_optimum,
@@ -168,6 +169,54 @@ class TestMatchesReferenceGreedy:
 
         monkeypatch.setattr(allocator, "FillStep", no_steps)
         assert len(res.fill_trace) == 2  # level 0 of both facilities spends it all
+
+
+class TestShiftedAllocations:
+    def test_each_shifted_allocation_is_feasible_and_lp_optimal(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            samples, budget = random_instance(rng, max_n=4, max_k=4, max_value=8)
+            h = float(rng.choice([0.5, 1.0, 3.0, 20.0, rng.uniform(0.01, 5.0)]))
+            up, down = shifted_allocations(problem(samples, budget), h)
+            for n in range(samples.shape[1]):
+                for columns, shift in ((up, h), (down, -h)):
+                    shifted = samples.copy()
+                    shifted[:, n] = np.maximum(shifted[:, n] + shift, 0.0)
+                    p = problem(shifted, budget)
+                    a = columns[:, n]
+                    assert np.all(a >= 0.0)
+                    assert a.sum() <= budget + 1e-9 * max(1.0, budget)
+                    assert saa_objective(p, a) == pytest.approx(solve_lp(p).objective, abs=1e-9)
+
+    @pytest.mark.parametrize("budget_share", [0.0, 0.05, 0.3, 0.97, 1.0, 2.0])
+    def test_bit_identical_to_solving_each_shifted_problem(self, budget_share):
+        # Shifts of 50 move the cut many levels away from the unshifted one,
+        # past the window the shifted walks first cover.
+        rng = np.random.default_rng(15)
+        samples = np.round(rng.gamma(2.0, 3.0, size=(30, 6)), 1)
+        samples[:, 2] = 0.0
+        budget = budget_share * float(samples.max(axis=0).sum())
+        for h in (0.1, 2.0, 50.0):
+            up, down = shifted_allocations(problem(samples, budget), h)
+            for n in range(samples.shape[1]):
+                for columns, shift in ((up, h), (down, -h)):
+                    shifted = samples.copy()
+                    shifted[:, n] = np.maximum(shifted[:, n] + shift, 0.0)
+                    expected = solve_greedy(problem(shifted, budget)).allocation
+                    assert columns[:, n].tobytes() == expected.tobytes()
+
+    def test_own_only_is_the_diagonal(self):
+        rng = np.random.default_rng(14)
+        samples = rng.gamma(2.0, 3.0, size=(7, 5))
+        p = problem(samples, 0.5 * samples.max(axis=0).sum())
+        up, down = shifted_allocations(p, 0.3)
+        own_up, own_down = shifted_allocations(p, 0.3, own_only=True)
+        assert np.array_equal(own_up, np.diag(up))
+        assert np.array_equal(own_down, np.diag(down))
+
+    def test_overflowing_shift_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            shifted_allocations(problem([[1e308, 1.0]], 1.0), 1e308)
 
 
 class TestSolveLp:

@@ -268,6 +268,36 @@ def test_malformed_input_is_a_schema_error(tmp_path, capsys, command, text, wher
     assert capsys.readouterr().err.startswith(f"schema error: {bad}{where}")
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("train", '{"n_trees": 2,', "{cfg}, line 1: Expecting property name"),
+    ("train", '{"n_trees": 2}\n{', "{cfg}, line 2: Extra data"),
+    ("train", "[1, 2]", "{cfg}: config must be a JSON object"),
+    ("compare", '{"weight_config": {"weight_floor": "abc"}}',
+     "weight config: could not convert string to float: 'abc'"),
+    ("compare", '{"weight_config": {"fd_step": [1]}}', "weight config: float() argument"),
+    ("compare", '{"weight_config": {"inventory_feature": 2.5}}',
+     "weight config: inventory_feature must be an integer"),
+    ("compare", '{"weight_config": {"fd_step": "Infinity"}}', "fd_step must be finite"),
+    ("compare", '{"weight_config": {"weight_floor": NaN}}', "weight_floor must be finite"),
+    ("compare", "weight_config = abc", "weight config: expected an object"),
+], ids=["not_json", "trailing_data", "json_array", "weight_floor_not_a_number",
+        "fd_step_a_list", "inventory_feature_not_an_integer", "fd_step_infinite",
+        "weight_floor_nan", "weight_config_key_value"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, command, text, message):
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURE_HEADER)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = str(tmp_path / "out")
+    argv = {
+        "train": ("train", "--features", str(features), "--config", str(cfg), "--out", out),
+        "compare": ("compare", "--synth", "--config", str(cfg), "--out", out),
+    }[command]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("config error: " + message.format(cfg=cfg))
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("config", [
     "n_trees = 0", "max_depth = 2.5", "criterion = mae", "features_per_split = 0",
     "min_leaf_weight = heavy", '{"max_depth": 2.5}',

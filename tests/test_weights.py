@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockalloc import (
     AllocationProblem,
@@ -24,7 +26,36 @@ from stockalloc import (
 from stockalloc import weights
 from stockalloc.weights import WEIGHTS_CSV_HEADER, apply_report
 
-from oracles import reference_greedy
+from oracles import reference_fd_columns
+
+
+@st.composite
+def fd_instances(draw):
+    """Small problems for the FD Jacobian: integer ties, exact and -0.0
+    zeros, steps larger than the samples (the down shift clips), and
+    budgets of zero, exactly a level total, the total demand, 1e9 or
+    anything below the total."""
+    K = draw(st.integers(1, 6))
+    N = draw(st.integers(1, 6))
+    value = st.one_of(
+        st.integers(0, 6).map(float),
+        st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
+        st.just(-0.0),
+    )
+    samples = np.array(
+        draw(st.lists(st.lists(value, min_size=N, max_size=N), min_size=K, max_size=K))
+    )
+    level_totals = np.sort(samples, axis=0).sum(axis=1)
+    total = float(samples.max(axis=0).sum())
+    budget = draw(st.one_of(
+        st.just(0.0),
+        st.sampled_from([float(b) for b in level_totals]),
+        st.just(total),
+        st.just(1e9),
+        st.floats(0.0, total),
+    ))
+    h = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 7.0, 1000.0]), st.floats(1e-3, 50.0)))
+    return samples, budget, h
 
 
 class TestLossGradient:
@@ -93,24 +124,41 @@ class TestPolicyJacobian:
         assert np.array_equal(J, np.diag(np.diag(J)))
 
     @pytest.mark.parametrize("mode", ["diagonal_fd", "full_fd"])
-    def test_fd_jacobian_equals_reference_solver_jacobian(self, mode, monkeypatch):
+    def test_fd_jacobian_equals_reference_solver_jacobian(self, mode):
         rng = np.random.default_rng(20)
         samples = rng.gamma(2.0, 5.0, size=(100, 20))
         p = AllocationProblem(samples, 0.6 * float(samples.mean(axis=0).sum()))
         cfg = WeightConfig(jacobian_mode=mode)
         J = policy_jacobian(p, cfg)
         assert np.count_nonzero(J)
+        h = weights.resolve_fd_step(cfg, samples.mean())
+        reference = reference_fd_columns(samples, p.budget, h, diagonal=mode == "diagonal_fd")
+        assert np.array_equal(J, reference)
+        assert J.tobytes() == reference.tobytes()
 
-        class Reference:
-            def __init__(self, problem):
-                self.allocation = reference_greedy(problem.samples, problem.budget)[0]
-
-        monkeypatch.setattr(weights, "solve_greedy", Reference)
-        assert np.array_equal(J, policy_jacobian(p, cfg))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(fd_instances())
+    def test_fd_jacobian_bit_identical_to_reference_loop(self, instance):
+        samples, budget, h = instance
+        p = AllocationProblem(samples, budget)
+        for mode in ("diagonal_fd", "full_fd"):
+            J = policy_jacobian(p, WeightConfig(jacobian_mode=mode, fd_step=h))
+            reference = reference_fd_columns(samples, budget, h, diagonal=mode == "diagonal_fd")
+            assert np.array_equal(J, reference)
+            assert J.tobytes() == reference.tobytes()
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             WeightConfig(jacobian_mode="nope")
+
+    @pytest.mark.parametrize("setting", [
+        {"fd_step": float("inf")}, {"fd_step": float("nan")}, {"fd_step": 0.0},
+        {"weight_floor": float("nan")}, {"weight_floor": float("inf")}, {"weight_floor": -1.0},
+    ], ids=["fd_step_inf", "fd_step_nan", "fd_step_zero",
+            "weight_floor_nan", "weight_floor_inf", "weight_floor_negative"])
+    def test_non_finite_or_out_of_range_setting_rejected(self, setting):
+        with pytest.raises(ConfigError):
+            WeightConfig(**setting)
 
 
 def panel_table(n_periods=3, n_fac=4, seed=0, d=2):
