@@ -11,13 +11,14 @@ positive demand (dose-vs-vial style reporting mistakes).
 import csv
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyInputError, NotFoundError, SchemaError, ShapeError
-from .periods import period_index, period_str
+from .periods import normalize_period, period_index, period_indices, period_str
 
 BALANCE_TOL = 1e-9
 
@@ -92,72 +93,116 @@ class Exclusion:
     reason: str  # unbalanced | all_zero | outlier
 
 
-def _open_source(csv_source):
+def _open_text(csv_source):
+    """(name for messages, text stream) of a path, bytes or file-like source."""
     if isinstance(csv_source, (bytes, bytearray)):
-        return io.StringIO(csv_source.decode("utf-8")), True
+        return "CSV data", io.TextIOWrapper(io.BytesIO(csv_source), encoding="utf-8", newline="")
     if isinstance(csv_source, (str, os.PathLike)):
-        return open(csv_source, "r", encoding="utf-8", newline=""), True
-    return csv_source, False  # already a file-like object
+        return os.fspath(csv_source), open(csv_source, "r", encoding="utf-8", newline="")
+    return getattr(csv_source, "name", "CSV source"), csv_source  # already a file-like object
+
+
+def _undecodable(source, csv_source, exc):
+    """SchemaError for text that is not UTF-8, naming the bad byte's line if it can be re-read."""
+    if isinstance(csv_source, (str, os.PathLike)):
+        with open(csv_source, "rb") as fh:
+            csv_source = fh.read()
+    if isinstance(csv_source, (bytes, bytearray)):
+        try:
+            csv_source.decode("utf-8")
+        except UnicodeDecodeError as whole:  # positions count from the start, not a chunk
+            line = csv_source.count(b"\n", 0, whole.start) + 1
+            return SchemaError(f"{source}, line {line}: {whole}")
+    return SchemaError(f"{source}: {exc}")
+
+
+def _quantities(cells):
+    """The numeric cells as floats, or the reason the first bad one is rejected."""
+    values = []
+    for name, cell in zip(_NUMERIC_FIELDS, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"non-numeric {name}: {cell!r}"
+        if not math.isfinite(value):
+            return f"non-finite {name}: {cell!r}"
+        if value < 0 and name != "adjustment":
+            return f"negative {name}: {value!r}"
+        values.append(value)
+    return values
+
+
+def _dict_row(header, row):
+    """The dict `csv.DictReader` makes of `row`: extra cells under None, absent ones None."""
+    raw = dict(zip(header, row))
+    if len(row) > len(header):
+        raw[None] = row[len(header):]
+    for name in header[len(row):]:
+        raw[name] = None
+    return raw
 
 
 def parse_records(csv_source, schema=None):
     """Parse a stock-ledger CSV into records plus per-line rejects.
 
     `schema` maps each required field name to its column name in the file.
-    Rows with unparseable or missing values are returned as RejectedRow
-    entries carrying the 1-based line number, never silently dropped.
+    Rows with more cells than the header, or with missing, unparseable,
+    non-finite or negative values, are returned as RejectedRow entries
+    carrying the 1-based line number, never silently dropped. A source that
+    is not UTF-8 text or not readable as CSV raises SchemaError naming it.
     """
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     for name in REQUIRED_FIELDS:
         if name not in schema:
             raise SchemaError(f"schema is missing required field {name!r}")
 
-    fh, owns = _open_source(csv_source)
+    source, text = _open_text(csv_source)
+    reader = csv.reader(text)
     try:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        header = next(reader, None)
+        if header is None:
             raise EmptyInputError("CSV source is empty")
-        header = set(reader.fieldnames)
+        column = {name: j for j, name in enumerate(header)}  # a repeated name: its last
         for name in REQUIRED_FIELDS:
-            if schema[name] not in header:
+            if schema[name] not in column:
                 raise SchemaError(
                     f"required column {schema[name]!r} (field {name!r}) not in header"
                 )
+        columns = [column[schema[name]] for name in REQUIRED_FIELDS]
+        width = len(header)
 
         records, rejects = [], []
         for row in reader:
-            line = reader.line_num
-            parsed = {}
-            problem = None
-            for name in REQUIRED_FIELDS:
-                cell = row.get(schema[name])
-                if cell is None or str(cell).strip() == "":
-                    problem = f"missing {name}"
-                    break
-                parsed[name] = str(cell).strip()
+            if not row:
+                continue
+            if len(row) > width:
+                problem = f"{len(row)} cells, header has {width}"
+            else:
+                padded = row + [""] * (width - len(row))
+                cells = [padded[j].strip() for j in columns]
+                problem = f"missing {REQUIRED_FIELDS[cells.index('')]}" if "" in cells else None
             if problem is None:
-                for name in _NUMERIC_FIELDS:
-                    try:
-                        parsed[name] = float(parsed[name])
-                    except ValueError:
-                        problem = f"non-numeric {name}: {parsed[name]!r}"
-                        break
-                    if name != "adjustment" and parsed[name] < 0:
-                        problem = f"negative {name}: {parsed[name]!r}"
-                        break
+                quantities = _quantities(cells[4:])
+                if isinstance(quantities, str):
+                    problem = quantities
             if problem is None:
                 try:
-                    parsed["period"] = period_str(period_index(parsed["period"]))
+                    period = normalize_period(cells[2])
                 except ValueError as exc:
                     problem = str(exc)
-            if problem is not None:
-                rejects.append(RejectedRow(line_number=line, reason=problem, raw=dict(row)))
-                continue
-            records.append(StockRecord(**parsed))
-        return records, rejects
+            if problem is None:
+                records.append(StockRecord(cells[0], cells[1], period, cells[3], *quantities))
+            else:
+                rejects.append(RejectedRow(line_number=reader.line_num, reason=problem,
+                                           raw=_dict_row(header, row)))
+    except csv.Error as exc:
+        raise SchemaError(f"{source}, line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(source, csv_source, exc) from exc
     finally:
-        if owns:
-            fh.close()
+        if text is not csv_source:
+            text.close()
+    return records, rejects
 
 
 def clean_records(records, outlier_multiplier=10.0):
@@ -184,26 +229,15 @@ def clean_records(records, outlier_multiplier=10.0):
         else:
             survivors.append(i)
 
-    series_keys = ((records[i].facility_id, records[i].product_id) for i in survivors)
-    for rows in group_rows(series_keys).values():
-        alive = [survivors[j] for j in rows]
-        while True:
-            flagged = []
-            for i in alive:
-                others = [
-                    records[j].demand
-                    for j in alive
-                    if j != i and records[j].demand > 0
-                ]
-                if not others:
-                    continue
-                if records[i].demand > outlier_multiplier * float(np.median(others)):
-                    flagged.append(i)
-            if not flagged:
-                break
-            for i in flagged:
-                reasons[i] = "outlier"
-            alive = [i for i in alive if i not in reasons]
+    series_ids = {}
+    series = np.array(
+        [series_ids.setdefault((records[i].facility_id, records[i].product_id), len(series_ids))
+         for i in survivors],
+        dtype=np.int64,
+    )
+    demand = np.array([records[i].demand for i in survivors], dtype=float)
+    for j in _outliers(series, demand, outlier_multiplier):
+        reasons[survivors[j]] = "outlier"
 
     kept = [rec for i, rec in enumerate(records) if i not in reasons]
     excluded = [
@@ -212,6 +246,48 @@ def clean_records(records, outlier_multiplier=10.0):
         if i in reasons
     ]
     return kept, excluded
+
+
+def _outliers(series, demand, multiplier):
+    """Positions the leave-one-out median rule flags, iterated to its fixed point.
+
+    Each round compares every alive demand with `multiplier` times the
+    median of the other alive positive demands of its series, and skips a
+    demand that has no such others. One lexsort by (series, demand) orders
+    every series' positive demands once; a round only drops the flagged
+    from that order and reads each median from the one or two middle
+    values, stepping over the demand's own place. An even count takes
+    (a + b) / 2, the float `np.median` gives.
+    """
+    alive = np.ones(len(demand), dtype=bool)
+    positive = np.flatnonzero(demand > 0)
+    order = positive[np.lexsort((demand[positive], series[positive]))]
+    n_series = int(series.max()) + 1 if len(series) else 0
+    own = np.full(len(demand), -1)  # place among its series' sorted positive demands
+    while True:
+        order = order[alive[order]]
+        values = demand[order]
+        counts = np.bincount(series[order], minlength=n_series)
+        starts = np.cumsum(counts) - counts
+        own[order] = np.arange(len(order)) - starts[series[order]]
+        candidates = np.flatnonzero(alive)
+        s, place = series[candidates], own[candidates]
+        others = counts[s] - (place >= 0)
+        has_others = others > 0
+        candidates, s, place, others = (
+            a[has_others] for a in (candidates, s, place, others)
+        )
+        lo, hi = (others - 1) // 2, others // 2
+        lo += (place >= 0) & (lo >= place)  # leave-one-out rank -> rank among all
+        hi += (place >= 0) & (hi >= place)
+        median = values[starts[s] + lo]
+        even = others % 2 == 0
+        with np.errstate(over="ignore"):
+            median[even] = (median[even] + values[starts[s] + hi][even]) / 2
+            flagged = candidates[demand[candidates] > multiplier * median]
+        if not len(flagged):
+            return np.flatnonzero(~alive)
+        alive[flagged] = False
 
 
 @dataclass
@@ -248,10 +324,16 @@ class FeatureTable:
             self.feature_names = [f"f_{j}" for j in range(self.X.shape[1])]
         if len(self.feature_names) != self.X.shape[1]:
             raise ShapeError("feature_names length disagrees with matrix width")
-        if self.horizon is None and n:
-            self.horizon = max(self.periods, key=period_index)
-        if self.horizon is not None:
-            limit = period_index(self.horizon)
+        if self.horizon is None:
+            if n:
+                self.horizon = self.periods[int(np.argmax(period_indices(self.periods)))]
+            return
+        limit = period_index(self.horizon)
+        try:
+            late = np.any(period_indices(self.periods) > limit)
+        except ValueError:
+            late = True
+        if late:  # the first bad or late row, in row order, names the fault
             for p in self.periods:
                 if period_index(p) > limit:
                     raise ValueError(f"row period {p} exceeds declared horizon {self.horizon}")
@@ -271,10 +353,11 @@ class FeatureTable:
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         idx = idx.astype(np.int64)
+        rows = idx.tolist()
         return FeatureTable(
-            facility_ids=[self.facility_ids[i] for i in idx],
-            product_ids=[self.product_ids[i] for i in idx],
-            periods=[self.periods[i] for i in idx],
+            facility_ids=[self.facility_ids[i] for i in rows],
+            product_ids=[self.product_ids[i] for i in rows],
+            periods=[self.periods[i] for i in rows],
             X=self.X[idx],
             y=self.y[idx],
             weights=self.weights[idx],
@@ -444,64 +527,98 @@ def build_feature_table(records, lag_months=10, periods=None):
 
 
 def _lag_table(records, lag_months, periods, horizon=None):
-    """Index every series once, then emit each period's rows from that index."""
+    """Key every record by (series, month) once, then look each period's lags up.
+
+    A re-reported (facility, product, month) reads its last record. A row
+    needs a record whose period string is already "YYYY-MM"; its target and
+    region code come from that record. Work and memory grow with the record
+    count, not with the span of months the records cover.
+    """
     if lag_months < 1:
         raise ValueError("lag_months must be >= 1")
     if not records:
         raise EmptyInputError("no records to build features from")
+    L = lag_months
     codes = {r: i for i, r in enumerate(sorted({rec.region for rec in records}))}
-    history, current = {}, {}
-    for rec in records:
-        key = (rec.facility_id, rec.product_id)
-        history.setdefault(key, {})[period_index(rec.period)] = rec.demand
-        current.setdefault(rec.period, {})[key] = rec
-    first = min(min(series) for series in history.values())
+    keys = [(rec.facility_id, rec.product_id) for rec in records]
+    texts = [rec.period for rec in records]
+    series_keys = sorted(set(keys))
+    series_of = {key: s for s, key in enumerate(series_keys)}
+    n = len(records)
+    series = np.fromiter(map(series_of.__getitem__, keys), dtype=np.int64, count=n)
+    month = period_indices(texts)
+    demand = np.array([rec.demand for rec in records], dtype=float)
+    region = np.array([codes[rec.region] for rec in records], dtype=float)
+    is_row = np.fromiter(map(operator.eq, map(normalize_period, texts), texts), bool, n)
 
-    fac, prod, per, targets = [], [], [], []
-    lags = range(1, lag_months + 1)
-    n = sum(len(current.get(period_str(period_index(p)), ())) for p in periods)
-    X = np.empty((n, 2 * lag_months + 3))  # filled in place: no list of all rows
-    for period in periods:
-        t = period_index(period)
-        as_of = period_str(t)
+    # One key per (series, month), with a stride that keeps every lag of a
+    # record month inside its own series: key - j is lag j of the same series.
+    first = int(month.min())
+    cell = series * (int(month.max()) - first + 1 + L) + (month - first + L)
+    cell_key, cell_record = _last_per_key(cell, np.arange(n))
+    row_key, row_record = _last_per_key(cell[is_row], np.flatnonzero(is_row))
+    by_month = np.lexsort((series[row_record], month[row_record]))  # then by series
+    row_key, row_record = row_key[by_month], row_record[by_month]
+    row_month = month[row_record]
+
+    targets = [period_index(p) for p in periods]  # a bad period raises before an early one
+    blocks = []  # (month, rows of that month in series order) per requested period
+    for t in targets:
         if t < first:
-            raise EmptyInputError(f"as_of {as_of} precedes every record")
-        at = current.get(as_of, {})
-        for key in sorted(at):
-            rec = at[key]
-            past = [history[key].get(t - j) for j in lags]
-            X[len(fac)] = (
-                [-1.0 if v is None else float(v) for v in past]
-                + [0.0 if v is None else 1.0 for v in past]
-                + [float(t % 12 + 1), float(t // 12), float(codes[rec.region])]
-            )
-            fac.append(rec.facility_id)
-            prod.append(rec.product_id)
-            per.append(as_of)
-            targets.append(rec.demand)
+            raise EmptyInputError(f"as_of {period_str(t)} precedes every record")
+        lo, hi = np.searchsorted(row_month, [t, t + 1])
+        blocks.append((t, slice(lo, hi)))
 
+    X = np.empty((sum(rows.stop - rows.start for _, rows in blocks), 2 * L + 3))  # in place
+    y = np.empty(len(X))
+    fac, prod, per = [], [], []
+    for t, rows in blocks:
+        at, block = row_record[rows], slice(len(fac), len(fac) + rows.stop - rows.start)
+        lagged = row_key[rows, None] - np.arange(1, L + 1)
+        place = np.minimum(np.searchsorted(cell_key, lagged), len(cell_key) - 1)
+        present = cell_key[place] == lagged
+        X[block, :L] = np.where(present, demand[cell_record[place]], -1.0)
+        X[block, L:2 * L] = present
+        X[block, 2 * L] = float(t % 12 + 1)
+        X[block, 2 * L + 1] = float(t // 12)
+        X[block, 2 * L + 2] = region[at]
+        y[block] = demand[at]
+        fac += [series_keys[s][0] for s in series[at].tolist()]
+        prod += [series_keys[s][1] for s in series[at].tolist()]
+        per += [period_str(t)] * len(at)
+
+    lags = range(1, lag_months + 1)
     names = [f"lag_{j}" for j in lags] + [f"lag_{j}_present" for j in lags]
     return FeatureTable(
         facility_ids=fac,
         product_ids=prod,
         periods=per,
         X=X,
-        y=np.array(targets, dtype=float),
+        y=y,
         weights=np.ones(len(fac)),
         feature_names=names + ["month", "year", "region_code"],
         horizon=horizon,
     )
 
 
+def _last_per_key(keys, records):
+    """Sorted distinct `keys`, each with the last of its `records` (records ascend)."""
+    order = np.argsort(keys, kind="stable")
+    keys, records = keys[order], records[order]
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    return keys[last], records[last]
+
+
 def split_train_eval(table, eval_period):
     """Partition rows into (strictly earlier than eval, exactly at eval)."""
     eval_period = period_str(period_index(eval_period))
     idx = period_index(eval_period)
-    row_idx = [period_index(p) for p in table.periods]
+    months = period_indices(table.periods)
     if eval_period not in set(table.periods):
         raise NotFoundError(f"eval period {eval_period} not present in table")
-    train = table.subset([i for i, p in enumerate(row_idx) if p < idx])
-    evaluation = table.subset([i for i, p in enumerate(row_idx) if p == idx])
+    train = table.subset(np.flatnonzero(months < idx))
+    evaluation = table.subset(np.flatnonzero(months == idx))
     return train, evaluation
 
 

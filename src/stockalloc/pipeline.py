@@ -30,7 +30,7 @@ from .ingest import (
     split_train_eval,
 )
 from .linear import train_linear
-from .periods import period_index, period_str
+from .periods import period_index, period_indices, period_str
 from .synth import INVENTORY_FEATURE, TwoClassScenario, generate
 from .weights import (
     DEFAULT_BUDGET_FRACTION,
@@ -303,24 +303,21 @@ def run_decision_aware(config, prepared=None, initial_model=None):
 def rolling_forecasts(prepared, window):
     """Trailing-mean demand per evaluation row over the last `window` months.
 
-    Only months actually present count toward the mean; rows with no
+    Only months actually present count toward the mean (a month with
+    several training rows of one series reads the last); rows with no
     history forecast zero.
     """
-    history = {}
-    for i in range(len(prepared.train)):
-        key = (prepared.train.facility_ids[i], prepared.train.product_ids[i])
-        history.setdefault(key, {})[period_index(prepared.train.periods[i])] = float(
-            prepared.train.y[i]
-        )
+    train, eval_table = prepared.train, prepared.eval_table
     eval_idx = period_index(prepared.eval_period)
-    forecasts = np.zeros(len(prepared.eval_table))
-    for i in range(len(prepared.eval_table)):
-        key = (prepared.eval_table.facility_ids[i], prepared.eval_table.product_ids[i])
-        series = history.get(key, {})
-        values = [
-            series[m] for m in range(eval_idx - window, eval_idx) if m in series
-        ]
-        forecasts[i] = float(np.mean(values)) if values else 0.0
+    months = period_indices(train.periods)
+    recent = np.flatnonzero((months >= eval_idx - window) & (months < eval_idx))
+    history = group_rows((train.facility_ids[i], train.product_ids[i]) for i in recent.tolist())
+    forecasts = np.zeros(len(eval_table))
+    for i, key in enumerate(zip(eval_table.facility_ids, eval_table.product_ids)):
+        if key in history:
+            rows = recent[history[key]]
+            series = dict(zip(months[rows].tolist(), train.y[rows].tolist()))
+            forecasts[i] = float(np.mean([series[m] for m in sorted(series)]))
     return forecasts
 
 

@@ -6,6 +6,8 @@ with the solvers under test.
 """
 
 import itertools
+import math
+import re
 
 import numpy as np
 
@@ -150,6 +152,75 @@ def reference_fd_columns(samples, budget, h, diagonal=False):
         a_down = reference_greedy(down, budget)[0]
         J[:, n] = (a_up - a_down) / (2.0 * h)
     return np.diag(np.diag(J)) if diagonal else J
+
+
+_PERIOD_RE = re.compile(r"^(\d{4})-(\d{1,2})$")
+
+
+def reference_period_index(period):
+    """"YYYY-MM" to a month count, parsed afresh on every call (no memo)."""
+    m = _PERIOD_RE.match(str(period).strip())
+    if not m:
+        raise ValueError(f"bad period {period!r}, expected YYYY-MM")
+    year, month = int(m.group(1)), int(m.group(2))
+    if not 1 <= month <= 12:
+        raise ValueError(f"bad month in period {period!r}")
+    return year * 12 + (month - 1)
+
+
+def reference_clean(records, outlier_multiplier=10.0):
+    """The cleaning rules with one `np.median` per record per round.
+
+    Records are read by attribute (facility_id, product_id, the five
+    stock-flow quantities; the demand is quantity_dispensed). Returns
+    (kept, [(record, reason), ...]), both in input order.
+    """
+    if outlier_multiplier <= 1:
+        raise ValueError("outlier_multiplier must be > 1")
+
+    reasons = {}
+    survivors = []
+    for i, rec in enumerate(records):
+        lhs = (
+            rec.opening_balance
+            + rec.quantity_received
+            - rec.quantity_dispensed
+            + rec.adjustment
+        )
+        quantities = (rec.opening_balance, rec.quantity_received, rec.quantity_dispensed,
+                      rec.adjustment, rec.closing_balance)
+        if not math.isclose(lhs, rec.closing_balance, rel_tol=0.0, abs_tol=1e-9):
+            reasons[i] = "unbalanced"
+        elif all(q == 0 for q in quantities):
+            reasons[i] = "all_zero"
+        else:
+            survivors.append(i)
+
+    series = {}
+    for i in survivors:
+        series.setdefault((records[i].facility_id, records[i].product_id), []).append(i)
+    for alive in series.values():
+        while True:
+            flagged = []
+            for i in alive:
+                others = [
+                    records[j].quantity_dispensed
+                    for j in alive
+                    if j != i and records[j].quantity_dispensed > 0
+                ]
+                if not others:
+                    continue
+                if records[i].quantity_dispensed > outlier_multiplier * float(np.median(others)):
+                    flagged.append(i)
+            if not flagged:
+                break
+            for i in flagged:
+                reasons[i] = "outlier"
+            alive = [i for i in alive if i not in reasons]
+
+    kept = [rec for i, rec in enumerate(records) if i not in reasons]
+    excluded = [(rec, reasons[i]) for i, rec in enumerate(records) if i in reasons]
+    return kept, excluded
 
 
 def _month_index(period):

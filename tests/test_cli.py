@@ -268,6 +268,20 @@ def test_malformed_input_is_a_schema_error(tmp_path, capsys, command, text, wher
     assert capsys.readouterr().err.startswith(f"schema error: {bad}{where}")
 
 
+@pytest.mark.parametrize("command, cells, message", [
+    ("ingest", b"f\xff,ors", "line 3: 'utf-8' codec can't decode byte 0xff in position"),
+    ("compare", b'f1,"' + b"x" * 131_073 + b'"', "line 3: field larger than field limit (131072)"),
+], ids=["not_utf8", "field_over_csv_limit"])
+def test_unreadable_ledger_is_a_schema_error(tmp_path, capsys, command, cells, message):
+    ledger = write_ledger(tmp_path / "ledger.csv", months=1, facilities=1)
+    with open(ledger, "ab") as fh:
+        fh.write(cells + b",2021-02,r0,1,1,1,0,1\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--csv", str(ledger), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"schema error: {ledger}, {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("train", '{"n_trees": 2,', "{cfg}, line 1: Expecting property name"),
     ("train", '{"n_trees": 2}\n{', "{cfg}, line 2: Extra data"),

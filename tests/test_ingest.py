@@ -1,8 +1,9 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stockalloc import (
@@ -10,6 +11,7 @@ from stockalloc import (
     FeatureTable,
     NotFoundError,
     SchemaError,
+    StockAllocError,
     StockRecord,
     build_feature_table,
     build_features,
@@ -18,7 +20,10 @@ from stockalloc import (
     split_train_eval,
 )
 
-from oracles import reference_feature_table
+from stockalloc.periods import normalize_period, period_index
+
+from oracles import reference_clean, reference_feature_table, reference_period_index
+from test_cli import write_ledger
 
 HEADER = (
     "facility_id,product_id,period,region,opening_balance,quantity_received,"
@@ -119,6 +124,46 @@ class TestParseRecords:
         assert len(records) == 1  # adjustment may be negative
         assert records[0].adjustment == -2.0
         assert len(rejects) == 1 and "negative quantity_dispensed" in rejects[0].reason
+
+    @pytest.mark.parametrize("cells, reason", [
+        ("inf,5,3,0,12", "non-finite opening_balance: 'inf'"),
+        ("10,5,nan,0,12", "non-finite quantity_dispensed: 'nan'"),
+        ("10,5,3,-inf,12", "non-finite adjustment: '-inf'"),
+        ("10,1e400,3,0,12", "non-finite quantity_received: '1e400'"),
+    ])
+    def test_non_finite_quantity_rejected(self, cells, reason):
+        data = HEADER + "f1,amox,2021-01,north,10,5,3,0,12\n" + f"f1,amox,2021-02,north,{cells}\n"
+        records, rejects = parse_records(data.encode())
+        assert len(records) == 1
+        assert [(r.line_number, r.reason) for r in rejects] == [(3, reason)]
+
+    def test_extra_cells_rejected_with_the_dict_reader_row(self):
+        data = HEADER + "f1,amox,2021-01,north,10,5,3,0,12,late,note\n"
+        records, rejects = parse_records(data.encode())
+        assert records == []
+        assert rejects[0].reason == "11 cells, header has 9"
+        assert rejects[0].raw["closing_balance"] == "12"
+        assert rejects[0].raw[None] == ["late", "note"]
+
+    def test_short_row_raw_fills_absent_cells_with_none(self):
+        data = HEADER + "\n\nf1,amox,2021-01\n"
+        _, rejects = parse_records(data.encode())
+        assert (rejects[0].line_number, rejects[0].reason) == (4, "missing region")
+        assert rejects[0].raw["period"] == "2021-01" and rejects[0].raw["region"] is None
+
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        path.write_bytes(HEADER.encode() + b"f1,amox,2021-01,north,10,5,3,0,12\nf\xff,a\n")
+        with pytest.raises(SchemaError, match=f"^{path}, line 3: 'utf-8' codec can't decode"):
+            parse_records(path)
+        with pytest.raises(SchemaError, match="^CSV data, line 3: 'utf-8' codec can't decode"):
+            parse_records(path.read_bytes())
+
+    def test_field_over_csv_limit_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        path.write_text(HEADER + 'f1,"' + "x" * 200_000 + '",2021-01,north,10,5,3,0,12\n')
+        with pytest.raises(SchemaError, match=f"^{path}, line 2: field larger than field limit"):
+            parse_records(str(path))
 
 
 class TestCleanRecords:
@@ -242,6 +287,17 @@ class TestBuildFeatures:
         with pytest.raises(EmptyInputError):
             build_features([record(period="2021-05")], lag_months=2, as_of="2020-01")
 
+    def test_unnormalized_period_spellings_are_lags_but_not_rows(self):
+        records = [record(period="2021-3", dispensed=2.0), record(period=" 2021-04 "),
+                   record(period="2021-05", dispensed=7.0)]
+        with pytest.raises(EmptyInputError, match="no records at the requested periods"):
+            build_feature_table(records[:2], lag_months=2)
+        t = build_feature_table(records, lag_months=2)
+        fac, prod, per, X, y, names = reference_feature_table(records, 2)
+        assert t.periods == per == ["2021-05"]
+        assert t.X.tobytes() == X.tobytes() and t.y.tobytes() == y.tobytes()
+        assert t.X[0, :4].tolist() == [3.0, 2.0, 1.0, 1.0]
+
     def test_all_values_finite(self):
         rng = np.random.default_rng(2)
         records = [
@@ -302,6 +358,191 @@ class TestMatchesReferenceFeaturizer:
         assert t.y.tobytes() == y.tobytes()
 
 
+    def test_records_decades_apart(self):
+        """A mistyped year stretches the span of months, not the work: 40
+        series over two years plus one record in year 0221 (about 21,600
+        months earlier) build in well under the ~28 MB that a dense
+        (series x month) grid over that span would take."""
+        records = [
+            record(facility=f"f{f}", product=f"p{p}", region=f"r{f % 3}",
+                   period=_month(m), dispensed=float((7 * f + 3 * p + m) % 11))
+            for f in range(20) for p in range(2) for m in range(24)
+        ]
+        records.insert(100, record(facility="f3", product="p1", period="0221-03",
+                                   dispensed=4.0))
+        records.append(record(facility="f5", product="p0", period="0221-04", dispensed=9.0))
+        fac, prod, per, X, y, names = reference_feature_table(records, 10)
+        tracemalloc.start()
+        try:
+            t = build_feature_table(records, lag_months=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (t.facility_ids, t.product_ids, t.periods) == (fac, prod, per)
+        assert t.X.tobytes() == X.tobytes() and t.y.tobytes() == y.tobytes()
+        assert t.periods[:2] == ["0221-03", "0221-04"]
+        assert peak < 4 * 2**20
+
+
+@st.composite
+def cleaner_inputs(draw):
+    """Records of up to four interleaved series and an outlier multiplier.
+
+    Demands mix ties, zeros, integers and floats; a series may get a
+    geometric run, whose top values fall one round after another. Some
+    rows are unbalanced or all zero.
+    """
+    multiplier = draw(st.one_of(
+        st.sampled_from([float(np.nextafter(1.0, 2.0)), 1.5, 2.0, 10.0]),
+        st.floats(1.0, 3.0, exclude_min=True),
+        st.floats(1.0, 30.0, exclude_min=True),
+    ))
+    demand = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0, 20.0, 25.0, 600.0]),
+        st.integers(0, 40).map(float),
+        st.floats(0.0, 1e4, allow_nan=False),
+    )
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 3), demand, st.sampled_from(["ok"] * 8 + ["unbalanced", "zero"])),
+        max_size=30,
+    ))
+    if draw(st.booleans()):
+        base, ratio = draw(st.floats(0.5, 50.0)), multiplier * draw(st.floats(1.0, 3.0))
+        series = draw(st.integers(0, 3))
+        rows += [(series, base * ratio ** k, "ok") for k in range(draw(st.integers(2, 6)))]
+    rows = draw(st.permutations(rows))
+    records = []
+    for i, (s, d, kind) in enumerate(rows):
+        if kind == "zero":
+            rec = record(opening=0.0, received=0.0, dispensed=0.0, closing=0.0)
+        else:
+            closing = 7.0 if kind == "unbalanced" else None
+            rec = record(opening=d, received=0.0, dispensed=d, closing=closing)
+        records.append(replace(rec, facility_id=f"f{s % 2}", product_id=f"p{s // 2}",
+                               period=_month(i % 18)))
+    return records, multiplier
+
+
+def _series(demands, multiplier):
+    return [record(period=_month(i), opening=d, received=0.0, dispensed=d)
+            for i, d in enumerate(demands)], multiplier
+
+
+def _cascade():
+    return _series([1.0, 1.0, 20.0, 400.0, 8000.0], 10.0)  # 8000 and 400 fall, then 20
+
+
+class TestMatchesReferenceCleaner:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(cleaner_inputs())
+    @example(_cascade())
+    @example(_series([1.0, 10.0, 100.0], 1.5))  # 10's others are 1 and 100, not 1 and 10
+    @example(_series([2.0, 2.0, 5.0, 9.0, 30.0], 1.2))
+    def test_same_kept_and_exclusions_in_order(self, inputs):
+        records, multiplier = inputs
+        kept, excluded = clean_records(records, outlier_multiplier=multiplier)
+        ref_kept, ref_excluded = reference_clean(records, outlier_multiplier=multiplier)
+        assert [id(r) for r in kept] == [id(r) for r in ref_kept]
+        assert [(id(e.record), e.reason) for e in excluded] == [
+            (id(r), reason) for r, reason in ref_excluded
+        ]
+
+    def test_cascade_needs_rounds(self):
+        records, multiplier = _cascade()
+        kept, excluded = clean_records(records, outlier_multiplier=multiplier)
+        assert [r.demand for r in kept] == [1.0, 1.0]
+        assert [e.record.demand for e in excluded] == [20.0, 400.0, 8000.0]
+
+    def test_dirty_ledger_end_to_end(self, tmp_path):
+        ledger = write_ledger(tmp_path / "ledger.csv", months=12, facilities=5,
+                              products=("ors", "amox"))
+        with open(ledger, "a") as fh:
+            fh.write("fac1,ors,2022-01,r1,1000,0,900,0,100\n")  # outlier
+            fh.write("fac2,ors,2022-01,r0,10,5,3,0,99\n")  # unbalanced
+            fh.write("fac3,amox,2022-01,r1,0,0,0,0,0\n")  # all zero
+            fh.write("fac4,amox,2022-01,r0,x,5,3,0,12\n")  # rejected
+            fh.write("fac0,amox,2021-05,r0,40,5,3.5,0,41.5\n")  # re-reported month
+        records, rejects = parse_records(str(ledger))
+        kept, excluded = clean_records(records)
+        ref_kept, ref_excluded = reference_clean(records)
+        assert len(rejects) == 1
+        assert [reason for _, reason in ref_excluded] == ["outlier", "unbalanced", "all_zero"]
+        assert kept == ref_kept
+        assert [(e.record, e.reason) for e in excluded] == ref_excluded
+        table = build_feature_table(kept)
+        fac, prod, per, X, y, names = reference_feature_table(ref_kept)
+        assert (table.facility_ids, table.product_ids, table.periods) == (fac, prod, per)
+        assert table.X.tobytes() == X.tobytes() and table.y.tobytes() == y.tobytes()
+
+
+def _parses_or_categorized(data):
+    """parse_records returns records and rejects, or raises a StockAllocError."""
+    try:
+        records, rejects = parse_records(data)
+    except StockAllocError:
+        return
+    for rec in records:
+        assert isinstance(rec, StockRecord)
+        assert all(np.isfinite([rec.opening_balance, rec.quantity_received, rec.demand,
+                                rec.adjustment, rec.closing_balance]))
+    lines = [r.line_number for r in rejects]
+    assert lines == sorted(lines)
+
+
+_CSVISH = st.text(alphabet=',"\r\n \t0123456789-.+eEinfaINFxé\x00', max_size=60)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.binary(max_size=40), _CSVISH.map(str.encode)), max_size=8))
+    def test_any_bytes_after_a_valid_header(self, chunks):
+        _parses_or_categorized(HEADER.encode() + b"\n".join(chunks))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.binary(max_size=120), _CSVISH.map(str.encode)),
+           st.lists(st.sampled_from(HEADER.strip().split(",")), max_size=10),
+           st.binary(max_size=80))
+    def test_any_header(self, junk, columns, body):
+        _parses_or_categorized(junk)
+        _parses_or_categorized(",".join(columns).encode() + b"\n" + body)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.from_regex(r"\s?\d{1,5}-\d{1,3}\s?", fullmatch=True),
+        st.text(max_size=10),
+        st.integers(),
+        st.lists(st.text(max_size=3), max_size=2),
+    ))
+    def test_memoized_period_index_matches_uncached(self, value):
+        try:
+            expected = reference_period_index(value)
+        except ValueError as exc:
+            for _ in range(2):  # the second call would hit a memo
+                with pytest.raises(ValueError) as info:
+                    period_index(value)
+                assert str(info.value) == str(exc)
+        else:
+            assert period_index(value) == period_index(value) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.from_regex(r"\s?\d{1,5}-\d{1,3}\s?", fullmatch=True),
+        st.text(max_size=10),
+        st.integers(),
+    ))
+    def test_memoized_normalize_period_matches_uncached(self, value):
+        try:
+            index = reference_period_index(value)
+        except ValueError as exc:
+            for _ in range(2):
+                with pytest.raises(ValueError) as info:
+                    normalize_period(value)
+                assert str(info.value) == str(exc)
+        else:
+            expected = f"{index // 12:04d}-{index % 12 + 1:02d}"
+            assert normalize_period(value) == normalize_period(value) == expected
+
+
 class TestSplit:
     def _table(self):
         records = [
@@ -345,6 +586,17 @@ class TestFeatureTableCsv:
         assert header[:3] == ["facility_id", "product_id", "period"]
         assert header[3:7] == ["f_0", "f_1", "f_2", "f_3"]
         assert header[-2:] == ["target", "weight"]
+
+    @pytest.mark.parametrize("periods, message", [
+        (["2022-03", "2022-05", "20x2-01"], "row period 2022-05 exceeds declared horizon 2022-04"),
+        (["2022-03", "20x2-01", "2022-05"], "bad period '20x2-01', expected YYYY-MM"),
+    ])
+    def test_first_bad_or_late_row_names_the_fault(self, periods, message):
+        with pytest.raises(ValueError) as info:
+            FeatureTable(facility_ids=["a"] * 3, product_ids=["p"] * 3, periods=periods,
+                         X=np.zeros((3, 2)), y=np.zeros(3), weights=np.ones(3),
+                         horizon="2022-04")
+        assert str(info.value) == message
 
     def test_horizon_enforced(self):
         with pytest.raises(ValueError):
