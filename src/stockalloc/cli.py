@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .config import load_config_file, load_section
 from .errors import ConfigError, SchemaError, StockAllocError
 from .forest import Forest, ForestParams, train_forest
 from .ingest import (
@@ -23,6 +24,7 @@ from .ingest import (
     group_rows,
     net_requirement,
     parse_records,
+    read_text,
     write_exclusions_csv,
     write_rejects_csv,
 )
@@ -39,6 +41,7 @@ from .pipeline import (
 from .synth import TwoClassScenario, generate
 from .weights import (
     DEFAULT_BUDGET_FRACTION,
+    JACOBIAN_MODES,
     WeightConfig,
     WeightReport,
     apply_report,
@@ -49,97 +52,33 @@ from .weights import (
 _EXIT_BY_CATEGORY = {"config": 2, "schema": 2, "data": 3, "shape": 3, "solver": 4, "internal": 4}
 
 
-def load_config_file(path):
-    """Read a config file: JSON object, or simple `key = value` lines.
-
-    Text that is not valid JSON or a JSON value that is not an object is
-    a ConfigError naming the file (and the line, for bad JSON)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith(("{", "[")):
-        try:
-            config = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(config, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return config
-    config = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line {line!r}, expected key = value")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
-    return config
-
-
 def _ensure_out(path):
     os.makedirs(path, exist_ok=True)
     return path
 
 
-def _config_int(value):
-    """An integer setting: a JSON integer (or integral float), a `key = value`
-    string, or None; anything else is passed on for ForestParams to reject."""
-    if isinstance(value, str):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+def _config(path):
+    return load_config_file(path) if path else {}
 
 
-def _forest_params(cfg):
-    """ForestParams from a config section; a bad value is a ConfigError."""
-    fields = {}
-    try:
-        for key in ("n_trees", "max_depth", "features_per_split"):
-            if key in cfg:
-                fields[key] = _config_int(cfg[key])
-        if "min_leaf_weight" in cfg:
-            fields["min_leaf_weight"] = float(cfg["min_leaf_weight"])
-        if "criterion" in cfg:
-            fields["criterion"] = str(cfg["criterion"])
-        return ForestParams(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"forest params: {exc}") from exc
+def _with_flags(section, **flags):
+    """`section` with the value of every flag that was given in place of its own.
 
-
-def _weight_config(cfg, args):
-    """WeightConfig from a config section; a bad value is a ConfigError."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"weight config: expected an object, got {cfg!r}")
-    fields = {}
-    try:
-        for key in ("jacobian_mode", "normalization", "expansion_point"):
-            if key in cfg:
-                fields[key] = str(cfg[key])
-        for key in ("fd_step", "weight_floor"):
-            if cfg.get(key) is not None:
-                fields[key] = float(cfg[key])
-        if cfg.get("inventory_feature") is not None:
-            feature = _config_int(cfg["inventory_feature"])
-            if not isinstance(feature, int):
-                raise ConfigError(
-                    f"weight config: inventory_feature must be an integer, got {feature!r}"
-                )
-            fields["inventory_feature"] = feature
-        if getattr(args, "jacobian", None):
-            fields["jacobian_mode"] = args.jacobian
-        return WeightConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"weight config: {exc}") from exc
+    A section that is not an object is returned as it is, for
+    `load_section` to reject."""
+    if not isinstance(section, dict):
+        return section
+    return dict(section, **{key: value for key, value in flags.items() if value is not None})
 
 
 def cmd_ingest(args):
-    cfg = load_config_file(args.config) if args.config else {}
+    cfg = _config(args.config)
     schema = cfg.get("schema", cfg if cfg and "scenario" not in cfg else None)
-    records, rejects = parse_records(args.csv, schema=schema)
-    kept, exclusions = clean_records(records, outlier_multiplier=args.outlier_multiplier)
-    table = build_feature_table(kept, lag_months=args.lag_months)
+    config = load_section(RunConfig, {"schema": schema}, "ingest", csv_path=args.csv,
+                          lag_months=args.lag_months, outlier_multiplier=args.outlier_multiplier)
+    records, rejects = parse_records(config.csv_path, schema=config.schema)
+    kept, exclusions = clean_records(records, outlier_multiplier=config.outlier_multiplier)
+    table = build_feature_table(kept, lag_months=config.lag_months)
     out = _ensure_out(args.out)
     table.to_csv(os.path.join(out, "features.csv"))
     write_rejects_csv(os.path.join(out, "rejects.csv"), rejects)
@@ -152,13 +91,9 @@ def cmd_ingest(args):
 
 
 def cmd_synth(args):
-    cfg = load_config_file(args.config) if args.config else {}
-    scen_cfg = dict(cfg.get("scenario", {}))
-    if args.seed is not None:
-        scen_cfg["seed"] = args.seed
-    if args.budget_fraction is not None:
-        scen_cfg["budget_fraction"] = args.budget_fraction
-    scenario = TwoClassScenario.from_dict(scen_cfg)
+    section = _with_flags(_config(args.config).get("scenario", {}),
+                          seed=args.seed, budget_fraction=args.budget_fraction)
+    scenario = TwoClassScenario.from_dict(section)
     table, truth = generate(scenario, periods=args.periods)
     out = _ensure_out(args.out)
     table.to_csv(os.path.join(out, "features.csv"))
@@ -174,36 +109,29 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = load_config_file(args.config) if args.config else {}
+    """`train`, and `retrain` with the decision weights of `--weights`."""
+    params = load_section(ForestParams, _config(args.config), args.command)
     table = FeatureTable.from_csv(args.features)
-    forest = train_forest(table, params=_forest_params(cfg), seed=args.seed or 0)
+    if args.command == "retrain":
+        table = apply_report(table, WeightReport.from_csv(args.weights))
+    forest = train_forest(table, params=params, seed=args.seed or 0)
     forest.save(args.out)
-    print(f"trained forest with {forest.n_trees} trees on {len(table)} rows -> {args.out}")
+    print(f"{args.command}ed forest with {forest.n_trees} trees on {len(table)} rows -> {args.out}")
     return 0
 
 
 def cmd_weights(args):
-    cfg = load_config_file(args.config) if args.config else {}
+    section = _with_flags(_config(args.config).get("weight_config", {}),
+                          jacobian_mode=args.jacobian)
+    wcfg = load_section(WeightConfig, section, "weight_config")
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
-    wcfg = _weight_config(cfg.get("weight_config", {}), args)
     budgets = budgets_from_fraction(
         table, args.budget_fraction, inventory_feature=wcfg.inventory_feature
     )
     report = compute_weights(table, model, budgets, wcfg)
     report.to_csv(args.out)
     print(f"wrote {len(report)} weights -> {args.out}")
-    return 0
-
-
-def cmd_retrain(args):
-    cfg = load_config_file(args.config) if args.config else {}
-    table = FeatureTable.from_csv(args.features)
-    report = WeightReport.from_csv(args.weights)
-    reweighted = apply_report(table, report)
-    forest = train_forest(reweighted, params=_forest_params(cfg), seed=args.seed or 0)
-    forest.save(args.out)
-    print(f"retrained forest on decision weights -> {args.out}")
     return 0
 
 
@@ -233,16 +161,20 @@ def cmd_allocate(args):
 
 def _read_allocation(path):
     """Load an `allocate` JSON file; a malformed one raises SchemaError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
     try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
+    try:
+        if not isinstance(payload.get("eval_period", ""), (str, type(None))):
+            raise ValueError("'eval_period' must be a period string")
         for entry in payload["products"].values():
-            if len(np.asarray(entry["allocation"], dtype=float)) != len(entry["facility_ids"]):
-                raise ValueError("'allocation' and 'facility_ids' differ in length")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            ids, allocation = entry["facility_ids"], np.asarray(entry["allocation"], dtype=float)
+            if not (isinstance(ids, list) and all(isinstance(f, str) for f in ids)):
+                raise ValueError("'facility_ids' must be a list of strings")
+            if allocation.shape != (len(ids),):
+                raise ValueError("'allocation' must be a list as long as 'facility_ids'")
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: not an allocation file: {exc!r}") from exc
     return payload
 
@@ -273,48 +205,23 @@ def cmd_evaluate(args):
     return 0
 
 
-def _run_config_from_args(args):
-    cfg = load_config_file(args.config) if args.config else {}
-    fields = {}
-    if args.synth or "scenario" in cfg:
-        scen_cfg = dict(cfg.get("scenario", {}))
-        if args.seed is not None:
-            scen_cfg.setdefault("seed", args.seed)
-        fields["scenario"] = TwoClassScenario.from_dict(scen_cfg)
-        fields["periods"] = int(cfg.get("periods", 24))
-    if args.csv:
-        fields["csv_path"] = args.csv
-        fields["schema"] = cfg.get("schema")
-    for key in ("lag_months", "rolling_window", "linear_samples"):
-        if key in cfg:
-            fields[key] = int(cfg[key])
-    if "outlier_multiplier" in cfg:
-        fields["outlier_multiplier"] = float(cfg["outlier_multiplier"])
-    if "model" in cfg:
-        fields["model"] = cfg["model"]
-    if args.model:
-        fields["model"] = args.model
-    if "eval_period" in cfg:
-        fields["eval_period"] = cfg["eval_period"]
-    if args.eval_period:
-        fields["eval_period"] = args.eval_period
-    if "budget_fraction" in cfg:
-        fields["budget_fraction"] = float(cfg["budget_fraction"])
-    if args.budget_fraction is not None:
-        fields["budget_fraction"] = args.budget_fraction
-    if "inventory_feature" in cfg:
-        fields["inventory_feature"] = cfg["inventory_feature"]
-    fields["forest_params"] = _forest_params(cfg.get("forest_params", {}))
-    fields["weight_config"] = _weight_config(cfg.get("weight_config", {}), args)
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    return RunConfig(**fields)
+def _run_config(args):
+    """`compare`'s RunConfig: the config file's keys, each flag given in place of its key's."""
+    cfg = _with_flags(_config(args.config), model=args.model, eval_period=args.eval_period,
+                      budget_fraction=args.budget_fraction)
+    if args.synth:
+        cfg.setdefault("scenario", {})
+    if args.seed is not None and isinstance(cfg.get("scenario"), dict):
+        cfg["scenario"] = {"seed": args.seed, **cfg["scenario"]}  # the file's seed wins
+    cfg["weight_config"] = _with_flags(cfg.get("weight_config", {}), jacobian_mode=args.jacobian)
+    return load_section(RunConfig, cfg, "compare", csv_path=args.csv, budgets=None,
+                        seed=args.seed or 0)
 
 
 def cmd_compare(args):
     if bool(args.csv) == bool(args.synth):
         raise ConfigError("compare needs exactly one of --csv or --synth")
-    config = _run_config_from_args(args)
+    config = _run_config(args)
     report, outcomes, weight_report, _ = compare(config)
     out = _ensure_out(args.out)
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
@@ -331,6 +238,15 @@ def cmd_compare(args):
     return 0
 
 
+_SHARED_FLAGS = {
+    "--config": dict(help="config file (JSON or key = value lines)"),
+    "--seed": dict(type=int, default=None),
+    "--budget-fraction": dict(type=float, default=None),
+    "--jacobian": dict(choices=JACOBIAN_MODES, default=None,
+                       help="policy-Jacobian estimator for decision weights"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stockalloc",
@@ -338,16 +254,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="config file (JSON or key = value lines)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget-fraction", dest="budget_fraction", type=float, default=None)
-        p.add_argument(
-            "--jacobian",
-            choices=("identity", "diagonal_fd", "full_fd"),
-            default=None,
-            help="policy-Jacobian estimator for decision weights",
-        )
+    def add_shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
 
     p = sub.add_parser("ingest", help="parse, clean, and featurize a stock ledger CSV")
     p.add_argument("--csv", required=True)
@@ -358,33 +267,33 @@ def build_parser():
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate the two-class synthetic dataset")
-    add_common(p)
+    add_shared(p, "--config", "--seed", "--budget-fraction")
     p.add_argument("--out", required=True)
     p.add_argument("--periods", type=int, default=24)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a forest on a feature table CSV")
-    add_common(p)
+    add_shared(p, "--config", "--seed")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output forest JSON path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("weights", help="compute decision weights for a feature table")
-    add_common(p)
+    add_shared(p, "--config", "--budget-fraction", "--jacobian")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, help="forest JSON from `train`")
     p.add_argument("--out", required=True, help="output weights CSV path")
     p.set_defaults(func=cmd_weights, budget_fraction=DEFAULT_BUDGET_FRACTION)
 
     p = sub.add_parser("retrain", help="retrain the forest with decision weights")
-    add_common(p)
+    add_shared(p, "--config", "--seed")
     p.add_argument("--features", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_retrain)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("allocate", help="solve the allocation for the latest period")
-    add_common(p)
+    add_shared(p, "--budget-fraction")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
@@ -401,7 +310,7 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="run all policies and emit the evaluation report")
-    add_common(p)
+    add_shared(p, "--config", "--seed", "--budget-fraction", "--jacobian")
     p.add_argument("--csv", default=None)
     p.add_argument("--synth", action="store_true", help="use the synthetic scenario")
     p.add_argument("--model", choices=("forest", "linear"), default=None)
@@ -420,7 +329,7 @@ def main(argv=None):
     except StockAllocError as exc:
         print(f"{exc.category} error: {exc}", file=sys.stderr)
         return _EXIT_BY_CATEGORY.get(exc.category, 4)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -43,8 +43,8 @@ class MissingWeightError(StockAllocError):
     category = "data"
 
 
-class ConfigError(StockAllocError):
-    """Invalid or incomplete configuration."""
+class ConfigError(StockAllocError, ValueError):
+    """Invalid or incomplete configuration; a bad value, so also a ValueError."""
 
     category = "config"
 

@@ -15,12 +15,13 @@ constant changes nothing about the trained forest.
 
 import json
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, SchemaError, ShapeError
+from .config import check, is_int, is_real
+from .errors import ConfigError, DegenerateWeightsError, SchemaError, ShapeError
+from .ingest import read_text
 
 FOREST_FORMAT = "stockalloc-forest"
 FOREST_VERSION = 1
@@ -29,10 +30,6 @@ FOREST_VERSION = 1
 # least one. It bounds the memory of one depth's pass and does not change
 # the forest.
 BLOCK_ROWS = 4096
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,39 +41,20 @@ class ForestParams:
     criterion: str = "mse"  # the only criterion; a forest JSON still records it
 
     def __post_init__(self):
-        if not _is_int(self.n_trees) or self.n_trees < 1:
-            raise ValueError(f"n_trees must be an integer >= 1, got {self.n_trees!r}")
-        if not _is_int(self.max_depth) or self.max_depth < 0:
-            raise ValueError(f"max_depth must be an integer >= 0, got {self.max_depth!r}")
-        if not (
-            isinstance(self.min_leaf_weight, numbers.Real)
-            and math.isfinite(self.min_leaf_weight)
-            and self.min_leaf_weight > 0
-        ):
-            raise ValueError(f"min_leaf_weight must be positive, got {self.min_leaf_weight!r}")
-        if self.features_per_split is not None and (
-            not _is_int(self.features_per_split) or self.features_per_split < 1
-        ):
-            raise ValueError(
-                f"features_per_split must be None or an integer >= 1, "
-                f"got {self.features_per_split!r}"
-            )
+        check(self, "n_trees", is_int(self.n_trees, 1), "an integer >= 1")
+        check(self, "max_depth", is_int(self.max_depth, 0), "an integer >= 0")
+        check(self, "min_leaf_weight", is_real(self.min_leaf_weight) and self.min_leaf_weight > 0,
+              "a finite number > 0")
+        check(self, "features_per_split",
+              self.features_per_split is None or is_int(self.features_per_split, 1),
+              "None or an integer >= 1")
         if self.criterion != "mse":
-            raise ValueError(f"unknown criterion {self.criterion!r}, only 'mse' is supported")
+            raise ConfigError(f"unknown criterion {self.criterion!r}, only 'mse' is supported")
 
     def resolve_features_per_split(self, d):
         if self.features_per_split is None:
             return int(math.ceil(math.sqrt(d)))
         return min(self.features_per_split, d)
-
-    def to_dict(self):
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf_weight": self.min_leaf_weight,
-            "features_per_split": self.features_per_split,
-            "criterion": self.criterion,
-        }
 
 
 @dataclass
@@ -125,7 +103,7 @@ class Tree:
     def problem(self, feature_dim):
         """Why these arrays are not a tree `apply` can walk, or None."""
         arrays = (self.feature, self.threshold, self.left, self.right, self.value, self.support)
-        size = len(self.feature)
+        size = len(self.feature) if self.feature.ndim == 1 else 0
         if size == 0 or any(a.ndim != 1 or len(a) != size for a in arrays):
             return "node arrays must be non-empty lists of one length"
         if not (np.all(np.isfinite(self.threshold)) and np.all(np.isfinite(self.value))):
@@ -192,7 +170,7 @@ class Forest:
             "version": FOREST_VERSION,
             "feature_dim": self.feature_dim,
             "seed": self.seed,
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
             "trees": [t.to_dict() for t in self.trees],
         }
         return json.dumps(payload, sort_keys=True)
@@ -212,12 +190,12 @@ class Forest:
             params = ForestParams(**payload["params"])
             feature_dim = payload["feature_dim"]
             seed = payload["seed"]
-            if not (_is_int(feature_dim) and feature_dim >= 0 and _is_int(seed)):
+            if not (is_int(feature_dim, 0) and is_int(seed, 0)):
                 raise ValueError("feature_dim and seed must be integers")
             if not isinstance(payload["trees"], list) or not payload["trees"]:
                 raise ValueError("trees must be a non-empty list")
             trees = [Tree.from_dict(t) for t in payload["trees"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{source}: bad forest: {exc!r}") from exc
         for k, tree in enumerate(trees):
             problem = tree.problem(feature_dim)
@@ -231,12 +209,7 @@ class Forest:
 
     @classmethod
     def load(cls, path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-        return cls.from_json(text, source=str(path))
+        return cls.from_json(read_text(path), source=str(path))
 
 
 def train_forest(table, params=None, seed=0):
@@ -256,6 +229,8 @@ def train_forest(table, params=None, seed=0):
     stream identical to a table that never contained them.
     """
     params = params or ForestParams()
+    if not is_int(seed, 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     X = np.asarray(table.X, dtype=float)
     y = np.asarray(table.y, dtype=float)
     w = np.asarray(table.weights, dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, NotFoundError, SchemaError, ShapeError
+from .errors import ConfigError, EmptyInputError, NotFoundError, SchemaError, ShapeError
 from .periods import normalize_period, period_index, period_indices, period_str
 
 BALANCE_TOL = 1e-9
@@ -102,8 +102,8 @@ def _open_text(csv_source):
     return getattr(csv_source, "name", "CSV source"), csv_source  # already a file-like object
 
 
-def _undecodable(source, csv_source, exc):
-    """SchemaError for text that is not UTF-8, naming the bad byte's line if it can be re-read."""
+def _undecodable(source, csv_source, exc, error=SchemaError):
+    """`error` for text that is not UTF-8, naming the bad byte's line if it can be re-read."""
     if isinstance(csv_source, (str, os.PathLike)):
         with open(csv_source, "rb") as fh:
             csv_source = fh.read()
@@ -112,8 +112,18 @@ def _undecodable(source, csv_source, exc):
             csv_source.decode("utf-8")
         except UnicodeDecodeError as whole:  # positions count from the start, not a chunk
             line = csv_source.count(b"\n", 0, whole.start) + 1
-            return SchemaError(f"{source}, line {line}: {whole}")
-    return SchemaError(f"{source}: {exc}")
+            return error(f"{source}, line {line}: {whole}")
+    return error(f"{source}: {exc}")
+
+
+def read_text(path, error=SchemaError):
+    """The text of the UTF-8 file `path`; other bytes raise `error` naming the file and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, data, exc, error) from exc
 
 
 def _quantities(cells):
@@ -432,42 +442,52 @@ class FeatureTable:
     @classmethod
     def from_csv(cls, path):
         """Read a `to_csv` file; a malformed line raises SchemaError naming it."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise EmptyInputError(f"{path} is empty")
-            expected_prefix = ["facility_id", "product_id", "period"]
-            if header[:3] != expected_prefix or header[-2:] != ["target", "weight"]:
-                raise SchemaError(f"{path} is not a feature table CSV")
-            d = len(header) - 5
-            fac, prod, per, rows, ys, ws = [], [], [], [], [], []
-            for row in reader:
-                where = f"{path}, line {reader.line_num}"
-                if len(row) != len(header):
-                    raise SchemaError(f"{where}: {len(row)} cells, header has {len(header)}")
-                try:
-                    period_index(row[2])
-                    values = [float(v) for v in row[3:]]
-                except ValueError as exc:
-                    raise SchemaError(f"{where}: {exc}") from exc
-                if not all(map(math.isfinite, values)) or values[-1] < 0:
-                    raise SchemaError(f"{where}: values must be finite, the weight nonnegative")
-                fac.append(row[0])
-                prod.append(row[1])
-                per.append(row[2])
-                rows.append(values[:d])
-                ys.append(values[d])
-                ws.append(values[d + 1])
+        header, cells, values = read_csv_table(path, "feature table", lambda h: (
+            h[:3] == ["facility_id", "product_id", "period"] and h[-2:] == ["target", "weight"]))
+        d = len(header) - 5
+        values = np.array(values, dtype=float).reshape(len(cells), d + 2)
         return cls(
-            facility_ids=fac,
-            product_ids=prod,
-            periods=per,
-            X=np.array(rows, dtype=float).reshape(len(fac), d),
-            y=np.array(ys, dtype=float),
-            weights=np.array(ws, dtype=float),
+            facility_ids=[c[0] for c in cells],
+            product_ids=[c[1] for c in cells],
+            periods=[c[2] for c in cells],
+            X=values[:, :d].copy(),
+            y=values[:, d].copy(),
+            weights=values[:, d + 1].copy(),
             feature_names=header[3 : 3 + d],
         )
+
+
+def read_csv_table(path, what, header_ok):
+    """(header, text cells, numbers) of a `to_csv` file of `what`: each row
+    holds three text cells, a period among them, then finite numbers, the
+    last nonnegative. An empty file is an EmptyInputError; a header that
+    `header_ok` refuses, text that is not UTF-8 CSV and a malformed row
+    raise SchemaError naming the file and line."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInputError(f"{path} is empty")
+        if not header_ok(header):
+            raise SchemaError(f"{path} is not a {what} CSV")
+        period, last = header.index("period"), header[-1].replace("_", " ")
+        cells, numbers = [], []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise SchemaError(f"{where}: {len(row)} cells, header has {len(header)}")
+            try:
+                period_index(row[period])
+                values = [float(v) for v in row[3:]]
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from exc
+            if not all(map(math.isfinite, values)) or values[-1] < 0:
+                raise SchemaError(f"{where}: values must be finite, the {last} nonnegative")
+            cells.append(row[:3])
+            numbers.append(values)
+    except csv.Error as exc:
+        raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return header, cells, numbers
 
 
 def group_rows(keys):
@@ -483,11 +503,15 @@ def net_requirement(table, rows, values, inventory_feature):
 
     `values` are demands for the table rows `rows`, shape (rows,) or
     (rows, K); the inventory is feature `inventory_feature` of those rows.
-    With no inventory feature the demands are the requirement.
+    With no inventory feature the demands are the requirement; a feature
+    the table does not have is a ConfigError.
     """
     values = np.asarray(values, dtype=float)
     if inventory_feature is None:
         return values
+    if not 0 <= inventory_feature < table.feature_dim:
+        raise ConfigError(f"inventory_feature: {inventory_feature!r} is out of range, "
+                          f"the table has {table.feature_dim} features")
     inventory = table.X[rows, inventory_feature]
     if values.ndim == 2:
         inventory = inventory[:, None]

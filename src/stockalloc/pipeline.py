@@ -14,14 +14,16 @@ follow the same convention.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .allocator import AllocationProblem, solve_greedy
+from .config import check, is_int, is_real
 from .errors import ConfigError, EmptyInputError
 from .forest import ForestParams, train_forest
 from .ingest import (
+    REQUIRED_FIELDS,
     build_feature_table,
     clean_records,
     group_rows,
@@ -60,20 +62,31 @@ class RunConfig:
     linear_samples: int = 100
     weight_config: WeightConfig = field(default_factory=WeightConfig)
     rolling_window: int = 3
-    inventory_feature: object = "auto"  # "auto" | None | feature index
+    inventory_feature: int | str | None = "auto"  # "auto" | None | feature index
     seed: int = 0
 
     def __post_init__(self):
         if (self.csv_path is None) == (self.scenario is None):
             raise ConfigError("exactly one input source required: csv_path or scenario")
-        if self.budget_fraction is not None and not 0 < self.budget_fraction <= 1:
-            raise ConfigError("budget_fraction must be in (0, 1]")
-        if self.model not in ("forest", "linear"):
-            raise ConfigError("model must be 'forest' or 'linear'")
-        if self.rolling_window < 1:
-            raise ConfigError("rolling_window must be >= 1")
-        if self.periods < 2:
-            raise ConfigError("need at least two periods (train and eval)")
+        schema = self.schema
+        check(self, "schema", schema is None or (
+            isinstance(schema, dict) and set(schema) <= set(REQUIRED_FIELDS)
+            and all(isinstance(column, str) for column in schema.values())
+        ), f"an object mapping ledger fields {list(REQUIRED_FIELDS)} to column names")
+        for name, low in (("periods", 2), ("lag_months", 1), ("linear_samples", 1),
+                          ("rolling_window", 1), ("seed", 0)):
+            check(self, name, is_int(getattr(self, name), low), f"an integer >= {low}")
+        multiplier, fraction = self.outlier_multiplier, self.budget_fraction
+        check(self, "outlier_multiplier", is_real(multiplier) and multiplier > 1,
+              "a finite number > 1")
+        check(self, "budget_fraction",
+              fraction is None or (is_real(fraction) and 0 < fraction <= 1), "in (0, 1]")
+        check(self, "model", self.model in ("forest", "linear"), "'forest' or 'linear'")
+        check(self, "inventory_feature",
+              self.inventory_feature in ("auto", None) or is_int(self.inventory_feature, 0),
+              "'auto', None or a feature index >= 0")
+        if self.weight_config.inventory_feature is not None:
+            raise ConfigError("weight_config: inventory_feature is the run's inventory_feature")
 
     def resolved_inventory_feature(self):
         if self.inventory_feature == "auto":
@@ -90,7 +103,7 @@ class RunConfig:
     def training_signature(self):
         sig = {"model": self.model, "seed": self.seed}
         if self.model == "forest":
-            sig["params"] = self.forest_params.to_dict()
+            sig["params"] = asdict(self.forest_params)
         else:
             sig["n_samples"] = self.linear_samples
         return sig
@@ -383,7 +396,7 @@ def compare(config):
             if config.budgets is None
             else None,
             "inventory_feature": prepared.inventory_feature,
-            "weight_config": _weight_config(config, prepared).to_dict(),
+            "weight_config": asdict(_weight_config(config, prepared)),
             "source": "scenario" if config.scenario is not None else config.csv_path,
         },
     }

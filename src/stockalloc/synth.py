@@ -15,12 +15,12 @@ judged on the net requirement (demand minus on-hand inventory, floored at
 zero), which is what the budget actually has to cover.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocator import AllocationProblem, solve_greedy
+from .config import check, is_int, is_real, load_section
 from .errors import ConfigError
 from .ingest import FeatureTable
 from .periods import period_index, period_str
@@ -45,21 +45,26 @@ class TwoClassScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_low < 0 or self.n_high < 0 or self.n_low + self.n_high == 0:
+        for name in ("n_low", "n_high", "seed"):
+            check(self, name, is_int(getattr(self, name), 0), "an integer >= 0")
+        if self.n_low + self.n_high == 0:
             raise ConfigError("need a positive facility count")
+        for name in ("slope_low", "slope_high", "intercept_low", "intercept_high"):
+            check(self, name, is_real(getattr(self, name)), "a finite number")
         if self.slope_low <= 0 or self.slope_high <= 0:
             raise ConfigError("slopes must be positive")
         if self.slope_low <= self.slope_high:
             raise ConfigError("low-inventory demand must scale faster with inventory")
-        lo, hi = self.low_inventory, self.high_inventory
-        if not (lo[0] < lo[1] and hi[0] < hi[1]):
-            raise ConfigError("inventory ranges must be nonempty intervals")
-        if lo[1] > hi[0]:
+        for name in ("low_inventory", "high_inventory"):
+            r = getattr(self, name)
+            check(self, name, isinstance(r, tuple) and len(r) == 2 and all(map(is_real, r))
+                  and r[0] < r[1], "a (low, high) pair of finite numbers, low < high")
+        if self.low_inventory[1] > self.high_inventory[0]:
             raise ConfigError("low-class inventory range must lie below the high-class range")
-        if self.noise_sd is not None and self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
-        if not 0 < self.budget_fraction <= 1:
-            raise ConfigError("budget_fraction must be in (0, 1]")
+        noise_sd, fraction = self.noise_sd, self.budget_fraction
+        check(self, "noise_sd", noise_sd is None or (is_real(noise_sd) and noise_sd >= 0),
+              "None or a finite number >= 0")
+        check(self, "budget_fraction", is_real(fraction) and 0 < fraction <= 1, "in (0, 1]")
 
     @property
     def mean_demand(self):
@@ -78,33 +83,10 @@ class TwoClassScenario:
             return self.noise_sd
         return 0.1 * self.mean_demand
 
-    def to_dict(self):
-        return {
-            "n_low": self.n_low,
-            "n_high": self.n_high,
-            "slope_low": self.slope_low,
-            "slope_high": self.slope_high,
-            "intercept_low": self.intercept_low,
-            "intercept_high": self.intercept_high,
-            "low_inventory": list(self.low_inventory),
-            "high_inventory": list(self.high_inventory),
-            "noise_sd": self.noise_sd,
-            "budget_fraction": self.budget_fraction,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-        if "low_inventory" in d:
-            d["low_inventory"] = tuple(d["low_inventory"])
-        if "high_inventory" in d:
-            d["high_inventory"] = tuple(d["high_inventory"])
-        return cls(**d)
+        """The scenario a config section describes (`config.load_section`)."""
+        return load_section(cls, d, "scenario")
 
 
 def generate(scenario, periods=24):

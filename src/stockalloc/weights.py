@@ -19,9 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocator import AllocationProblem, shifted_allocations, solve_greedy
-from .errors import ConfigError, EmptyInputError, MissingWeightError, SchemaError, ShapeError
+from .config import check, is_int
+from .errors import ConfigError, MissingWeightError, ShapeError
 from .forest import train_forest
-from .ingest import group_rows, net_requirement
+from .ingest import group_rows, net_requirement, read_csv_table
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
 EXPANSION_POINTS = ("model", "realized")
@@ -51,16 +52,9 @@ class WeightConfig:
             raise ConfigError("normalization must be 'none' or 'mean_one'")
         if self.expansion_point not in EXPANSION_POINTS:
             raise ConfigError(f"expansion_point must be one of {EXPANSION_POINTS}")
-
-    def to_dict(self):
-        return {
-            "jacobian_mode": self.jacobian_mode,
-            "fd_step": self.fd_step,
-            "weight_floor": self.weight_floor,
-            "normalization": self.normalization,
-            "expansion_point": self.expansion_point,
-            "inventory_feature": self.inventory_feature,
-        }
+        check(self, "inventory_feature",
+              self.inventory_feature is None or is_int(self.inventory_feature, 0),
+              "None or a feature index >= 0")
 
 
 @dataclass
@@ -73,7 +67,6 @@ class WeightReport:
     gradients: np.ndarray
     raw_weights: np.ndarray
     final_weights: np.ndarray
-    reference_allocations: dict = field(default_factory=dict)  # (period, product) -> a*
     group_jacobian_mode: dict = field(default_factory=dict)
     config: WeightConfig | None = None
 
@@ -102,39 +95,15 @@ class WeightReport:
     @classmethod
     def from_csv(cls, path):
         """Read a `to_csv` file; a malformed line raises SchemaError naming it."""
-        periods, fac, prod, g, raw, final = [], [], [], [], [], []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise EmptyInputError(f"{path} is empty")
-            if header != WEIGHTS_CSV_HEADER:
-                raise SchemaError(f"{path} is not a weights CSV")
-            for row in reader:
-                where = f"{path}, line {reader.line_num}"
-                if len(row) != len(header):
-                    raise SchemaError(f"{where}: {len(row)} cells, header has {len(header)}")
-                try:
-                    values = [float(v) for v in row[3:]]
-                except ValueError as exc:
-                    raise SchemaError(f"{where}: {exc}") from exc
-                if not all(map(math.isfinite, values)) or values[2] < 0:
-                    raise SchemaError(
-                        f"{where}: values must be finite, the final weight nonnegative"
-                    )
-                periods.append(row[0])
-                fac.append(row[1])
-                prod.append(row[2])
-                g.append(values[0])
-                raw.append(values[1])
-                final.append(values[2])
+        _, cells, values = read_csv_table(path, "weights", lambda h: h == WEIGHTS_CSV_HEADER)
+        values = np.array(values, dtype=float).reshape(len(cells), 3)
         return cls(
-            facility_ids=fac,
-            product_ids=prod,
-            periods=periods,
-            gradients=np.array(g),
-            raw_weights=np.array(raw),
-            final_weights=np.array(final),
+            facility_ids=[c[1] for c in cells],
+            product_ids=[c[2] for c in cells],
+            periods=[c[0] for c in cells],
+            gradients=values[:, 0].copy(),
+            raw_weights=values[:, 1].copy(),
+            final_weights=values[:, 2].copy(),
         )
 
 
@@ -217,7 +186,6 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
     n = len(train)
     gradients = np.zeros(n)
     raw = np.zeros(n)
-    reference = {}
     modes = {}
 
     groups = group_rows(zip(train.periods, train.product_ids))
@@ -248,7 +216,6 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
 
         gradients[rows] = g
         raw[rows] = J.T @ g
-        reference[(period, product)] = a_star
         modes[(period, product)] = mode
 
     final = np.maximum(np.abs(raw), config.weight_floor)
@@ -264,7 +231,6 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         gradients=gradients,
         raw_weights=raw,
         final_weights=final,
-        reference_allocations=reference,
         group_jacobian_mode=modes,
         config=config,
     )

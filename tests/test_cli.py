@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 import stockalloc
-from stockalloc import AllocationProblem, FeatureTable, Forest, solve_greedy
+import stockalloc.cli
+from stockalloc import (
+    AllocationProblem,
+    FeatureTable,
+    Forest,
+    WeightConfig,
+    WeightReport,
+    budgets_from_fraction,
+    compute_weights,
+    solve_greedy,
+)
 from stockalloc.cli import load_config_file, main
 
 LEDGER_HEADER = (
@@ -239,6 +249,12 @@ FOREST_WITH_UNKNOWN_PARAM = json.dumps({
     "format": "stockalloc-forest", "version": 1, "feature_dim": 1, "seed": 0,
     "params": {"n_trees": 1, "depth": 3}, "trees": [],
 })
+FOREST_WITH_HUGE_FEATURE = json.dumps({
+    "format": "stockalloc-forest", "version": 1, "feature_dim": 1, "seed": 0,
+    "params": {"n_trees": 1}, "trees": [{"feature": [1.0], "threshold": [0.0], "left": [0],
+                                          "right": [0], "value": [0.0], "support": [1.0]}],
+}).replace("[1.0]", "[1e400]", 1)
+WEIGHTS_HEADER = "period,facility_id,product_id,gradient,raw_weight,final_weight\n"
 
 
 @pytest.mark.parametrize("command, text, where", [
@@ -248,13 +264,24 @@ FOREST_WITH_UNKNOWN_PARAM = json.dumps({
     ("evaluate", '{"eval_period": "2021-01"}', ": "),
     ("allocate", FEATURE_HEADER, ", line 1: "),
     ("allocate", FOREST_WITH_UNKNOWN_PARAM, ": bad forest: TypeError"),
-    ("retrain", "period,facility_id,product_id,gradient,raw_weight,final_weight\n"
-                "2021-01,a,p,x,1.0,1.0\n", ", line 2: "),
+    ("retrain", WEIGHTS_HEADER + "2021-01,a,p,x,1.0,1.0\n", ", line 2: "),
+    ("train", FEATURE_HEADER.encode() + b"b,p,2021-01,\xff,2.0,1.0\n",
+     ", line 3: 'utf-8' codec can't decode byte 0xff"),
+    ("train", FEATURE_HEADER + 'b,p,2021-01,"' + "x" * 131_073 + '",2.0,1.0\n',
+     ", line 3: field larger than field limit"),
+    ("retrain", WEIGHTS_HEADER.encode() + b"2021-01,a\xff,p,1.0,1.0,1.0\n",
+     ", line 2: 'utf-8' codec can't decode byte 0xff"),
+    ("evaluate", b'{"eval_period": "2021-01\xff"}', ", line 1: 'utf-8' codec can't decode"),
+    ("evaluate", '{"products": {"p": {"facility_ids": [["a"]], "allocation": [1.0]}}}',
+     ": not an allocation file: ValueError(\"'facility_ids' must be a list of strings"),
+    ("allocate", FOREST_WITH_HUGE_FEATURE, ": bad forest: OverflowError"),
 ], ids=["nan_target", "non_numeric_cell", "short_row", "allocation_without_products",
-        "model_not_json", "model_unknown_param", "weights_non_numeric_cell"])
+        "model_not_json", "model_unknown_param", "weights_non_numeric_cell",
+        "features_not_utf8", "features_field_over_csv_limit", "weights_not_utf8",
+        "allocation_not_utf8", "allocation_facility_id_a_list", "model_node_overflows"])
 def test_malformed_input_is_a_schema_error(tmp_path, capsys, command, text, where):
     bad = tmp_path / "bad"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     features = tmp_path / "features.csv"
     features.write_text(FEATURE_HEADER)
     out = str(tmp_path / "out")
@@ -287,21 +314,26 @@ def test_unreadable_ledger_is_a_schema_error(tmp_path, capsys, command, cells, m
     ("train", '{"n_trees": 2}\n{', "{cfg}, line 2: Extra data"),
     ("train", "[1, 2]", "{cfg}: config must be a JSON object"),
     ("compare", '{"weight_config": {"weight_floor": "abc"}}',
-     "weight config: could not convert string to float: 'abc'"),
-    ("compare", '{"weight_config": {"fd_step": [1]}}', "weight config: float() argument"),
+     "compare: weight_config: weight_floor: could not convert string to float: 'abc'"),
+    ("compare", '{"weight_config": {"fd_step": [1]}}',
+     "compare: weight_config: fd_step: float() argument"),
     ("compare", '{"weight_config": {"inventory_feature": 2.5}}',
-     "weight config: inventory_feature must be an integer"),
-    ("compare", '{"weight_config": {"fd_step": "Infinity"}}', "fd_step must be finite"),
-    ("compare", '{"weight_config": {"weight_floor": NaN}}', "weight_floor must be finite"),
-    ("compare", "weight_config = abc", "weight config: expected an object"),
+     "compare: weight_config: inventory_feature must be None or a feature index >= 0"),
+    ("compare", '{"weight_config": {"fd_step": "Infinity"}}', "compare: weight_config: fd_step must be finite"),
+    ("compare", '{"weight_config": {"weight_floor": NaN}}', "compare: weight_config: weight_floor must be finite"),
+    ("compare", "weight_config = abc", "compare: weight_config: expected an object"),
+    ("compare", '{"weight_config": {"inventory_feature": 0}}',
+     "compare: weight_config: inventory_feature is the run's inventory_feature"),
+    ("train", b"n_trees = \xff\n", "{cfg}, line 1: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["not_json", "trailing_data", "json_array", "weight_floor_not_a_number",
         "fd_step_a_list", "inventory_feature_not_an_integer", "fd_step_infinite",
-        "weight_floor_nan", "weight_config_key_value"])
+        "weight_floor_nan", "weight_config_key_value", "weight_config_inventory_feature",
+        "not_utf8"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, text, message):
     features = tmp_path / "features.csv"
     features.write_text(FEATURE_HEADER)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = str(tmp_path / "out")
     argv = {
         "train": ("train", "--features", str(features), "--config", str(cfg), "--out", out),
@@ -310,6 +342,125 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, text, mes
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith("config error: " + message.format(cfg=cfg))
     assert not os.path.exists(out)
+
+
+def test_config_that_is_a_directory_is_a_data_error(tmp_path, capsys):
+    assert run_cli("compare", "--synth", "--config", str(tmp_path),
+                   "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err.startswith("data error: [Errno 21] Is a directory: ")
+
+
+@pytest.mark.parametrize("source, text, section, key", [
+    ("csv", "lag_months = abc", "compare", "lag_months"),
+    ("csv", '{"lag_months": 0}', "compare", "lag_months"),
+    ("synth", '{"periods": "x"}', "compare", "periods"),
+    ("synth", '{"budget_fraction": "half"}', "compare", "budget_fraction"),
+    ("synth", '{"rolling_window": "x"}', "compare", "rolling_window"),
+    ("csv", '{"outlier_multiplier": 0.5}', "compare", "outlier_multiplier"),
+    ("csv", '{"outlier_multiplier": "nan"}', "compare", "outlier_multiplier"),
+    ("synth", '{"scenario": {"n_low": "x"}}', "compare: scenario", "n_low"),
+    ("synth", '{"inventory_feature": "x"}', "compare", "inventory_feature"),
+    ("synth", '{"inventory_feature": 99}', "inventory_feature", "99"),
+    ("csv", '{"schema": 5}', "compare", "schema"),
+    ("synth", '{"model": "linear", "linear_samples": 0}', "compare", "linear_samples"),
+    ("synth", '{"model": "linear", "linear_samples": 2.5}', "compare", "linear_samples"),
+    ("synth", '{"forest_param": {"n_trees": 5}}', "compare", "forest_param"),
+    ("synth", '{"forest_params": {"n_tree": 5}}', "compare: forest_params", "n_tree"),
+    ("synth", '{"forest_params": [1]}', "compare: forest_params", "[1]"),
+    ("train", '{"forest_params": {"n_trees": 5}}', "train", "forest_params"),
+], ids=["lag_months_text", "lag_months_zero", "periods_text", "budget_fraction_text",
+        "rolling_window_text", "outlier_multiplier_below_one", "outlier_multiplier_nan",
+        "scenario_n_low_text", "inventory_feature_text", "inventory_feature_out_of_range",
+        "schema_a_number", "linear_samples_zero", "linear_samples_fraction",
+        "unknown_section", "unknown_forest_key", "forest_params_a_list",
+        "train_reads_compare_shaped_file"])
+def test_bad_config_value_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                source, text, section, key):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a bad config reached the data or training stage")
+
+    for module, name in ((stockalloc.pipeline, "parse_records"), (stockalloc.cli, "parse_records"),
+                         (stockalloc.pipeline, "train_forest"), (stockalloc.cli, "train_forest"),
+                         (stockalloc.pipeline, "train_linear")):
+        monkeypatch.setattr(module, name, must_not_run)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURE_HEADER)
+    argv = {
+        "csv": ("compare", "--csv", str(write_ledger(tmp_path / "ledger.csv"))),
+        "synth": ("compare", "--synth", "--seed", "1"),
+        "train": ("train", "--features", str(features)),
+    }[source]
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "retrain"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURE_HEADER)
+    weights = tmp_path / "weights.csv"
+    weights.write_text(WEIGHTS_HEADER + "2021-01,a,p,0.0,1.0,1.0\n")
+    argv = ("--weights", str(weights)) if command == "retrain" else ()
+    assert run_cli(command, "--features", str(features), *argv, "--seed", "-1",
+                   "--out", str(tmp_path / "forest.json")) == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be an integer >= 0")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("synth", "--out", "o"), ("--jacobian", "full_fd")),
+    (("train", "--features", "f", "--out", "o"), ("--budget-fraction", "0.5")),
+    (("train", "--features", "f", "--out", "o"), ("--jacobian", "full_fd")),
+    (("weights", "--features", "f", "--model", "m", "--out", "o"), ("--seed", "4")),
+    (("retrain", "--features", "f", "--weights", "w", "--out", "o"), ("--budget-fraction", "0.5")),
+    (("retrain", "--features", "f", "--weights", "w", "--out", "o"), ("--jacobian", "full_fd")),
+    (("allocate", "--features", "f", "--model", "m", "--out", "o"), ("--config", "c.json")),
+    (("allocate", "--features", "f", "--model", "m", "--out", "o"), ("--seed", "4")),
+    (("allocate", "--features", "f", "--model", "m", "--out", "o"), ("--jacobian", "full_fd")),
+], ids=lambda v: v[0])
+def test_flag_a_command_does_not_read_is_refused(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv, *flag)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["allocate", "evaluate"])
+def test_inventory_feature_outside_the_table_is_a_config_error(tmp_path, capsys, command):
+    assert run_cli("synth", "--out", str(tmp_path), "--periods", "2") == 0
+    features = str(tmp_path / "features.csv")
+    forest_path, allocation = str(tmp_path / "forest.json"), str(tmp_path / "allocation.json")
+    assert run_cli("train", "--features", features, "--out", forest_path,
+                   "--config", str(TestEvalPeriodSplit._small_forest(tmp_path))) == 0
+    assert run_cli("allocate", "--features", features, "--model", forest_path,
+                   "--out", allocation) == 0
+    argv = {"allocate": ("allocate", "--model", forest_path, "--out", allocation),
+            "evaluate": ("evaluate", "--allocation", allocation)}[command]
+    assert run_cli(*argv, "--features", features, "--inventory-feature", "3") == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: inventory_feature: 3 is out of range, the table has 3 features")
+
+
+def test_weights_reads_the_inventory_feature_of_its_weight_config(tmp_path):
+    assert run_cli("synth", "--out", str(tmp_path), "--periods", "3", "--seed", "2") == 0
+    features = tmp_path / "features.csv"
+    forest_path, weights_path = tmp_path / "forest.json", tmp_path / "weights.csv"
+    assert run_cli("train", "--features", str(features), "--out", str(forest_path),
+                   "--config", str(TestEvalPeriodSplit._small_forest(tmp_path))) == 0
+    cfg = tmp_path / "weights.json"
+    cfg.write_text('{"weight_config": {"inventory_feature": 0, "weight_floor": 0.01}}')
+    assert run_cli("weights", "--features", str(features), "--model", str(forest_path),
+                   "--out", str(weights_path), "--config", str(cfg)) == 0
+    table = FeatureTable.from_csv(features)
+    wcfg = WeightConfig(inventory_feature=0, weight_floor=0.01)
+    budgets = budgets_from_fraction(table, 0.7, inventory_feature=0)
+    expected = compute_weights(table, Forest.load(forest_path), budgets, wcfg)
+    assert np.array_equal(WeightReport.from_csv(weights_path).final_weights,
+                          expected.final_weights)
 
 
 @pytest.mark.parametrize("config", [
@@ -324,7 +475,7 @@ def test_bad_forest_config_is_a_config_error(tmp_path, capsys, config):
     argv = ("train", "--features", str(features), "--config", str(cfg),
             "--out", str(tmp_path / "forest.json"))
     assert run_cli(*argv) == 2
-    assert capsys.readouterr().err.startswith("config error: forest params: ")
+    assert capsys.readouterr().err.startswith("config error: train: ")
 
 
 class TestCompareCommand:

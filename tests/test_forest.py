@@ -279,7 +279,7 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=re.escape(f"{path}, line 1: ")):
             Forest.load(path)
         path.write_bytes(b"\xff\xfe{}")
-        with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text")):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}, line 1: 'utf-8' codec can't")):
             Forest.load(path)
 
     def test_rejects_foreign_payload(self):
