@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _simplex
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 def _as_vector(x, name):
@@ -47,7 +47,7 @@ class AllocationProblem:
         if np.any(samples < 0):
             raise ValueError("samples must be nonnegative")
         if not np.isfinite(self.budget) or self.budget < 0:
-            raise ValueError("budget must be finite and nonnegative")
+            raise ConfigError(f"budget must be finite and nonnegative, got {self.budget!r}")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -57,11 +57,6 @@ class AllocationProblem:
     @property
     def n_facilities(self):
         return self.samples.shape[1]
-
-    @classmethod
-    def from_row_samples(cls, row_samples, budget):
-        """Build from an (n_facilities, K) prediction matrix."""
-        return cls(np.asarray(row_samples, dtype=float).T, budget)
 
     def to_dict(self):
         return {"samples": self.samples.tolist(), "budget": self.budget}

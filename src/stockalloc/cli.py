@@ -10,11 +10,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import load_config_file, load_section
+from .config import load_config_file, load_section, refuse_unknown
 from .errors import ConfigError, SchemaError, StockAllocError
 from .forest import Forest, ForestParams, train_forest
 from .ingest import (
@@ -32,7 +32,6 @@ from .pipeline import (
     RunConfig,
     compare,
     evaluate,
-    model_samples,
     prepare_table,
     report_to_json,
     solve_products,
@@ -49,6 +48,8 @@ from .weights import (
     compute_weights,
 )
 
+# RunConfig fields that `compare` takes from its flags, never from a config file
+_RUN_GIVEN = ("csv_path", "budgets", "seed")
 _EXIT_BY_CATEGORY = {"config": 2, "schema": 2, "data": 3, "shape": 3, "solver": 4, "internal": 4}
 
 
@@ -90,8 +91,17 @@ def cmd_ingest(args):
     return 0
 
 
+def _compare_section(args, name):
+    """Section `name` of the `--config` file, read as `compare` reads it: a
+    top-level key that `compare` does not take is a ConfigError."""
+    cfg = _config(args.config)
+    refuse_unknown(cfg, [f.name for f in fields(RunConfig) if f.name not in _RUN_GIVEN],
+                   f"{args.command}: ")
+    return cfg.get(name, {})
+
+
 def cmd_synth(args):
-    section = _with_flags(_config(args.config).get("scenario", {}),
+    section = _with_flags(_compare_section(args, "scenario"),
                           seed=args.seed, budget_fraction=args.budget_fraction)
     scenario = TwoClassScenario.from_dict(section)
     table, truth = generate(scenario, periods=args.periods)
@@ -121,8 +131,7 @@ def cmd_train(args):
 
 
 def cmd_weights(args):
-    section = _with_flags(_config(args.config).get("weight_config", {}),
-                          jacobian_mode=args.jacobian)
+    section = _with_flags(_compare_section(args, "weight_config"), jacobian_mode=args.jacobian)
     wcfg = load_section(WeightConfig, section, "weight_config")
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
@@ -142,11 +151,13 @@ def cmd_allocate(args):
         table, args.eval_period, args.budget_fraction, inventory_feature=args.inventory_feature
     )
     if args.budget is not None:
-        prepared = replace(prepared, budgets_eval={prepared.eval_period: args.budget})
+        prepared = replace(prepared, budgets_eval=dict.fromkeys(prepared.budgets_eval, args.budget))
+    X = prepared.eval_table.X
     products = {}
-    for product, rows, budget, result in solve_products(prepared, model_samples(prepared, model)):
+    for product, rows, _, problem, result in solve_products(
+            prepared, lambda rows: model.predict_samples(X[rows])):
         products[product] = {
-            "budget": budget,
+            "budget": problem.budget,
             "facility_ids": [prepared.eval_table.facility_ids[i] for i in rows],
             "allocation": result.allocation.tolist(),
             "objective": result.objective,

@@ -311,7 +311,6 @@ class FeatureTable:
     y: np.ndarray
     weights: np.ndarray
     feature_names: list = field(default_factory=list)
-    horizon: str | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -334,19 +333,7 @@ class FeatureTable:
             self.feature_names = [f"f_{j}" for j in range(self.X.shape[1])]
         if len(self.feature_names) != self.X.shape[1]:
             raise ShapeError("feature_names length disagrees with matrix width")
-        if self.horizon is None:
-            if n:
-                self.horizon = self.periods[int(np.argmax(period_indices(self.periods)))]
-            return
-        limit = period_index(self.horizon)
-        try:
-            late = np.any(period_indices(self.periods) > limit)
-        except ValueError:
-            late = True
-        if late:  # the first bad or late row, in row order, names the fault
-            for p in self.periods:
-                if period_index(p) > limit:
-                    raise ValueError(f"row period {p} exceeds declared horizon {self.horizon}")
+        period_indices(self.periods)  # the first bad period, in row order, raises
 
     def __len__(self):
         return len(self.facility_ids)
@@ -386,26 +373,6 @@ class FeatureTable:
             y=self.y.copy(),
             weights=weights,
             feature_names=list(self.feature_names),
-            horizon=self.horizon,
-        )
-
-    @classmethod
-    def concat(cls, tables):
-        tables = [t for t in tables if len(t)]
-        if not tables:
-            raise EmptyInputError("nothing to concatenate")
-        d = tables[0].feature_dim
-        for t in tables:
-            if t.feature_dim != d:
-                raise ShapeError("feature dimensions disagree across tables")
-        return cls(
-            facility_ids=sum((list(t.facility_ids) for t in tables), []),
-            product_ids=sum((list(t.product_ids) for t in tables), []),
-            periods=sum((list(t.periods) for t in tables), []),
-            X=np.vstack([t.X for t in tables]),
-            y=np.concatenate([t.y for t in tables]),
-            weights=np.concatenate([t.weights for t in tables]),
-            feature_names=list(tables[0].feature_names),
         )
 
     @classmethod
@@ -522,14 +489,14 @@ def build_features(records, lag_months=10, as_of=None):
     """Build one feature row per (facility, product) observed at `as_of`.
 
     The one-period case of `build_feature_table`; `as_of` defaults to the
-    latest record period and becomes the table's horizon.
+    latest record period.
     """
     records = list(records)
     if as_of is None and records:
         as_of = max((r.period for r in records), key=period_index)
     if as_of is not None:
         as_of = period_str(period_index(as_of))
-    return _lag_table(records, lag_months, [as_of], horizon=as_of)
+    return _lag_table(records, lag_months, [as_of])
 
 
 def build_feature_table(records, lag_months=10, periods=None):
@@ -550,7 +517,7 @@ def build_feature_table(records, lag_months=10, periods=None):
     return table
 
 
-def _lag_table(records, lag_months, periods, horizon=None):
+def _lag_table(records, lag_months, periods):
     """Key every record by (series, month) once, then look each period's lags up.
 
     A re-reported (facility, product, month) reads its last record. A row
@@ -621,7 +588,6 @@ def _lag_table(records, lag_months, periods, horizon=None):
         y=y,
         weights=np.ones(len(fac)),
         feature_names=names + ["month", "year", "region_code"],
-        horizon=horizon,
     )
 
 

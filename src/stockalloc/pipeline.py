@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .allocator import AllocationProblem, solve_greedy
+from .allocator import solve_greedy
 from .config import check, is_int, is_real
 from .errors import ConfigError, EmptyInputError
 from .forest import ForestParams, train_forest
@@ -27,7 +27,6 @@ from .ingest import (
     build_feature_table,
     clean_records,
     group_rows,
-    net_requirement,
     parse_records,
     split_train_eval,
 )
@@ -40,7 +39,7 @@ from .weights import (
     apply_report,
     budgets_from_fraction,
     compute_weights,
-    lookup_budget,
+    group_problems,
 )
 
 POLICY_ORDER = ("decision_blind", "decision_aware", "rolling_average", "oracle")
@@ -56,7 +55,7 @@ class RunConfig:
     outlier_multiplier: float = 10.0
     eval_period: str | None = None  # None -> latest period present
     budget_fraction: float | None = None  # None -> scenario's, else the default
-    budgets: dict | None = None  # explicit period/(period, product) -> units
+    budgets: dict | None = None  # explicit ("YYYY-MM", product) -> units
     model: str = "forest"  # or "linear"
     forest_params: ForestParams = field(default_factory=ForestParams)
     linear_samples: int = 100
@@ -147,9 +146,9 @@ def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTI
     """Split a feature table at the evaluation period and fix the budgets.
 
     The evaluation period defaults to the table's latest and is normalized
-    to "YYYY-MM". Budgets are `budgets` when given (period or (period,
-    product) -> units), else `budget_fraction` of each (period, product)
-    group's realized requirement. `compare`, `stockalloc allocate` and
+    to "YYYY-MM". Budgets are `budgets` when given ((period, product) ->
+    units, the period spelled "YYYY-MM"), else `budget_fraction` of each
+    (period, product) group's realized requirement. `compare`, `stockalloc allocate` and
     `stockalloc evaluate` all split here.
     """
     if not len(table):
@@ -223,62 +222,44 @@ class PolicyOutcome:
         return float(np.mean(vals)) if vals else None
 
 
-def _eval_groups(prepared):
-    return group_rows(prepared.eval_table.product_ids)
-
-
-def _eval_requirement(prepared, rows, values):
-    return net_requirement(prepared.eval_table, rows, values, prepared.inventory_feature)
-
-
-def solve_products(prepared, samples_by_product):
+def solve_products(prepared, samples_of):
     """Solve each evaluation product's problem at its budget, in product order.
 
-    Yields (product, rows of the evaluation table, budget, result). Every
-    policy and `stockalloc allocate` allocate through this loop; only the
-    latter reads the result's fill trace, so outcomes do not keep it.
+    `samples_of(rows)` gives the (n_rows, K) demand samples of evaluation
+    table rows; `weights.group_problems` nets them and builds the problem.
+    Yields (product, rows of the evaluation table, realized requirement,
+    problem, result). Every policy and `stockalloc allocate` allocate
+    through this loop; only the latter reads the result's fill trace, so
+    outcomes do not keep it.
     """
-    for product, rows in _eval_groups(prepared).items():
-        budget = float(lookup_budget(prepared.budgets_eval, prepared.eval_period, product))
-        problem = AllocationProblem.from_row_samples(samples_by_product[product], budget)
-        yield product, rows, budget, solve_greedy(problem)
+    for (_, product), rows, realized, problem in group_problems(
+            prepared.eval_table, prepared.budgets_eval, samples_of, prepared.inventory_feature):
+        yield product, rows, realized, problem, solve_greedy(problem)
 
 
-def _allocate_policy(name, prepared, point_by_product, samples_by_product, training):
+def _allocate_policy(name, prepared, samples_of, training, point_of=None):
+    """Score the allocations of `solve_products`; `point_of(rows)` gives the
+    point forecasts that MdAPE reads, when the policy has them."""
     eval_table = prepared.eval_table
     per_product = {}
-    for product, rows, budget, result in solve_products(prepared, samples_by_product):
-        realized_req = _eval_requirement(prepared, rows, eval_table.y[rows])
-        point = point_by_product.get(product)
+    for product, rows, realized, problem, result in solve_products(prepared, samples_of):
         per_product[product] = {
             "allocation": result.allocation,
             "objective": result.objective,
-            "budget": budget,
-            "realized_requirement": realized_req,
-            "unmet_demand_pct": unmet_demand_pct(result.allocation, realized_req),
-            "mdape": None if point is None else mdape(point, eval_table.y[rows]),
+            "budget": problem.budget,
+            "realized_requirement": realized,
+            "unmet_demand_pct": unmet_demand_pct(result.allocation, realized),
+            "mdape": None if point_of is None else mdape(point_of(rows), eval_table.y[rows]),
             "facility_ids": [eval_table.facility_ids[i] for i in rows],
         }
     return PolicyOutcome(policy=name, per_product=per_product, training=training)
 
 
-def model_samples(prepared, model):
-    """Per evaluation product, the model's scenario samples as net requirements."""
-    X = prepared.eval_table.X
-    return {
-        product: _eval_requirement(prepared, rows, model.predict_samples(X[rows]))
-        for product, rows in _eval_groups(prepared).items()
-    }
-
-
 def _model_policy(name, config, prepared, model, weights_label):
     X = prepared.eval_table.X
-    points = {
-        product: np.atleast_1d(model.predict_point(X[rows]))
-        for product, rows in _eval_groups(prepared).items()
-    }
     training = dict(config.training_signature(), weights=weights_label)
-    return _allocate_policy(name, prepared, points, model_samples(prepared, model), training)
+    return _allocate_policy(name, prepared, lambda rows: model.predict_samples(X[rows]),
+                            training, lambda rows: np.atleast_1d(model.predict_point(X[rows])))
 
 
 def _train_model(config, table):
@@ -339,23 +320,17 @@ def run_rolling_average(config, prepared=None, window=None):
     prepared = prepared or prepare(config)
     window = window or config.rolling_window
     forecasts = rolling_forecasts(prepared, window)
-    points, samples = {}, {}
-    for product, rows in _eval_groups(prepared).items():
-        points[product] = forecasts[rows]
-        samples[product] = _eval_requirement(prepared, rows, forecasts[rows][:, None])
     training = {"window": window, "weights": "none"}
-    return _allocate_policy("rolling_average", prepared, points, samples, training)
+    return _allocate_policy("rolling_average", prepared, lambda rows: forecasts[rows][:, None],
+                            training, lambda rows: forecasts[rows])
 
 
 def run_oracle(config, prepared=None):
     """Perfect foresight: allocate against the realized requirement itself."""
     prepared = prepared or prepare(config)
-    samples = {
-        product: _eval_requirement(prepared, rows, prepared.eval_table.y[rows])[:, None]
-        for product, rows in _eval_groups(prepared).items()
-    }
+    y = prepared.eval_table.y
     training = {"weights": "perfect_foresight"}
-    return _allocate_policy("oracle", prepared, {}, samples, training)
+    return _allocate_policy("oracle", prepared, lambda rows: y[rows][:, None], training)
 
 
 def compare(config):

@@ -111,35 +111,31 @@ def generate(scenario, periods=24):
     slopes = np.where(lows == 1.0, scenario.slope_low, scenario.slope_high)
 
     start = period_index(_FIRST_PERIOD)
-    tables = []
-    truths = []
+    periods_col, Xs, demands, truths = [], [], [], []
     n = len(fac_ids)
     for t in range(periods):
-        period = period_str(start + t)
         inv_low = rng.uniform(*scenario.low_inventory, size=scenario.n_low)
         inv_high = rng.uniform(*scenario.high_inventory, size=scenario.n_high)
         inventory = np.concatenate([inv_low, inv_high])
         mean = intercepts + slopes * inventory
         noise = rng.normal(0.0, sd, size=n) if sd > 0 else np.zeros(n)
-        demand = np.clip(mean + noise, 0.0, None)
-        month = float(period_index(period) % 12 + 1)
-        X = np.column_stack(
+        demands.append(np.clip(mean + noise, 0.0, None))
+        month = float((start + t) % 12 + 1)
+        Xs.append(np.column_stack(
             [inventory, np.full(n, month), rng.uniform(0.0, 1.0, size=n)]
-        )
-        tables.append(
-            FeatureTable(
-                facility_ids=list(fac_ids),
-                product_ids=[PRODUCT_ID] * n,
-                periods=[period] * n,
-                X=X,
-                y=demand,
-                weights=np.ones(n),
-                feature_names=["prior_inventory", "month", "noise"],
-            )
-        )
+        ))
+        periods_col += [period_str(start + t)] * n
         truths.append(mean)
 
-    table = FeatureTable.concat(tables)
+    table = FeatureTable(
+        facility_ids=fac_ids * periods,
+        product_ids=[PRODUCT_ID] * (n * periods),
+        periods=periods_col,
+        X=np.vstack(Xs),
+        y=np.concatenate(demands),
+        weights=np.ones(n * periods),
+        feature_names=["prior_inventory", "month", "noise"],
+    )
     return table, np.concatenate(truths)
 
 

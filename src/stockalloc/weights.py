@@ -19,10 +19,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocator import AllocationProblem, shifted_allocations, solve_greedy
-from .config import check, is_int
+from .config import check, is_int, is_real
 from .errors import ConfigError, MissingWeightError, ShapeError
 from .forest import train_forest
 from .ingest import group_rows, net_requirement, read_csv_table
+from .periods import normalize_period
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
 EXPANSION_POINTS = ("model", "realized")
@@ -148,39 +149,55 @@ def policy_jacobian(problem, config):
     return _fd_columns(problem, h, diagonal=config.jacobian_mode == "diagonal_fd")
 
 
-def lookup_budget(budgets, period, product):
-    if (period, product) in budgets:
-        return budgets[(period, product)]
-    if period in budgets:
-        return budgets[period]
-    raise ConfigError(f"no budget for period {period!r}, product {product!r}")
+def _groups(table):
+    """Row indices per (period, product) group, the period spelled "YYYY-MM"."""
+    return group_rows(zip(map(normalize_period, table.periods), table.product_ids))
 
 
 def budgets_from_fraction(table, fraction, inventory_feature=None):
-    """Per-(period, product) budget as a fraction of realized demand.
+    """Per-(period, product) budget as a fraction in (0, 1] of realized demand.
 
     When `inventory_feature` is set the realized quantity is the net
     requirement, demand minus that feature's on-hand inventory.
     """
-    if fraction < 0:
-        raise ConfigError("budget fraction must be nonnegative")
+    if not (is_real(fraction) and 0 < fraction <= 1):
+        raise ConfigError(f"budget fraction must be in (0, 1], got {fraction!r}")
     budgets = {}
-    for key, rows in group_rows(zip(table.periods, table.product_ids)).items():
+    for key, rows in _groups(table).items():
         realized = net_requirement(table, rows, table.y[rows], inventory_feature)
         budgets[key] = fraction * float(realized.sum())
     return budgets
 
 
+def group_problems(table, budgets, samples_of, inventory_feature):
+    """The allocation problem of every (period, product) group, in key order.
+
+    Yields ((period, product), rows, realized, problem): the group's table
+    rows, its realized net requirement, and the problem whose samples are
+    the net requirement of `samples_of(rows)`, an (n_rows, K) demand matrix,
+    at budget `budgets[(period, product)]`. The period is spelled "YYYY-MM"
+    however the table spells it, as in `budgets_from_fraction`. A group
+    without a budget is a ConfigError.
+    """
+    for key, rows in _groups(table).items():
+        if key not in budgets:
+            raise ConfigError(f"no budget for period {key[0]!r}, product {key[1]!r}")
+        realized = net_requirement(table, rows, table.y[rows], inventory_feature)
+        samples = net_requirement(table, rows, samples_of(rows), inventory_feature)
+        yield key, rows, realized, AllocationProblem(samples.T, float(budgets[key]))
+
+
 def compute_weights(train, initial_model, budget_per_period, config=None):
     """Derive per-row decision weights from the initial model's allocations.
 
-    For every (period, product) group in the training table: build the
-    scenario problem from the initial model's samples at that group's
-    rows, solve it once, take the shortfall subgradient against the
-    realized demand, push it through the configured Jacobian estimate,
-    floor the absolute values, and optionally normalize the result to
-    mean one. Groups whose facility panel is incomplete relative to the
-    product's full panel fall back to the identity Jacobian.
+    For every (period, product) group in the training table
+    (`group_problems`): solve the scenario problem of the initial model's
+    samples at that group's rows (or of the realized requirement, with
+    `expansion_point="realized"`) once, take the shortfall subgradient
+    against the realized requirement, push it through the configured
+    Jacobian estimate, floor the absolute values, and optionally normalize
+    the result to mean one. Groups whose facility panel is incomplete
+    relative to the product's full panel fall back to the identity Jacobian.
     """
     config = config or WeightConfig()
     n = len(train)
@@ -188,23 +205,18 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
     raw = np.zeros(n)
     modes = {}
 
-    groups = group_rows(zip(train.periods, train.product_ids))
     panels = {}
-    for (period, product), rows in groups.items():
-        panels.setdefault(product, set()).update(
-            train.facility_ids[i] for i in rows
-        )
+    for facility, product in zip(train.facility_ids, train.product_ids):
+        panels.setdefault(product, set()).add(facility)
+    if config.expansion_point == "model":
+        def samples_of(rows):
+            return initial_model.predict_samples(train.X[rows])
+    else:
+        def samples_of(rows):
+            return train.y[rows][:, None]
 
-    for (period, product), rows in groups.items():
-        xi_star = net_requirement(train, rows, train.y[rows], config.inventory_feature)
-        budget = float(lookup_budget(budget_per_period, period, product))
-        if config.expansion_point == "model":
-            samples = initial_model.predict_samples(train.X[rows])
-            samples = net_requirement(train, rows, samples, config.inventory_feature)
-            problem = AllocationProblem.from_row_samples(samples, budget)
-        else:
-            problem = AllocationProblem(xi_star[None, :], budget)
-
+    for (period, product), rows, xi_star, problem in group_problems(
+            train, budget_per_period, samples_of, config.inventory_feature):
         a_star = solve_greedy(problem).allocation
         g = loss_gradient(a_star, xi_star)
 

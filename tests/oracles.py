@@ -355,8 +355,9 @@ class _ReferenceTreeBuilder:
             f, thr, left_idx, right_idx = split
             wl = self.w[left_idx]
             wr = self.w[right_idx]
-            left = self._new_node(float(np.dot(wl, self.y[left_idx]) / wl.sum()), wl.sum())
-            right = self._new_node(float(np.dot(wr, self.y[right_idx]) / wr.sum()), wr.sum())
+            with np.errstate(invalid="ignore"):  # an empty child's mean is nan
+                left = self._new_node(float(np.dot(wl, self.y[left_idx]) / wl.sum()), wl.sum())
+                right = self._new_node(float(np.dot(wr, self.y[right_idx]) / wr.sum()), wr.sum())
             self.feature[node] = f
             self.threshold[node] = thr
             self.left[node] = left

@@ -171,6 +171,25 @@ class TestMatchesReferenceGreedy:
         assert len(res.fill_trace) == 2  # level 0 of both facilities spends it all
 
 
+class TestPermutation:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(greedy_instances(), st.data())
+    def test_permuting_facilities_permutes_the_solution(self, instance, data):
+        """The objective does not depend on facility order. The allocation
+        follows the facilities when the budget is slack or ends exactly on a
+        level boundary; a cut inside a level splits its equal-value segments
+        by facility order, so only the objective is compared there."""
+        samples, budget = instance
+        perm = np.array(data.draw(st.permutations(range(samples.shape[1]))), dtype=np.int64)
+        res = solve_greedy(problem(samples, budget))
+        permuted = solve_greedy(problem(samples[:, perm], budget))
+        tol = 1e-9 * max(1.0, float(samples.max()))  # facility order changes float sums
+        assert permuted.objective == pytest.approx(res.objective, rel=1e-9, abs=tol)
+        level_totals = np.sort(samples, axis=0).sum(axis=1)
+        if budget >= samples.max(axis=0).sum() or budget == 0 or budget in level_totals:
+            np.testing.assert_allclose(permuted.allocation, res.allocation[perm], rtol=0, atol=tol)
+
+
 class TestShiftedAllocations:
     def test_each_shifted_allocation_is_feasible_and_lp_optimal(self):
         rng = np.random.default_rng(13)

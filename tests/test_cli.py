@@ -463,6 +463,71 @@ def test_weights_reads_the_inventory_feature_of_its_weight_config(tmp_path):
                           expected.final_weights)
 
 
+@pytest.fixture
+def synth_forest(tmp_path):
+    """(features CSV, forest JSON) of a small synthetic table and forest."""
+    assert run_cli("synth", "--out", str(tmp_path), "--periods", "3", "--seed", "2") == 0
+    features, forest_path = str(tmp_path / "features.csv"), str(tmp_path / "forest.json")
+    assert run_cli("train", "--features", features, "--out", forest_path,
+                   "--config", str(TestEvalPeriodSplit._small_forest(tmp_path))) == 0
+    return features, forest_path
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("allocate", "--budget=-5", "budget must be finite and nonnegative, got -5.0"),
+    ("allocate", "--budget=nan", "budget must be finite and nonnegative, got nan"),
+    ("allocate", "--budget=inf", "budget must be finite and nonnegative, got inf"),
+    ("allocate", "--budget-fraction=nan", "budget fraction must be in (0, 1], got nan"),
+    ("allocate", "--budget-fraction=5", "budget fraction must be in (0, 1], got 5.0"),
+    ("weights", "--budget-fraction=nan", "budget fraction must be in (0, 1], got nan"),
+    ("weights", "--budget-fraction=0", "budget fraction must be in (0, 1], got 0.0"),
+    ("weights", "--budget-fraction=5", "budget fraction must be in (0, 1], got 5.0"),
+])
+def test_bad_budget_is_a_config_error(tmp_path, capsys, synth_forest, command, flag, message):
+    features, forest_path = synth_forest
+    out = tmp_path / "out"
+    assert run_cli(command, "--features", features, "--model", forest_path,
+                   "--out", str(out), flag) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("weights", '{"n_trees": 5}', "n_trees"),
+    ("weights", '{"weight_confg": {"weight_floor": 0.1}}', "weight_confg"),
+    ("weights", "jacobian_mode = full_fd", "jacobian_mode"),
+    ("synth", '{"n_low": 10}', "n_low"),
+    ("synth", '{"seed": 3}', "seed"),
+])
+def test_config_key_compare_does_not_take_is_refused(tmp_path, capsys, synth_forest,
+                                                     command, text, key):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(text)
+    features, forest_path = synth_forest
+    argv = ("--features", features, "--model", forest_path) if command == "weights" else ()
+    assert run_cli(command, *argv, "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {command}: unknown key(s) ['{key}'], expected some of ")
+    assert not out.exists()
+
+
+def test_a_compare_file_serves_weights_and_synth(tmp_path, synth_forest):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "model": "linear", "budget_fraction": 0.5, "rolling_window": 2,
+        "scenario": {"n_low": 3, "n_high": 2},
+        "weight_config": {"weight_floor": 0.25, "normalization": "none"},
+    }))
+    assert run_cli("synth", "--config", str(cfg), "--periods", "2",
+                   "--out", str(tmp_path / "s")) == 0
+    assert len((tmp_path / "s" / "features.csv").read_text().splitlines()) == 1 + 2 * 5
+    features, forest_path = synth_forest
+    weights_path = tmp_path / "weights.csv"
+    assert run_cli("weights", "--features", features, "--model", forest_path,
+                   "--config", str(cfg), "--out", str(weights_path)) == 0
+    assert WeightReport.from_csv(weights_path).final_weights.min() == 0.25
+
+
 @pytest.mark.parametrize("config", [
     "n_trees = 0", "max_depth = 2.5", "criterion = mae", "features_per_split = 0",
     "min_leaf_weight = heavy", '{"max_depth": 2.5}',

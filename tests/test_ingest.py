@@ -588,24 +588,11 @@ class TestFeatureTableCsv:
         assert header[-2:] == ["target", "weight"]
 
     @pytest.mark.parametrize("periods, message", [
-        (["2022-03", "2022-05", "20x2-01"], "row period 2022-05 exceeds declared horizon 2022-04"),
+        (["2022-03", "2022-13", "20x2-01"], "bad month in period '2022-13'"),
         (["2022-03", "20x2-01", "2022-05"], "bad period '20x2-01', expected YYYY-MM"),
     ])
     def test_first_bad_or_late_row_names_the_fault(self, periods, message):
         with pytest.raises(ValueError) as info:
             FeatureTable(facility_ids=["a"] * 3, product_ids=["p"] * 3, periods=periods,
-                         X=np.zeros((3, 2)), y=np.zeros(3), weights=np.ones(3),
-                         horizon="2022-04")
+                         X=np.zeros((3, 2)), y=np.zeros(3), weights=np.ones(3))
         assert str(info.value) == message
-
-    def test_horizon_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureTable(
-                facility_ids=["a"],
-                product_ids=["p"],
-                periods=["2022-05"],
-                X=np.zeros((1, 2)),
-                y=np.zeros(1),
-                weights=np.ones(1),
-                horizon="2022-04",
-            )

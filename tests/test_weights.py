@@ -24,7 +24,7 @@ from stockalloc import (
     train_forest,
 )
 from stockalloc import weights
-from stockalloc.weights import WEIGHTS_CSV_HEADER, apply_report
+from stockalloc.weights import WEIGHTS_CSV_HEADER, apply_report, group_problems
 
 from oracles import reference_fd_columns
 
@@ -215,11 +215,35 @@ def exact_model(table, k=3, spread=False):
     return _PointModel(values, k=k, spread=spread)
 
 
+class TestGroupProblems:
+    def test_spellings_of_one_month_are_one_group(self):
+        t = panel_table(n_periods=2, n_fac=4)
+        t.periods[1], t.periods[6] = "2021-1", " 2021-2"
+        budgets = budgets_from_fraction(t, 0.5)
+        assert budgets == {("2021-01", "p"): 0.5 * float(t.y[:4].sum()),
+                           ("2021-02", "p"): 0.5 * float(t.y[4:].sum())}
+        groups = list(group_problems(t, budgets, lambda rows: t.y[rows][:, None], None))
+        assert [key for key, *_ in groups] == list(budgets)
+        for key, rows, realized, problem in groups:
+            assert np.array_equal(realized, t.y[rows])
+            assert np.array_equal(problem.samples, t.y[rows][None, :])
+            assert problem.budget == budgets[key]
+        assert [rows.tolist() for _, rows, _, _ in groups] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+    def test_nets_samples_and_realized_by_the_inventory_feature(self):
+        t = panel_table(n_periods=1, n_fac=3)
+        t.X[:, 0] = [0.0, 5.0, 100.0]
+        (_, _, realized, problem), = group_problems(
+            t, {("2021-01", "p"): 1.0}, lambda rows: np.stack([t.y[rows], 2 * t.y[rows]], 1), 0)
+        assert np.array_equal(realized, np.clip(t.y - t.X[:, 0], 0, None))
+        assert np.array_equal(problem.samples[1], np.clip(2 * t.y - t.X[:, 0], 0, None))
+
+
 class TestComputeWeights:
     def test_full_coverage_all_weights_floor(self):
         t = panel_table()
         model = exact_model(t)
-        budgets = {p: 1e6 for p in set(t.periods)}  # budget covers everything
+        budgets = {(p, "p"): 1e6 for p in set(t.periods)}  # budget covers everything
         cfg = WeightConfig(weight_floor=0.05, normalization="none")
         report = compute_weights(t, model, budgets, cfg)
         assert np.all(report.gradients == 0.0)
@@ -232,7 +256,7 @@ class TestComputeWeights:
             {tuple(np.round(x, 12)): v for x, v in zip(t.X, [2.0, 1.0])}
         )
         report = compute_weights(
-            t, model, {"2021-01": 3.0}, WeightConfig(weight_floor=0.05, normalization="none")
+            t, model, {("2021-01", "p"): 3.0}, WeightConfig(weight_floor=0.05, normalization="none")
         )
         # a* = [2, 1]: facility 0 underserved -> 1.0, facility 1 covered -> floor
         assert np.allclose(report.final_weights, [1.0, 0.05])
@@ -265,8 +289,8 @@ class TestComputeWeights:
     def test_missing_budget_raises(self):
         t = panel_table()
         model = exact_model(t)
-        with pytest.raises(ConfigError):
-            compute_weights(t, model, {"2021-01": 5.0}, WeightConfig())
+        with pytest.raises(ConfigError, match="no budget for period '2021-02', product 'p'"):
+            compute_weights(t, model, {("2021-01", "p"): 5.0}, WeightConfig())
 
     def test_permutation_equivariance(self):
         # Permutation invariance needs a unique optimum. Fan the samples
@@ -299,7 +323,7 @@ class TestComputeWeights:
         y[::3] = 0.5  # facility f0 tiny demand in every period
         t.y[:] = y
         model = exact_model(t)
-        budgets = {p: 2.0 for p in set(t.periods)}  # covers f0's segment first
+        budgets = {(p, "p"): 2.0 for p in set(t.periods)}  # covers f0's segment first
         cfg = WeightConfig(weight_floor=0.07, normalization="none")
         report = compute_weights(t, model, budgets, cfg)
         f0 = [i for i, f in enumerate(report.facility_ids) if f == "f0"]
@@ -328,7 +352,7 @@ class TestComputeWeights:
         t.y[:] = [20.0, 5.0]
         model = exact_model(t)
         cfg = WeightConfig(inventory_feature=0, weight_floor=0.01, normalization="none")
-        report = compute_weights(t, model, {"2021-01": 1.0}, cfg)
+        report = compute_weights(t, model, {("2021-01", "p"): 1.0}, cfg)
         assert report.gradients[0] == 0.0  # net requirement zero, covered
         assert report.final_weights[0] == 0.01
 
