@@ -10,11 +10,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .config import load_config_file, load_section, refuse_unknown
+from .config import load_config_file, load_section
 from .errors import ConfigError, SchemaError, StockAllocError
 from .forest import Forest, ForestParams, train_forest
 from .ingest import (
@@ -48,8 +48,6 @@ from .weights import (
     compute_weights,
 )
 
-# RunConfig fields that `compare` takes from its flags, never from a config file
-_RUN_GIVEN = ("csv_path", "budgets", "seed")
 _EXIT_BY_CATEGORY = {"config": 2, "schema": 2, "data": 3, "shape": 3, "solver": 4, "internal": 4}
 
 
@@ -91,20 +89,22 @@ def cmd_ingest(args):
     return 0
 
 
-def _compare_section(args, name):
-    """Section `name` of the `--config` file, read as `compare` reads it: a
-    top-level key that `compare` does not take is a ConfigError."""
-    cfg = _config(args.config)
-    refuse_unknown(cfg, [f.name for f in fields(RunConfig) if f.name not in _RUN_GIVEN],
-                   f"{args.command}: ")
-    return cfg.get(name, {})
+def _compare_config(args, cfg):
+    """The keys of a `compare` config file read as `compare --synth` reads
+    them: `RunConfig` refuses a key `compare` does not take, and converts
+    and checks every value. A file without a scenario reads with the
+    default one."""
+    return load_section(RunConfig, dict(cfg, scenario=cfg.get("scenario", {})), args.command,
+                        csv_path=None, budgets=None, seed=0)
 
 
 def cmd_synth(args):
-    section = _with_flags(_compare_section(args, "scenario"),
-                          seed=args.seed, budget_fraction=args.budget_fraction)
-    scenario = TwoClassScenario.from_dict(section)
-    table, truth = generate(scenario, periods=args.periods)
+    cfg = _config(args.config)
+    cfg["scenario"] = _with_flags(cfg.get("scenario", {}),
+                                  seed=args.seed, budget_fraction=args.budget_fraction)
+    config = _compare_config(args, cfg)
+    periods = config.periods if args.periods is None else args.periods
+    table, truth = generate(config.scenario, periods=periods)
     out = _ensure_out(args.out)
     table.to_csv(os.path.join(out, "features.csv"))
     with open(os.path.join(out, "ground_truth.csv"), "w", encoding="utf-8") as fh:
@@ -114,7 +114,7 @@ def cmd_synth(args):
                 f"{table.facility_ids[i]},{table.product_ids[i]},"
                 f"{table.periods[i]},{float(truth[i])!r}\n"
             )
-    print(f"generated {len(table)} rows over {args.periods} periods")
+    print(f"generated {len(table)} rows over {periods} periods")
     return 0
 
 
@@ -131,13 +131,18 @@ def cmd_train(args):
 
 
 def cmd_weights(args):
-    section = _with_flags(_compare_section(args, "weight_config"), jacobian_mode=args.jacobian)
+    cfg = _config(args.config)
+    # `weights` reads the weight_config section on its own: unlike `compare`,
+    # it takes its inventory_feature from there.
+    section = _with_flags(cfg.pop("weight_config", {}), jacobian_mode=args.jacobian)
+    config = _compare_config(args, cfg)
     wcfg = load_section(WeightConfig, section, "weight_config")
+    fraction = args.budget_fraction
+    if fraction is None:
+        fraction = config.resolved_budget_fraction()
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
-    budgets = budgets_from_fraction(
-        table, args.budget_fraction, inventory_feature=wcfg.inventory_feature
-    )
+    budgets = budgets_from_fraction(table, fraction, inventory_feature=wcfg.inventory_feature)
     report = compute_weights(table, model, budgets, wcfg)
     report.to_csv(args.out)
     print(f"wrote {len(report)} weights -> {args.out}")
@@ -280,7 +285,8 @@ def build_parser():
     p = sub.add_parser("synth", help="generate the two-class synthetic dataset")
     add_shared(p, "--config", "--seed", "--budget-fraction")
     p.add_argument("--out", required=True)
-    p.add_argument("--periods", type=int, default=24)
+    p.add_argument("--periods", type=int, default=None,
+                   help="periods to generate (default: the config file's, else 24)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a forest on a feature table CSV")
@@ -294,7 +300,7 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, help="forest JSON from `train`")
     p.add_argument("--out", required=True, help="output weights CSV path")
-    p.set_defaults(func=cmd_weights, budget_fraction=DEFAULT_BUDGET_FRACTION)
+    p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("retrain", help="retrain the forest with decision weights")
     add_shared(p, "--config", "--seed")

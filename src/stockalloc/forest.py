@@ -6,6 +6,14 @@ per-tree outputs, `predict_samples` returns the K per-tree outputs
 (clamped at zero, demand cannot be negative) for use as scenario samples
 in the allocation stage.
 
+Both predictions come from one walk of every tree at once: the trees' node
+arrays are stacked end to end on each call (a forest's trees may be
+replaced or edited at any time), and every (row, tree) pair of a chunk of
+rows steps down together, one vector step per depth (`_walk`). Each pair
+lands on the leaf its own tree's walk reaches, so the (n_rows, K) matrix
+of raw outputs is the per-tree outputs bit for bit; `predict_point` adds
+its columns in tree order, as a loop over the trees would.
+
 Weighted training means three things here: rows are bootstrapped with
 probability proportional to their weight, split gain is weighted, and
 leaf values are weighted means. `min_leaf_weight` is measured in units of
@@ -30,6 +38,11 @@ FOREST_VERSION = 1
 # least one. It bounds the memory of one depth's pass and does not change
 # the forest.
 BLOCK_ROWS = 4096
+
+# (row, tree) pairs a prediction walks together: a chunk of rows takes as
+# many as fit, and at least one row. It bounds the memory of one chunk's walk
+# and does not change a prediction.
+WALK_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -68,17 +81,6 @@ class Tree:
     value: np.ndarray
     support: np.ndarray
 
-    def apply(self, X):
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = np.flatnonzero(self.feature[node] >= 0)
-        while active.size:
-            ids = node[active]
-            feats = self.feature[ids]
-            go_left = X[active, feats] <= self.threshold[ids]
-            node[active] = np.where(go_left, self.left[ids], self.right[ids])
-            active = active[self.feature[node[active]] >= 0]
-        return self.value[node]
-
     def to_dict(self):
         return {
             "feature": self.feature.tolist(),
@@ -101,7 +103,7 @@ class Tree:
         )
 
     def problem(self, feature_dim):
-        """Why these arrays are not a tree `apply` can walk, or None."""
+        """Why these arrays are not a tree the prediction walk can follow, or None."""
         arrays = (self.feature, self.threshold, self.left, self.right, self.value, self.support)
         size = len(self.feature) if self.feature.ndim == 1 else 0
         if size == 0 or any(a.ndim != 1 or len(a) != size for a in arrays):
@@ -132,6 +134,57 @@ def feature_rows(x, feature_dim):
     return X, single
 
 
+def _stack(trees):
+    """The trees' node arrays end to end: each tree's root index, and the
+    stacked feature, threshold, children and value arrays.
+
+    Node i's children are `children[2 * i + go_left]`: its right child, then
+    its left, each shifted by its tree's offset into the stack.
+    """
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.zeros(len(trees), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=roots[1:])
+    shift = np.repeat(roots, sizes)
+
+    def joined(name):
+        return np.concatenate([getattr(tree, name) for tree in trees])
+
+    children = np.empty(2 * len(shift), dtype=np.int64)
+    children[0::2] = joined("right") + shift
+    children[1::2] = joined("left") + shift
+    return roots, joined("feature"), joined("threshold"), children, joined("value")
+
+
+def _walk(trees, X):
+    """Raw output of tree k at row i, as an (n_rows, K) matrix.
+
+    The (row, tree) pairs of a chunk of rows walk together from their
+    trees' roots, one vector step per depth; a pair leaves the walk at its
+    leaf. Each step takes the branch `Tree` nodes define: left where the
+    row's feature value is <= the threshold, right otherwise (and for NaN).
+    """
+    roots, feature, threshold, children, value = _stack(trees)
+    flat, d = X.ravel(), X.shape[1]  # row-major, a copy only if X is not
+    n, K = X.shape[0], len(roots)
+    out = np.empty((n, K))
+    step = max(1, WALK_PAIRS // K)
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        node = np.tile(roots, m)
+        base = np.arange(start * d, (start + m) * d, d).repeat(K)  # each pair's row in `flat`
+        active = np.flatnonzero(feature[node] >= 0)
+        while active.size:
+            ids = node[active]
+            go_left = flat[base[active] + feature[ids]] <= threshold[ids]
+            ids *= 2
+            ids += go_left
+            ids = children[ids]
+            node[active] = ids
+            active = active[feature[ids] >= 0]
+        out[start:start + m] = value[node].reshape(m, K)
+    return out
+
+
 @dataclass
 class Forest:
     trees: list
@@ -146,9 +199,10 @@ class Forest:
     def predict_point(self, x):
         """Mean of the raw per-tree outputs."""
         X, single = feature_rows(x, self.feature_dim)
+        raw = _walk(self.trees, X)
         out = np.zeros(X.shape[0])
-        for tree in self.trees:
-            out += tree.apply(X)
+        for k in range(raw.shape[1]):  # in tree order, one tree's column at a time
+            out += raw[:, k]
         out /= self.n_trees
         return float(out[0]) if single else out
 
@@ -158,9 +212,7 @@ class Forest:
         Shape (K,) for a single feature vector, else (n_rows, K).
         """
         X, single = feature_rows(x, self.feature_dim)
-        out = np.empty((X.shape[0], self.n_trees))
-        for k, tree in enumerate(self.trees):
-            out[:, k] = tree.apply(X)
+        out = _walk(self.trees, X)
         np.clip(out, 0.0, None, out=out)
         return out[0] if single else out
 

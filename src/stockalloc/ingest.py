@@ -45,7 +45,7 @@ _NUMERIC_FIELDS = (
 DEFAULT_SCHEMA = {name: name for name in REQUIRED_FIELDS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StockRecord:
     facility_id: str
     product_id: str

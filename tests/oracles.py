@@ -484,3 +484,36 @@ def preorder(tree):
         if tree["feature"][node] >= 0:
             stack += [int(tree["right"][node]), int(tree["left"][node])]
     return order
+
+
+def reference_apply(tree, X):
+    """Leaf value of each row of X in one tree: the per-tree walk."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    active = np.flatnonzero(tree.feature[node] >= 0)
+    while active.size:
+        ids = node[active]
+        feats = tree.feature[ids]
+        go_left = X[active, feats] <= tree.threshold[ids]
+        node[active] = np.where(go_left, tree.left[ids], tree.right[ids])
+        active = active[tree.feature[node[active]] >= 0]
+    return tree.value[node]
+
+
+def reference_predict(forest, x):
+    """(predict_point, predict_samples) of `forest` at `x`, one tree at a time.
+
+    The point is the trees' raw outputs summed in tree order and divided
+    by K; the samples are those outputs clamped at zero. A single feature
+    vector gives a float and a (K,) array."""
+    X = np.asarray(x, dtype=float)
+    single = X.ndim == 1
+    X = X[None, :] if single else X
+    point = np.zeros(X.shape[0])
+    samples = np.empty((X.shape[0], len(forest.trees)))
+    for k, tree in enumerate(forest.trees):
+        raw = reference_apply(tree, X)
+        point += raw
+        samples[:, k] = raw
+    point /= len(forest.trees)
+    np.clip(samples, 0.0, None, out=samples)
+    return (float(point[0]), samples[0]) if single else (point, samples)

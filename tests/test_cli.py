@@ -528,6 +528,34 @@ def test_a_compare_file_serves_weights_and_synth(tmp_path, synth_forest):
     assert WeightReport.from_csv(weights_path).final_weights.min() == 0.25
 
 
+@pytest.mark.parametrize("text", ['{"periods": 4}', "periods = 4"], ids=["json", "key_value"])
+def test_synth_takes_its_periods_from_a_compare_file(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "a")) == 0
+    assert capsys.readouterr().out == "generated 400 rows over 4 periods\n"
+    assert run_cli("synth", "--config", str(cfg), "--periods", "2", "--out", str(tmp_path / "b")) == 0
+    assert capsys.readouterr().out == "generated 200 rows over 2 periods\n"
+
+
+def test_weights_takes_its_budget_fraction_from_a_compare_file(tmp_path, synth_forest):
+    features, forest_path = synth_forest
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"budget_fraction": 0.3}')
+
+    def weights_csv(name, *argv):
+        path = tmp_path / name
+        assert run_cli("weights", "--features", features, "--model", forest_path,
+                       "--out", str(path), *argv) == 0
+        return path.read_bytes()
+
+    default = weights_csv("default.csv")
+    from_file = weights_csv("file.csv", "--config", str(cfg))
+    assert from_file != default
+    assert from_file == weights_csv("flag.csv", "--budget-fraction", "0.3")
+    assert weights_csv("both.csv", "--config", str(cfg), "--budget-fraction", "0.7") == default
+
+
 @pytest.mark.parametrize("config", [
     "n_trees = 0", "max_depth = 2.5", "criterion = mae", "features_per_split = 0",
     "min_leaf_weight = heavy", '{"max_depth": 2.5}',

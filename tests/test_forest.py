@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from stockalloc import (
 )
 from stockalloc import forest as forest_module
 
-from oracles import preorder, reference_forest
+from oracles import preorder, reference_forest, reference_predict
 
 
 def table(X, y, w=None):
@@ -364,6 +365,63 @@ class TestMatchesReferenceBuilder:
                 )
 
 
+def benchmark_forest(seed=18):
+    """The default forest on a table of the benchmark's shape."""
+    rng = np.random.default_rng(17)
+    X = rng.uniform(0, 50, size=(300, 3))
+    return train_forest(table(X, rng.poisson(X[:, 0] + 5).astype(float)), seed=seed)
+
+
+def assert_same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_matches_reference(forest, X):
+    point, samples = reference_predict(forest, X)
+    assert_same_bytes(forest.predict_point(X), point)
+    assert_same_bytes(forest.predict_samples(X), samples)
+
+
+class TestMatchesReferencePredict:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(forest_inputs(), st.data())
+    def test_stacked_walk_equals_the_per_tree_loop(self, case, data):
+        X, y, w, params, seed = case
+        forest = train_forest(table(X, y, w), params, seed=seed)
+        if data.draw(st.booleans(), label="from_json"):
+            forest = Forest.from_json(forest.to_json())
+        # Probes tie the thresholds (training values and midpoints) and
+        # include NaN, which every tree sends right.
+        pool = np.concatenate([X.ravel(), [t for tree in forest.trees for t in tree.threshold],
+                               [np.nan, -1e9, 1e9]])
+        n = data.draw(st.integers(0, 30), label="rows")
+        probe = np.array(
+            data.draw(st.lists(st.sampled_from(pool.tolist()), min_size=n * X.shape[1],
+                               max_size=n * X.shape[1]), label="probe"), dtype=float,
+        ).reshape(n, X.shape[1])
+        pairs = data.draw(st.integers(1, 4 * forest.n_trees), label="WALK_PAIRS")
+        with mock.patch.object(forest_module, "WALK_PAIRS", pairs):
+            assert_matches_reference(forest, probe)
+            if n:
+                assert_matches_reference(forest, probe[0])
+                rows = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="subset")
+                assert_same_bytes(forest.predict_point(probe[rows]), forest.predict_point(probe)[rows])
+                assert_same_bytes(forest.predict_samples(probe[rows]),
+                                  forest.predict_samples(probe)[rows])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_around_a_chunk_boundary(self, extra):
+        forest = benchmark_forest()
+        step = forest_module.WALK_PAIRS // forest.n_trees
+        rng = np.random.default_rng(extra + 2)
+        probe = rng.uniform(-5, 55, size=(2 * step + extra, 3))
+        assert_matches_reference(forest, probe)
+        rows = rng.permutation(len(probe))[: step + 1]
+        assert_same_bytes(forest.predict_samples(probe[rows]), forest.predict_samples(probe)[rows])
+        assert_same_bytes(forest.predict_point(probe[rows]), forest.predict_point(probe)[rows])
+
+
 class TestBlocks:
     def test_forest_does_not_depend_on_the_block_size(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -388,3 +446,17 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
+
+    def test_prediction_heap_peak_is_its_output_and_one_chunk(self):
+        # The walk takes WALK_PAIRS (row, tree) pairs at a time: an unchunked
+        # walk of these 2,000,000 pairs would hold several 16 MB index arrays.
+        forest = benchmark_forest()
+        X = np.random.default_rng(19).uniform(0, 50, size=(20_000, 3))
+        output = X.shape[0] * forest.n_trees * 8
+        tracemalloc.start()
+        try:
+            forest.predict_samples(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - output <= 2e6
