@@ -1,7 +1,13 @@
 """Level-wise growth of the trees of a weighted forest (see `forest.train_forest`).
 
 Trees are grown a block at a time; at each depth one vectorized pass finds
-the best split of every open node of the block.
+the best split of every open node of the block. Each open node's m features
+are an ascending row of an (open nodes, m) index array, so the pass scans
+one (sample, feature) pair per sample and feature of its node. Both orders
+a pass needs, the pairs by (node, feature, value rank) for the split scan
+and the samples by child for the routing, come from `_stable_order`: one
+value sort of int64 keys with each key's position packed into its low
+bits, which gives numpy's stable argsort without running one.
 """
 
 from dataclasses import dataclass
@@ -17,13 +23,16 @@ class _Data:
     y: np.ndarray
     w: np.ndarray
     rank: np.ndarray  # (d, n) dense value ranks
-    n_rank: int
+    rank_bits: int  # bits that hold any rank
 
 
 def grow_trees(X, y, w, params, seed, block_rows):
     """The forest's trees, grown in blocks of as many trees as fit
     `block_rows` bootstrap rows (at least one); every weight is positive."""
-    probs = w / w.sum()
+    # `Generator.choice(n, p=w / w.sum())` draws `cdf.searchsorted(u, "right")`
+    # for n uniforms u; drawing so directly builds this CDF once, not per tree.
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
     # Dense rank of each value within its feature: sorting by rank sorts by
     # value, and equal values share a rank.
     rank = np.empty(X.shape[::-1], dtype=np.int32)
@@ -32,18 +41,17 @@ def grow_trees(X, y, w, params, seed, block_rows):
         order = np.argsort(column, kind="stable")
         ordered = column[order]
         rank[f, order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
-    n_rank = int(rank.max()) + 1 if rank.size else 1
-    data = _Data(X, y, w, rank, n_rank)
+    data = _Data(X, y, w, rank, int(rank.max()).bit_length() if rank.size else 0)
 
     per_block = max(1, block_rows // len(y))
     trees = []
     for first in range(0, params.n_trees, per_block):
         block = range(first, min(first + per_block, params.n_trees))
-        trees += _grow_block(data, probs, params, seed, block)
+        trees += _grow_block(data, cdf, params, seed, block)
     return trees
 
 
-def _grow_block(data, probs, params, seed, tree_ids):
+def _grow_block(data, cdf, params, seed, tree_ids):
     """Grow the trees `tree_ids` breadth first; one vectorized pass per depth.
 
     `rows` holds the table rows of the bootstrap samples of the open nodes,
@@ -56,7 +64,7 @@ def _grow_block(data, probs, params, seed, tree_ids):
     min_leaf = np.empty(len(tree_ids))
     for t, k in enumerate(tree_ids):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        draw = rng.choice(n, size=n, replace=True, p=probs)
+        draw = cdf.searchsorted(rng.random(n), side="right")
         min_leaf[t] = params.min_leaf_weight * (data.w[draw].sum() / n)
         rngs.append(rng)
         draws.append(draw)
@@ -93,10 +101,9 @@ def _grow_block(data, probs, params, seed, tree_ids):
             # level order; its m smallest entries pick the node's features.
             counts = np.bincount(tree, minlength=n_trees)
             u = np.concatenate([rngs[t].random((c, d)) for t, c in enumerate(counts) if c])
-            chosen = np.zeros((len(opened), d), dtype=bool)
-            np.put_along_axis(chosen, np.argsort(u, axis=1, kind="stable")[:, :m], True, axis=1)
+            chosen = np.sort(np.argsort(u, axis=1, kind="stable")[:, :m], axis=1)
         else:
-            chosen = np.ones((len(opened), d), dtype=bool)
+            chosen = np.broadcast_to(np.arange(d), (len(opened), d))
         best_f, best_thr, last_left = _best_splits(
             data, rows, node, chosen, weight[opened], wy[opened], wyy[opened],
             min_leaf[tree],
@@ -123,8 +130,8 @@ def _grow_block(data, probs, params, seed, tree_ids):
         rows, node, f_row = rows[keep], node[keep], f_row[keep]
         go_right = data.rank[f_row, rows] > last_left[node]
         child = 2 * (np.cumsum(split) - 1)[node] + go_right
-        order = np.argsort(child, kind="stable")
-        rows, node = rows[order], child[order]
+        order, node = _stable_order(child)
+        rows = rows[order]
         level_tree, level_id = child_tree, child_id
 
     # Each tree gets arrays of its own, so it does not keep its block alive.
@@ -165,8 +172,11 @@ def _best_splits(data, rows, node, chosen, weight, wy, wyy, min_leaf):
     right).
 
     `rows` are the table rows of the open nodes' samples, `node` the open
-    node of each (sorted) and `chosen` the (node, feature) pairs to scan;
-    the weight, w*y and w*y^2 sums and min_leaf come per open node.
+    node of each (sorted) and `chosen` the (open node, m) array of each
+    node's features to scan, ascending; the weight, w*y and w*y^2 sums
+    and min_leaf come per open node. Every sample is paired with each of
+    its node's features, and `_stable_order` sorts the pairs by one packed
+    key, ((node * d + feature) << rank_bits) | value rank.
 
     A node's feature is scanned as in one sort of its values: boundaries
     between distinct values whose sides both weigh >= min_leaf, gain =
@@ -178,7 +188,7 @@ def _best_splits(data, rows, node, chosen, weight, wy, wyy, min_leaf):
     node's raw second moment, and so does tol; uniform weight rescaling
     then cannot flip a tie between equivalent splits.
     """
-    d = chosen.shape[1]
+    d = data.rank.shape[0]
     n_open = len(weight)
     tol = 1e-11 * wyy
     best_f = np.full(n_open, -1, dtype=np.int64)
@@ -187,20 +197,20 @@ def _best_splits(data, rows, node, chosen, weight, wy, wyy, min_leaf):
 
     # One sort puts every (node, feature) pair's values in order: a segment
     # per pair, nodes in level order, features ascending within a node.
-    pair, f = np.nonzero(chosen[node])
+    f = chosen[node].ravel()
+    pair = np.repeat(np.arange(len(rows)), chosen.shape[1])
     if not pair.size:
         return best_f, best_thr, last_left
     key = node[pair]
     key *= d
     key += f
-    key *= data.n_rank
-    key += data.rank[f, rows[pair]]
+    key <<= data.rank_bits
+    key |= data.rank[f, rows[pair]]
     del f
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    order, key = _stable_order(key)
     row = rows[pair[order]]
     del pair, order
-    offset = _run_offsets(key // data.n_rank)
+    offset = _run_offsets(key >> data.rank_bits)
     sums = np.empty((3, len(row)))
     sums[0] = data.w[row]
     np.multiply(sums[0], data.y[row], out=sums[1])
@@ -209,7 +219,7 @@ def _best_splits(data, rows, node, chosen, weight, wy, wyy, min_leaf):
 
     # Candidate cut k: last row of the left side, the value rises at k + 1.
     cut = np.flatnonzero((key[1:] > key[:-1]) & (offset[1:] > 0))
-    segment = key[cut] // data.n_rank
+    segment = key[cut] >> data.rank_bits
     del key, offset
     lw, ly, ly2 = sums[:, cut]
     del sums
@@ -279,8 +289,27 @@ def _segment_cumsum(sums, offset):
     step = 1
     longest = int(offset.max()) + 1
     while step < longest:
-        inside = offset[step:] >= step
-        for series in sums:
-            series[step:] += series[:-step] * inside
+        sums[:, step:] += sums[:, :-step] * (offset[step:] >= step)
         step *= 2
     return sums
+
+
+def _stable_order(keys):
+    """`np.argsort(keys, kind="stable")` and the sorted keys, for nonnegative
+    int64 `keys`.
+
+    Each key is shifted up and its position put in the freed low bits; the
+    packed values are distinct, so one plain value sort of them orders the
+    keys and, among equal keys, their positions: the stable permutation.
+    Keys too wide to share 63 bits with a position take the stable argsort.
+    """
+    shift = max(len(keys) - 1, 0).bit_length()
+    if not len(keys) or int(keys.max()).bit_length() + shift > 63:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = keys << shift
+    packed |= np.arange(len(keys))
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return order, packed

@@ -100,8 +100,7 @@ def _compare_config(args, cfg):
 
 def cmd_synth(args):
     cfg = _config(args.config)
-    cfg["scenario"] = _with_flags(cfg.get("scenario", {}),
-                                  seed=args.seed, budget_fraction=args.budget_fraction)
+    cfg["scenario"] = _with_flags(cfg.get("scenario", {}), seed=args.seed)
     config = _compare_config(args, cfg)
     periods = config.periods if args.periods is None else args.periods
     table, truth = generate(config.scenario, periods=periods)
@@ -283,7 +282,7 @@ def build_parser():
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate the two-class synthetic dataset")
-    add_shared(p, "--config", "--seed", "--budget-fraction")
+    add_shared(p, "--config", "--seed")
     p.add_argument("--out", required=True)
     p.add_argument("--periods", type=int, default=None,
                    help="periods to generate (default: the config file's, else 24)")

@@ -413,6 +413,7 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv, flag", [
     (("synth", "--out", "o"), ("--jacobian", "full_fd")),
+    (("synth", "--out", "o"), ("--budget-fraction", "0.2")),
     (("train", "--features", "f", "--out", "o"), ("--budget-fraction", "0.5")),
     (("train", "--features", "f", "--out", "o"), ("--jacobian", "full_fd")),
     (("weights", "--features", "f", "--model", "m", "--out", "o"), ("--seed", "4")),

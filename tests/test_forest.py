@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -5,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stockalloc import (
@@ -18,6 +19,7 @@ from stockalloc import (
     train_forest,
 )
 from stockalloc import forest as forest_module
+from stockalloc._levelwise import _stable_order
 
 from oracles import preorder, reference_forest, reference_predict
 
@@ -420,6 +422,64 @@ class TestMatchesReferencePredict:
         rows = rng.permutation(len(probe))[: step + 1]
         assert_same_bytes(forest.predict_samples(probe[rows]), forest.predict_samples(probe)[rows])
         assert_same_bytes(forest.predict_point(probe[rows]), forest.predict_point(probe)[rows])
+
+
+def golden_forest(case):
+    """A fixed forest per case: tied integer and float features, d = 5."""
+    rng = np.random.default_rng(31)
+    X = rng.integers(0, 12, size=(150, 5)).astype(float)
+    X[:, 1] = rng.normal(size=150).round(2)
+    y = rng.gamma(2.0, 5.0, 150).round(1)
+    w = rng.uniform(0.2, 3.0, 150)
+    m = {"subsampled": 2, "every_feature": 5, "zero_weight": None, "tied_targets": 5}[case]
+    if case == "zero_weight":
+        w[::4] = 0.0
+    if case == "tied_targets":
+        y = rng.choice([0.1, 0.7, 2.3, 13.9], size=150)
+        w = np.ones(150)
+    params = ForestParams(n_trees=12, max_depth=8, min_leaf_weight=1.0, features_per_split=m)
+    return train_forest(table(X, y, w), params, seed=32)
+
+
+# sha256 of each forest's JSON as the builder wrote it when these were
+# recorded; any change to the bootstrap, the feature subsets, the split
+# scan or the routing changes them.
+GOLDEN_DIGESTS = {
+    "subsampled": "09cc0b60c51fdf9929bac48d4b4afb155f37e20a3343127df82720440ca356d8",
+    "every_feature": "f5d1b2ef7159588ef1e912d2abc73755dd9da5ae37293421a02f81af55be6f22",
+    "zero_weight": "83a5c65801ac18fe87ddd52b34486797a24d7e7f0e6827e0b3d4edef213ebe84",
+    "tied_targets": "000cf7326539e91891285738a2ef20a3a4d7040096c4d7d8222a229f3cec7e22",
+    "benchmark": "c192e7701b168c08fadc1e723800d50b2fd9b46e2765ba9706755a5932b16fe8",
+}
+
+
+class TestGoldenForests:
+    @pytest.mark.parametrize("block_rows", [1, forest_module.BLOCK_ROWS])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+    def test_forest_json_digest(self, case, block_rows, monkeypatch):
+        monkeypatch.setattr(forest_module, "BLOCK_ROWS", block_rows)
+        forest = benchmark_forest() if case == "benchmark" else golden_forest(case)
+        digest = hashlib.sha256(forest.to_json().encode()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[case]
+
+
+class TestStableOrder:
+    # Keys near 2**62 leave too few bits for the positions of two or more
+    # keys, which takes the argsort fallback; 2**63 - 1 alone still packs.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([0, 1, 5, 300, 2**40, 2**56, 2**62, 2**63 - 1]).flatmap(
+        lambda high: st.lists(st.integers(0, high), max_size=300)))
+    @example([]).via("empty")
+    @example([2**63 - 1]).via("one key, no position bits")
+    @example([2**62 - 1, 0]).via("63 bits packed")
+    @example([2**62, 0]).via("64 bits: the fallback")
+    def test_equals_the_stable_argsort(self, values):
+        keys = np.array(values, dtype=np.int64)
+        order, ordered = _stable_order(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert_same_bytes(order, expected)
+        assert_same_bytes(ordered, keys[expected])
+        assert_same_bytes(keys, np.array(values, dtype=np.int64))
 
 
 class TestBlocks:

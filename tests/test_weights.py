@@ -209,6 +209,59 @@ class _PointModel:
         return self.predict_samples(X).mean(axis=1)
 
 
+class _SampleModel:
+    """Stand-in predictor: fixed samples per row, matched by the row's last
+    feature."""
+
+    def __init__(self, X, samples):
+        self.samples = dict(zip(X[:, -1].tolist(), samples))
+
+    def predict_samples(self, X):
+        return np.array([self.samples[x] for x in np.atleast_2d(X)[:, -1].tolist()])
+
+
+@st.composite
+def tie_free_weight_instances(draw):
+    """A table, a model, budgets and a weight config whose every allocation
+    is unique whatever the row order: integer samples and stock keep the
+    sums exact, and each (period, product) budget spends whole water-fill
+    levels (none, some, all, or more than all), so the budget never runs
+    out inside a level shared by several facilities, where facility order
+    would pick the binding one. Feature 0 is the stock on hand, feature 1
+    identifies the row."""
+    n_products, n_periods, n_fac, K = (draw(st.integers(1, hi)) for hi in (2, 3, 6, 4))
+    keys = [(f"2021-{t + 1:02d}", f"p{p}") for p in range(n_products) for t in range(n_periods)]
+    n = len(keys) * n_fac
+    ints = st.lists(st.integers(0, 20), min_size=n * K, max_size=n * K)
+    samples = np.array(draw(ints), dtype=float).reshape(n, K)
+    y = np.array(draw(ints)[:n], dtype=float)
+    stock = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float)
+    table = FeatureTable(
+        facility_ids=[f"f{i}" for _ in keys for i in range(n_fac)],
+        product_ids=[product for _, product in keys for _ in range(n_fac)],
+        periods=[period for period, _ in keys for _ in range(n_fac)],
+        X=np.column_stack([stock, np.arange(n) + 0.5]),
+        y=y,
+        weights=np.ones(n),
+    )
+    config = WeightConfig(
+        weight_floor=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        normalization=draw(st.sampled_from(["none", "mean_one"])),
+        inventory_feature=draw(st.sampled_from([None, 0])),
+    )
+    if config.inventory_feature is not None:
+        net = np.maximum(samples - stock[:, None], 0.0)
+    else:
+        net = samples
+    levels = np.sort(net, axis=1)
+    budgets = {}
+    for g, key in enumerate(keys):
+        spent = draw(st.integers(0, K + 1), label="levels spent")  # K + 1: slack
+        top = levels[g * n_fac:(g + 1) * n_fac, min(spent, K) - 1]
+        budgets[key] = float(top.sum()) + 3.0 * (spent > K) if spent else 0.0
+    return table, _SampleModel(table.X, samples), budgets, config
+
+
 def exact_model(table, k=3, spread=False):
     """Model whose point forecast equals each row's realized demand."""
     values = {tuple(np.round(x, 12)): y for x, y in zip(table.X, table.y)}
@@ -315,6 +368,23 @@ class TestComputeWeights:
         tp = t.subset(perm)
         reportp = compute_weights(tp, model, budgets, WeightConfig())
         assert np.allclose(report.final_weights[perm], reportp.final_weights)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tie_free_weight_instances(), st.data())
+    def test_permutation_equivariance_property(self, instance, data):
+        # The identity Jacobian only: a finite-difference shift moves one
+        # facility off the level boundary, and the perturbed budget then
+        # runs out inside a level, where facility order decides.
+        table, model, budgets, config = instance
+        perm = np.array(data.draw(st.permutations(range(len(table))), label="perm"))
+        report = compute_weights(table, model, budgets, config)
+        permuted = compute_weights(table.subset(perm), model, budgets, config)
+        assert np.array_equal(permuted.gradients, report.gradients[perm])
+        assert np.array_equal(permuted.raw_weights, report.raw_weights[perm])
+        # mean_one divides by a mean summed in row order
+        np.testing.assert_allclose(permuted.final_weights, report.final_weights[perm],
+                                   rtol=1e-12, atol=0)
+        assert permuted.group_jacobian_mode == report.group_jacobian_mode
 
     def test_covered_facilities_get_exactly_floor(self):
         # One facility's demand is always fully covered: weight floor exactly.
