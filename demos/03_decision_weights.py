@@ -32,7 +32,7 @@ g = loss_gradient(a_star, realized)
 print("shortfall subgradient:", g, " (-1 marks unmet demand)")
 
 # Identity Jacobian: the weight is just |g|.
-cfg = WeightConfig(jacobian_mode="identity", weight_floor=0.05, normalization="none")
+cfg = WeightConfig(jacobian_mode="identity", weight_floor=0.05)
 J = policy_jacobian(problem, cfg)
 w = np.maximum(np.abs(J.T @ g), cfg.weight_floor)
 print("weights (identity J):", w)
@@ -40,7 +40,7 @@ print("weights (identity J):", w)
 # Finite-difference Jacobian: how the optimal allocation responds when a
 # facility's whole demand distribution shifts. Facilities pinned at zero
 # allocation or past their budget share show zero sensitivity.
-fd = WeightConfig(jacobian_mode="full_fd", fd_step=0.1, normalization="none")
+fd = WeightConfig(jacobian_mode="full_fd", fd_step=0.1)
 J_fd = policy_jacobian(problem, fd)
 print("\nfull finite-difference Jacobian (rows: d a_i / d xi_j):")
 print(np.round(J_fd, 2))

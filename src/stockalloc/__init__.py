@@ -60,7 +60,6 @@ from .weights import (
     compute_weights,
     loss_gradient,
     policy_jacobian,
-    retrain_weighted,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +102,6 @@ __all__ = [
     "optimal_loss_oracle",
     "parse_records",
     "policy_jacobian",
-    "retrain_weighted",
     "run_decision_aware",
     "run_decision_blind",
     "run_oracle",

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import load_config_file, load_section
-from .errors import ConfigError, SchemaError, StockAllocError
+from .errors import ConfigError, NotFoundError, SchemaError, StockAllocError
 from .forest import Forest, ForestParams, train_forest
 from .ingest import (
     FeatureTable,
@@ -41,7 +41,6 @@ from .synth import TwoClassScenario, generate
 from .weights import (
     DEFAULT_BUDGET_FRACTION,
     JACOBIAN_MODES,
-    WeightConfig,
     WeightReport,
     apply_report,
     budgets_from_fraction,
@@ -131,18 +130,16 @@ def cmd_train(args):
 
 def cmd_weights(args):
     cfg = _config(args.config)
-    # `weights` reads the weight_config section on its own: unlike `compare`,
-    # it takes its inventory_feature from there.
-    section = _with_flags(cfg.pop("weight_config", {}), jacobian_mode=args.jacobian)
+    cfg["weight_config"] = _with_flags(cfg.get("weight_config", {}), jacobian_mode=args.jacobian)
     config = _compare_config(args, cfg)
-    wcfg = load_section(WeightConfig, section, "weight_config")
     fraction = args.budget_fraction
     if fraction is None:
         fraction = config.resolved_budget_fraction()
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
-    budgets = budgets_from_fraction(table, fraction, inventory_feature=wcfg.inventory_feature)
-    report = compute_weights(table, model, budgets, wcfg)
+    budgets = budgets_from_fraction(table, fraction, inventory_feature=args.inventory_feature)
+    report = compute_weights(table, model, budgets, config.weight_config,
+                             inventory_feature=args.inventory_feature)
     report.to_csv(args.out)
     print(f"wrote {len(report)} weights -> {args.out}")
     return 0
@@ -209,7 +206,8 @@ def cmd_evaluate(args):
         by_facility = dict(zip((eval_table.facility_ids[i] for i in rows), demand))
         missing = [f for f in entry["facility_ids"] if f not in by_facility]
         if missing:
-            raise ConfigError(f"realized demand missing for facilities {missing[:3]}...")
+            more = "..." if len(missing) > 3 else ""
+            raise NotFoundError(f"realized demand missing for facilities {missing[:3]}{more}")
         realized[product] = np.array([by_facility[f] for f in entry["facility_ids"]])
         allocations[product] = np.array(entry["allocation"], dtype=float)
     text = json.dumps(evaluate(allocations, realized), indent=2, sort_keys=True)
@@ -299,6 +297,7 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, help="forest JSON from `train`")
     p.add_argument("--out", required=True, help="output weights CSV path")
+    p.add_argument("--inventory-feature", dest="inventory_feature", type=int, default=None)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("retrain", help="retrain the forest with decision weights")

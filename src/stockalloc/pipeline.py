@@ -84,8 +84,6 @@ class RunConfig:
         check(self, "inventory_feature",
               self.inventory_feature in ("auto", None) or is_int(self.inventory_feature, 0),
               "'auto', None or a feature index >= 0")
-        if self.weight_config.inventory_feature is not None:
-            raise ConfigError("weight_config: inventory_feature is the run's inventory_feature")
 
     def resolved_inventory_feature(self):
         if self.inventory_feature == "auto":
@@ -268,10 +266,6 @@ def _train_model(config, table):
     return train_linear(table, n_samples=config.linear_samples)
 
 
-def _weight_config(config, prepared):
-    return replace(config.weight_config, inventory_feature=prepared.inventory_feature)
-
-
 def run_decision_blind(config, prepared=None, model=None):
     """Uniform-weight training, then optimize on the model's samples."""
     prepared = prepared or prepare(config)
@@ -285,11 +279,11 @@ def run_decision_aware(config, prepared=None, initial_model=None):
     Returns (outcome, weight_report)."""
     prepared = prepared or prepare(config)
     initial_model = initial_model or _train_model(config, prepared.train)
-    wcfg = _weight_config(config, prepared)
-    report = compute_weights(prepared.train, initial_model, prepared.budgets_train, wcfg)
+    report = compute_weights(prepared.train, initial_model, prepared.budgets_train,
+                             config.weight_config, inventory_feature=prepared.inventory_feature)
     reweighted = apply_report(prepared.train, report)
     model = _train_model(config, reweighted)
-    label = f"decision_aware({wcfg.jacobian_mode})"
+    label = f"decision_aware({config.weight_config.jacobian_mode})"
     outcome = _model_policy("decision_aware", config, prepared, model, label)
     return outcome, report
 
@@ -371,7 +365,7 @@ def compare(config):
             if config.budgets is None
             else None,
             "inventory_feature": prepared.inventory_feature,
-            "weight_config": asdict(_weight_config(config, prepared)),
+            "weight_config": asdict(config.weight_config),
             "source": "scenario" if config.scenario is not None else config.csv_path,
         },
     }

@@ -13,20 +13,17 @@ runs a fixed, small number of times regardless of model size.
 """
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .allocator import AllocationProblem, shifted_allocations, solve_greedy
-from .config import check, is_int, is_real
+from .config import check, is_real
 from .errors import ConfigError, MissingWeightError, ShapeError
-from .forest import train_forest
 from .ingest import group_rows, net_requirement, read_csv_table
 from .periods import normalize_period
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
-EXPANSION_POINTS = ("model", "realized")
 DEFAULT_BUDGET_FRACTION = 0.7
 WEIGHTS_CSV_HEADER = [
     "period", "facility_id", "product_id", "gradient", "raw_weight", "final_weight"
@@ -38,24 +35,14 @@ class WeightConfig:
     jacobian_mode: str = "identity"
     fd_step: float | None = None  # None -> 1e-2 * mean demand scale
     weight_floor: float = 0.05
-    normalization: str = "mean_one"  # or "none"
-    expansion_point: str = "model"  # or "realized"
-    inventory_feature: int | None = None  # net requirement = max(demand - inv, 0)
 
     def __post_init__(self):
-        if self.jacobian_mode not in JACOBIAN_MODES:
-            raise ConfigError(f"jacobian_mode must be one of {JACOBIAN_MODES}")
-        if self.fd_step is not None and not (math.isfinite(self.fd_step) and self.fd_step > 0):
-            raise ConfigError("fd_step must be finite and positive")
-        if not (math.isfinite(self.weight_floor) and self.weight_floor >= 0):
-            raise ConfigError("weight_floor must be finite and >= 0")
-        if self.normalization not in ("none", "mean_one"):
-            raise ConfigError("normalization must be 'none' or 'mean_one'")
-        if self.expansion_point not in EXPANSION_POINTS:
-            raise ConfigError(f"expansion_point must be one of {EXPANSION_POINTS}")
-        check(self, "inventory_feature",
-              self.inventory_feature is None or is_int(self.inventory_feature, 0),
-              "None or a feature index >= 0")
+        check(self, "jacobian_mode", self.jacobian_mode in JACOBIAN_MODES,
+              f"one of {JACOBIAN_MODES}")
+        check(self, "fd_step", self.fd_step is None or (is_real(self.fd_step) and self.fd_step > 0),
+              "finite and positive")
+        check(self, "weight_floor", is_real(self.weight_floor) and self.weight_floor >= 0,
+              "finite and >= 0")
 
 
 @dataclass
@@ -187,17 +174,17 @@ def group_problems(table, budgets, samples_of, inventory_feature):
         yield key, rows, realized, AllocationProblem(samples.T, float(budgets[key]))
 
 
-def compute_weights(train, initial_model, budget_per_period, config=None):
+def compute_weights(train, initial_model, budget_per_period, config=None, inventory_feature=None):
     """Derive per-row decision weights from the initial model's allocations.
 
     For every (period, product) group in the training table
-    (`group_problems`): solve the scenario problem of the initial model's
-    samples at that group's rows (or of the realized requirement, with
-    `expansion_point="realized"`) once, take the shortfall subgradient
-    against the realized requirement, push it through the configured
-    Jacobian estimate, floor the absolute values, and optionally normalize
-    the result to mean one. Groups whose facility panel is incomplete
-    relative to the product's full panel fall back to the identity Jacobian.
+    (`group_problems`, netting by `inventory_feature` when it is set):
+    solve the scenario problem of the initial model's samples at that
+    group's rows once, take the shortfall subgradient against the realized
+    requirement, push it through the configured Jacobian estimate, floor
+    the absolute values, and scale the result to mean one. Groups whose
+    facility panel is incomplete relative to the product's full panel fall
+    back to the identity Jacobian.
     """
     config = config or WeightConfig()
     n = len(train)
@@ -208,15 +195,12 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
     panels = {}
     for facility, product in zip(train.facility_ids, train.product_ids):
         panels.setdefault(product, set()).add(facility)
-    if config.expansion_point == "model":
-        def samples_of(rows):
-            return initial_model.predict_samples(train.X[rows])
-    else:
-        def samples_of(rows):
-            return train.y[rows][:, None]
+
+    def samples_of(rows):
+        return initial_model.predict_samples(train.X[rows])
 
     for (period, product), rows, xi_star, problem in group_problems(
-            train, budget_per_period, samples_of, config.inventory_feature):
+            train, budget_per_period, samples_of, inventory_feature):
         a_star = solve_greedy(problem).allocation
         g = loss_gradient(a_star, xi_star)
 
@@ -231,7 +215,7 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         modes[(period, product)] = mode
 
     final = np.maximum(np.abs(raw), config.weight_floor)
-    if config.normalization == "mean_one" and n:
+    if n:
         mean = final.mean()
         if mean > 0:
             final = final / mean
@@ -259,8 +243,3 @@ def apply_report(train, report):
             raise MissingWeightError(f"report has no weight for row {key}")
         weights[i] = by_key[key]
     return train.with_weights(weights)
-
-
-def retrain_weighted(train, report, params=None, seed=0):
-    """Retrain the forest with the report's weights in place of the table's."""
-    return train_forest(apply_report(train, report), params=params, seed=seed)

@@ -317,18 +317,22 @@ def test_unreadable_ledger_is_a_schema_error(tmp_path, capsys, command, cells, m
      "compare: weight_config: weight_floor: could not convert string to float: 'abc'"),
     ("compare", '{"weight_config": {"fd_step": [1]}}',
      "compare: weight_config: fd_step: float() argument"),
-    ("compare", '{"weight_config": {"inventory_feature": 2.5}}',
-     "compare: weight_config: inventory_feature must be None or a feature index >= 0"),
+    ("compare", '{"inventory_feature": 2.5}',
+     "compare: inventory_feature must be 'auto', None or a feature index >= 0, got 2.5"),
     ("compare", '{"weight_config": {"fd_step": "Infinity"}}', "compare: weight_config: fd_step must be finite"),
     ("compare", '{"weight_config": {"weight_floor": NaN}}', "compare: weight_config: weight_floor must be finite"),
     ("compare", "weight_config = abc", "compare: weight_config: expected an object"),
     ("compare", '{"weight_config": {"inventory_feature": 0}}',
-     "compare: weight_config: inventory_feature is the run's inventory_feature"),
+     "compare: weight_config: unknown key(s) ['inventory_feature'], expected some of "),
+    ("compare", '{"weight_config": {"expansion_point": "model"}}',
+     "compare: weight_config: unknown key(s) ['expansion_point'], expected some of "),
+    ("compare", '{"weight_config": {"normalization": "none"}}',
+     "compare: weight_config: unknown key(s) ['normalization'], expected some of "),
     ("train", b"n_trees = \xff\n", "{cfg}, line 1: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["not_json", "trailing_data", "json_array", "weight_floor_not_a_number",
         "fd_step_a_list", "inventory_feature_not_an_integer", "fd_step_infinite",
         "weight_floor_nan", "weight_config_key_value", "weight_config_inventory_feature",
-        "not_utf8"])
+        "weight_config_expansion_point", "weight_config_normalization", "not_utf8"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, text, message):
     features = tmp_path / "features.csv"
     features.write_text(FEATURE_HEADER)
@@ -430,7 +434,7 @@ def test_flag_a_command_does_not_read_is_refused(capsys, argv, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["allocate", "evaluate"])
+@pytest.mark.parametrize("command", ["allocate", "evaluate", "weights"])
 def test_inventory_feature_outside_the_table_is_a_config_error(tmp_path, capsys, command):
     assert run_cli("synth", "--out", str(tmp_path), "--periods", "2") == 0
     features = str(tmp_path / "features.csv")
@@ -440,28 +444,32 @@ def test_inventory_feature_outside_the_table_is_a_config_error(tmp_path, capsys,
     assert run_cli("allocate", "--features", features, "--model", forest_path,
                    "--out", allocation) == 0
     argv = {"allocate": ("allocate", "--model", forest_path, "--out", allocation),
-            "evaluate": ("evaluate", "--allocation", allocation)}[command]
+            "evaluate": ("evaluate", "--allocation", allocation),
+            "weights": ("weights", "--model", forest_path,
+                        "--out", str(tmp_path / "weights.csv"))}[command]
     assert run_cli(*argv, "--features", features, "--inventory-feature", "3") == 2
     assert capsys.readouterr().err.startswith(
         "config error: inventory_feature: 3 is out of range, the table has 3 features")
 
 
-def test_weights_reads_the_inventory_feature_of_its_weight_config(tmp_path):
-    assert run_cli("synth", "--out", str(tmp_path), "--periods", "3", "--seed", "2") == 0
-    features = tmp_path / "features.csv"
-    forest_path, weights_path = tmp_path / "forest.json", tmp_path / "weights.csv"
-    assert run_cli("train", "--features", str(features), "--out", str(forest_path),
-                   "--config", str(TestEvalPeriodSplit._small_forest(tmp_path))) == 0
+def test_weights_nets_by_its_inventory_feature_flag(tmp_path, synth_forest):
+    features, forest_path = synth_forest
     cfg = tmp_path / "weights.json"
-    cfg.write_text('{"weight_config": {"inventory_feature": 0, "weight_floor": 0.01}}')
-    assert run_cli("weights", "--features", str(features), "--model", str(forest_path),
-                   "--out", str(weights_path), "--config", str(cfg)) == 0
+    cfg.write_text('{"weight_config": {"weight_floor": 0.01}}')
+
+    def weights_csv(name, *argv):
+        path = tmp_path / name
+        assert run_cli("weights", "--features", features, "--model", forest_path,
+                       "--config", str(cfg), "--out", str(path), *argv) == 0
+        return WeightReport.from_csv(path).final_weights
+
     table = FeatureTable.from_csv(features)
-    wcfg = WeightConfig(inventory_feature=0, weight_floor=0.01)
     budgets = budgets_from_fraction(table, 0.7, inventory_feature=0)
-    expected = compute_weights(table, Forest.load(forest_path), budgets, wcfg)
-    assert np.array_equal(WeightReport.from_csv(weights_path).final_weights,
-                          expected.final_weights)
+    expected = compute_weights(table, Forest.load(forest_path), budgets,
+                               WeightConfig(weight_floor=0.01), inventory_feature=0)
+    netted = weights_csv("netted.csv", "--inventory-feature", "0")
+    assert np.array_equal(netted, expected.final_weights)
+    assert not np.array_equal(weights_csv("gross.csv"), netted)
 
 
 @pytest.fixture
@@ -517,7 +525,7 @@ def test_a_compare_file_serves_weights_and_synth(tmp_path, synth_forest):
     cfg.write_text(json.dumps({
         "model": "linear", "budget_fraction": 0.5, "rolling_window": 2,
         "scenario": {"n_low": 3, "n_high": 2},
-        "weight_config": {"weight_floor": 0.25, "normalization": "none"},
+        "weight_config": {"weight_floor": 0.25},
     }))
     assert run_cli("synth", "--config", str(cfg), "--periods", "2",
                    "--out", str(tmp_path / "s")) == 0
@@ -526,7 +534,10 @@ def test_a_compare_file_serves_weights_and_synth(tmp_path, synth_forest):
     weights_path = tmp_path / "weights.csv"
     assert run_cli("weights", "--features", features, "--model", forest_path,
                    "--config", str(cfg), "--out", str(weights_path)) == 0
-    assert WeightReport.from_csv(weights_path).final_weights.min() == 0.25
+    report = WeightReport.from_csv(weights_path)
+    floored = np.maximum(np.abs(report.raw_weights), 0.25)
+    assert floored.min() == 0.25
+    assert np.array_equal(report.final_weights, floored / floored.mean())
 
 
 @pytest.mark.parametrize("text", ['{"periods": 4}', "periods = 4"], ids=["json", "key_value"])
@@ -537,6 +548,21 @@ def test_synth_takes_its_periods_from_a_compare_file(tmp_path, capsys, text):
     assert capsys.readouterr().out == "generated 400 rows over 4 periods\n"
     assert run_cli("synth", "--config", str(cfg), "--periods", "2", "--out", str(tmp_path / "b")) == 0
     assert capsys.readouterr().out == "generated 200 rows over 2 periods\n"
+
+
+@pytest.mark.parametrize("facilities, named", [
+    (["x"], "['x']"),
+    (["x", "y", "z", "w"], "['x', 'y', 'z']..."),
+], ids=["one", "more_than_three"])
+def test_allocation_naming_an_unknown_facility_is_a_data_error(tmp_path, capsys, synth_forest,
+                                                               facilities, named):
+    features, _ = synth_forest
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(json.dumps({"products": {"synthetic": {
+        "facility_ids": facilities, "allocation": [1.0] * len(facilities)}}}))
+    assert run_cli("evaluate", "--allocation", str(allocation), "--features", features) == 3
+    assert capsys.readouterr().err == (
+        f"data error: realized demand missing for facilities {named}\n")
 
 
 def test_weights_takes_its_budget_fraction_from_a_compare_file(tmp_path, synth_forest):

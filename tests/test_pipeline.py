@@ -198,8 +198,8 @@ class TestPolicies:
         narrow.feature_names = narrow.feature_names[:2]
         model = train_linear(prepared.train, n_samples=5)
         with pytest.raises(ShapeError):
-            compute_weights(narrow, model, prepared.budgets_train,
-                            WeightConfig(inventory_feature=0))
+            compute_weights(narrow, model, prepared.budgets_train, WeightConfig(),
+                            inventory_feature=0)
 
     def test_equal_weights_reduce_to_blind(self):
         # Zero budget in every training period makes every gradient -1

@@ -20,7 +20,6 @@ from stockalloc import (
     compute_weights,
     loss_gradient,
     policy_jacobian,
-    retrain_weighted,
     train_forest,
 )
 from stockalloc import weights
@@ -160,6 +159,17 @@ class TestPolicyJacobian:
         with pytest.raises(ConfigError):
             WeightConfig(**setting)
 
+    @pytest.mark.parametrize("setting", [
+        {"fd_step": True}, {"fd_step": "x"}, {"weight_floor": True}, {"weight_floor": "0.1"},
+        {"jacobian_mode": ["identity"]},
+    ], ids=["fd_step_bool", "fd_step_str", "weight_floor_bool", "weight_floor_str",
+            "jacobian_mode_list"])
+    def test_setting_of_the_wrong_type_rejected(self, setting):
+        (name, value), = setting.items()
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be ") + ".*"
+                           + re.escape(f", got {value!r}")):
+            WeightConfig(**setting)
+
 
 def panel_table(n_periods=3, n_fac=4, seed=0, d=2):
     """Full facility panel over consecutive periods, single product."""
@@ -244,12 +254,9 @@ def tie_free_weight_instances(draw):
         y=y,
         weights=np.ones(n),
     )
-    config = WeightConfig(
-        weight_floor=draw(st.sampled_from([0.0, 0.05, 0.5])),
-        normalization=draw(st.sampled_from(["none", "mean_one"])),
-        inventory_feature=draw(st.sampled_from([None, 0])),
-    )
-    if config.inventory_feature is not None:
+    config = WeightConfig(weight_floor=draw(st.sampled_from([0.0, 0.05, 0.5])))
+    inventory_feature = draw(st.sampled_from([None, 0]))
+    if inventory_feature is not None:
         net = np.maximum(samples - stock[:, None], 0.0)
     else:
         net = samples
@@ -259,7 +266,13 @@ def tie_free_weight_instances(draw):
         spent = draw(st.integers(0, K + 1), label="levels spent")  # K + 1: slack
         top = levels[g * n_fac:(g + 1) * n_fac, min(spent, K) - 1]
         budgets[key] = float(top.sum()) + 3.0 * (spent > K) if spent else 0.0
-    return table, _SampleModel(table.X, samples), budgets, config
+    return table, _SampleModel(table.X, samples), budgets, config, inventory_feature
+
+
+def floored_mean_one(report, floor):
+    """The final weights `compute_weights` must give: max(|raw|, floor) / its mean."""
+    floored = np.maximum(np.abs(report.raw_weights), floor)
+    return floored / floored.mean()
 
 
 def exact_model(table, k=3, spread=False):
@@ -297,10 +310,10 @@ class TestComputeWeights:
         t = panel_table()
         model = exact_model(t)
         budgets = {(p, "p"): 1e6 for p in set(t.periods)}  # budget covers everything
-        cfg = WeightConfig(weight_floor=0.05, normalization="none")
-        report = compute_weights(t, model, budgets, cfg)
+        report = compute_weights(t, model, budgets, WeightConfig(weight_floor=0.05))
         assert np.all(report.gradients == 0.0)
-        assert np.all(report.final_weights == 0.05)
+        assert np.all(report.raw_weights == 0.0)
+        assert np.array_equal(report.final_weights, floored_mean_one(report, 0.05))
 
     def test_identity_gradient_floor_pattern(self):
         t = panel_table(n_periods=1, n_fac=2)
@@ -309,17 +322,18 @@ class TestComputeWeights:
             {tuple(np.round(x, 12)): v for x, v in zip(t.X, [2.0, 1.0])}
         )
         report = compute_weights(
-            t, model, {("2021-01", "p"): 3.0}, WeightConfig(weight_floor=0.05, normalization="none")
+            t, model, {("2021-01", "p"): 3.0}, WeightConfig(weight_floor=0.05)
         )
         # a* = [2, 1]: facility 0 underserved -> 1.0, facility 1 covered -> floor
-        assert np.allclose(report.final_weights, [1.0, 0.05])
+        assert np.array_equal(report.final_weights, floored_mean_one(report, 0.05))
+        assert np.allclose(report.final_weights, np.array([1.0, 0.05]) / 0.525)
         assert np.array_equal(report.gradients, [-1.0, 0.0])
 
     def test_mean_one_normalization(self):
         t = panel_table(seed=3)
         model = exact_model(t)
         budgets = budgets_from_fraction(t, 0.5)
-        report = compute_weights(t, model, budgets, WeightConfig(normalization="mean_one"))
+        report = compute_weights(t, model, budgets, WeightConfig())
         assert report.final_weights.mean() == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_raw_weights_are_zero_or_one_in_magnitude(self):
@@ -334,10 +348,9 @@ class TestComputeWeights:
         t = panel_table(seed=4)
         model = exact_model(t)
         budgets = budgets_from_fraction(t, 0.4)
-        raw = compute_weights(t, model, budgets, WeightConfig(normalization="none"))
-        norm = compute_weights(t, model, budgets, WeightConfig(normalization="mean_one"))
-        ratio = raw.final_weights / norm.final_weights
-        assert np.allclose(ratio, ratio[0])
+        report = compute_weights(t, model, budgets, WeightConfig(weight_floor=0.05))
+        assert (np.abs(report.raw_weights) < 0.05).any()  # the floor decides some weights
+        assert np.array_equal(report.final_weights, floored_mean_one(report, 0.05))
 
     def test_missing_budget_raises(self):
         t = panel_table()
@@ -375,13 +388,13 @@ class TestComputeWeights:
         # The identity Jacobian only: a finite-difference shift moves one
         # facility off the level boundary, and the perturbed budget then
         # runs out inside a level, where facility order decides.
-        table, model, budgets, config = instance
+        table, model, budgets, config, inventory_feature = instance
         perm = np.array(data.draw(st.permutations(range(len(table))), label="perm"))
-        report = compute_weights(table, model, budgets, config)
-        permuted = compute_weights(table.subset(perm), model, budgets, config)
+        report = compute_weights(table, model, budgets, config, inventory_feature)
+        permuted = compute_weights(table.subset(perm), model, budgets, config, inventory_feature)
         assert np.array_equal(permuted.gradients, report.gradients[perm])
         assert np.array_equal(permuted.raw_weights, report.raw_weights[perm])
-        # mean_one divides by a mean summed in row order
+        # the final weights divide by a mean summed in row order
         np.testing.assert_allclose(permuted.final_weights, report.final_weights[perm],
                                    rtol=1e-12, atol=0)
         assert permuted.group_jacobian_mode == report.group_jacobian_mode
@@ -394,10 +407,10 @@ class TestComputeWeights:
         t.y[:] = y
         model = exact_model(t)
         budgets = {(p, "p"): 2.0 for p in set(t.periods)}  # covers f0's segment first
-        cfg = WeightConfig(weight_floor=0.07, normalization="none")
-        report = compute_weights(t, model, budgets, cfg)
+        report = compute_weights(t, model, budgets, WeightConfig(weight_floor=0.07))
         f0 = [i for i, f in enumerate(report.facility_ids) if f == "f0"]
-        assert np.all(report.final_weights[f0] == 0.07)
+        assert np.all(report.raw_weights[f0] == 0.0)
+        assert np.array_equal(report.final_weights, floored_mean_one(report, 0.07))
 
     def test_incomplete_panel_falls_back_to_identity(self):
         t = panel_table(n_periods=2, n_fac=3, seed=6)
@@ -409,22 +422,16 @@ class TestComputeWeights:
         assert report.group_jacobian_mode[("2021-01", "p")] == "identity"
         assert report.group_jacobian_mode[("2021-02", "p")] == "diagonal_fd"
 
-    def test_realized_expansion_point(self):
-        t = panel_table(seed=9)
-        model = exact_model(t)
-        budgets = budgets_from_fraction(t, 0.6)
-        rep = compute_weights(t, model, budgets, WeightConfig(expansion_point="realized"))
-        assert len(rep) == len(t)
-
     def test_inventory_netting_zeroes_covered_class(self):
         t = panel_table(n_periods=1, n_fac=2, seed=10)
         t.X[:, 0] = [100.0, 0.0]  # facility 0 holds plenty of stock
         t.y[:] = [20.0, 5.0]
         model = exact_model(t)
-        cfg = WeightConfig(inventory_feature=0, weight_floor=0.01, normalization="none")
-        report = compute_weights(t, model, {("2021-01", "p"): 1.0}, cfg)
+        report = compute_weights(t, model, {("2021-01", "p"): 1.0},
+                                 WeightConfig(weight_floor=0.01), inventory_feature=0)
         assert report.gradients[0] == 0.0  # net requirement zero, covered
-        assert report.final_weights[0] == 0.01
+        assert report.raw_weights[0] == 0.0
+        assert np.array_equal(report.final_weights, floored_mean_one(report, 0.01))
 
 
 class TestRetrain:
@@ -443,7 +450,7 @@ class TestRetrain:
             final_weights=np.full(len(t), 2.5),
         )
         params = ForestParams(n_trees=5, max_depth=4, min_leaf_weight=1.0)
-        weighted = retrain_weighted(t, report, params, seed=3)
+        weighted = train_forest(apply_report(t, report), params, seed=3)
         uniform = train_forest(t, params, seed=3)
         probe = np.random.default_rng(4).uniform(0, 1, (10, 3))
         assert np.allclose(weighted.predict_point(probe), uniform.predict_point(probe), rtol=1e-9)
@@ -466,7 +473,7 @@ class TestRetrain:
             final_weights=np.concatenate([np.ones(50), np.zeros(30)]),
         )
         params = ForestParams(n_trees=6, max_depth=5, min_leaf_weight=1.0)
-        weighted = retrain_weighted(t, report, params, seed=7)
+        weighted = train_forest(apply_report(t, report), params, seed=7)
         clean_only = train_forest(
             FeatureTable.from_arrays(clean_X, clean_y), params, seed=7
         )
@@ -484,7 +491,7 @@ class TestRetrain:
             final_weights=np.zeros(len(t)),
         )
         with pytest.raises(DegenerateWeightsError):
-            retrain_weighted(t, report, ForestParams(n_trees=2), seed=0)
+            train_forest(apply_report(t, report), ForestParams(n_trees=2), seed=0)
 
     def test_coverage_gap_raises(self):
         t = self._table(seed=9)
