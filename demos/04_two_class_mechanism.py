@@ -25,9 +25,6 @@ from stockalloc import (
 from stockalloc.pipeline import prepare
 
 scenario = TwoClassScenario(seed=0)
-print("scenario:", scenario.n_low, "low +", scenario.n_high, "high facilities,",
-      f"budget fraction {scenario.budget_fraction}, noise sd {scenario.effective_noise_sd:.2f}")
-
 config = RunConfig(
     scenario=scenario,
     model="linear",  # the deliberately misspecified learner
@@ -35,6 +32,8 @@ config = RunConfig(
     weight_config=WeightConfig(weight_floor=0.005),
     seed=0,
 )
+print("scenario:", scenario.n_low, "low +", scenario.n_high, "high facilities,",
+      f"budget fraction {config.budget_fraction}, noise sd {scenario.effective_noise_sd:.2f}")
 prepared = prepare(config)
 
 blind = run_decision_blind(config, prepared)

@@ -37,7 +37,7 @@ from .pipeline import (
     solve_products,
     write_breakdown_csv,
 )
-from .synth import TwoClassScenario, generate
+from .synth import generate
 from .weights import (
     DEFAULT_BUDGET_FRACTION,
     JACOBIAN_MODES,
@@ -132,14 +132,11 @@ def cmd_weights(args):
     cfg = _config(args.config)
     cfg["weight_config"] = _with_flags(cfg.get("weight_config", {}), jacobian_mode=args.jacobian)
     config = _compare_config(args, cfg)
-    fraction = args.budget_fraction
-    if fraction is None:
-        fraction = config.resolved_budget_fraction()
+    fraction = config.budget_fraction if args.budget_fraction is None else args.budget_fraction
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
-    budgets = budgets_from_fraction(table, fraction, inventory_feature=args.inventory_feature)
-    report = compute_weights(table, model, budgets, config.weight_config,
-                             inventory_feature=args.inventory_feature)
+    report = compute_weights(table, model, budgets_from_fraction(table, fraction),
+                             config.weight_config)
     report.to_csv(args.out)
     print(f"wrote {len(report)} weights -> {args.out}")
     return 0
@@ -148,22 +145,15 @@ def cmd_weights(args):
 def cmd_allocate(args):
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
-    prepared = prepare_table(
-        table, args.eval_period, args.budget_fraction, inventory_feature=args.inventory_feature
-    )
+    prepared = prepare_table(table, args.eval_period, args.budget_fraction)
     if args.budget is not None:
         prepared = replace(prepared, budgets_eval=dict.fromkeys(prepared.budgets_eval, args.budget))
     X = prepared.eval_table.X
     products = {}
     for product, rows, _, problem, result in solve_products(
             prepared, lambda rows: model.predict_samples(X[rows])):
-        products[product] = {
-            "budget": problem.budget,
-            "facility_ids": [prepared.eval_table.facility_ids[i] for i in rows],
-            "allocation": result.allocation.tolist(),
-            "objective": result.objective,
-            "fill_trace": [s.to_dict() for s in result.fill_trace],
-        }
+        products[product] = dict(result.to_dict(), budget=problem.budget,
+                                 facility_ids=[prepared.eval_table.facility_ids[i] for i in rows])
     payload = {"eval_period": prepared.eval_period, "products": products}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
@@ -194,15 +184,13 @@ def _read_allocation(path):
 def cmd_evaluate(args):
     allocation = _read_allocation(args.allocation)
     table = FeatureTable.from_csv(args.features)
-    prepared = prepare_table(
-        table, allocation.get("eval_period"), inventory_feature=args.inventory_feature
-    )
+    prepared = prepare_table(table, allocation.get("eval_period"))
     eval_table = prepared.eval_table
     groups = group_rows(eval_table.product_ids)
     allocations, realized = {}, {}
     for product, entry in sorted(allocation["products"].items()):
         rows = groups.get(product, [])
-        demand = net_requirement(eval_table, rows, eval_table.y[rows], args.inventory_feature)
+        demand = net_requirement(eval_table, rows, eval_table.y[rows])
         by_facility = dict(zip((eval_table.facility_ids[i] for i in rows), demand))
         missing = [f for f in entry["facility_ids"] if f not in by_facility]
         if missing:
@@ -297,7 +285,6 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, help="forest JSON from `train`")
     p.add_argument("--out", required=True, help="output weights CSV path")
-    p.add_argument("--inventory-feature", dest="inventory_feature", type=int, default=None)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("retrain", help="retrain the forest with decision weights")
@@ -314,14 +301,12 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--eval-period", dest="eval_period", default=None)
     p.add_argument("--budget", type=float, default=None, help="absolute budget per product")
-    p.add_argument("--inventory-feature", dest="inventory_feature", type=int, default=None)
     p.set_defaults(func=cmd_allocate, budget_fraction=DEFAULT_BUDGET_FRACTION)
 
     p = sub.add_parser("evaluate", help="score an allocation against realized demand")
     p.add_argument("--allocation", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--inventory-feature", dest="inventory_feature", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="run all policies and emit the evaluation report")

@@ -87,18 +87,13 @@ def _convert(value, annotation):
     return _CONVERT.get(last, lambda v: v)(value)
 
 
-def refuse_unknown(section, known, where=""):
-    """Raise ConfigError "[<where>]unknown key(s) [...]" for keys of `section` not in `known`."""
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise ConfigError(f"{where}unknown key(s) {unknown}, expected some of {sorted(known)}")
-
-
 def _build(cls, section, given):
     if not isinstance(section, dict):
         raise ConfigError(f"expected an object, got {section!r}")
     types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in given}
-    refuse_unknown(section, types)
+    unknown = sorted(set(section) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}, expected some of {sorted(types)}")
     values = dict(given)
     for key, value in section.items():
         try:

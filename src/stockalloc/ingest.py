@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, NotFoundError, SchemaError, ShapeError
+from .errors import EmptyInputError, NotFoundError, SchemaError, ShapeError
 from .periods import normalize_period, period_index, period_indices, period_str
 
 BALANCE_TOL = 1e-9
+INVENTORY_COLUMN = "prior_inventory"  # the feature that `net_requirement` nets by
 
 REQUIRED_FIELDS = (
     "facility_id",
@@ -342,6 +343,12 @@ class FeatureTable:
     def feature_dim(self):
         return self.X.shape[1]
 
+    @property
+    def inventory_feature(self):
+        """Index of the `INVENTORY_COLUMN` feature, or None when the table has none."""
+        names = self.feature_names
+        return names.index(INVENTORY_COLUMN) if INVENTORY_COLUMN in names else None
+
     def row_keys(self):
         return list(zip(self.facility_ids, self.product_ids, self.periods))
 
@@ -393,10 +400,9 @@ class FeatureTable:
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            d = self.feature_dim
             writer.writerow(
                 ["facility_id", "product_id", "period"]
-                + [f"f_{j}" for j in range(d)]
+                + list(self.feature_names)
                 + ["target", "weight"]
             )
             for i in range(len(self)):
@@ -465,21 +471,19 @@ def group_rows(keys):
     return {key: np.asarray(groups[key], dtype=np.int64) for key in sorted(groups)}
 
 
-def net_requirement(table, rows, values, inventory_feature):
+def net_requirement(table, rows, values):
     """What a budget has to cover: demand minus on-hand inventory, floored at 0.
 
     `values` are demands for the table rows `rows`, shape (rows,) or
-    (rows, K); the inventory is feature `inventory_feature` of those rows.
-    With no inventory feature the demands are the requirement; a feature
-    the table does not have is a ConfigError.
+    (rows, K); the inventory is the table's `INVENTORY_COLUMN` feature at
+    those rows. A table without that feature (a ledger's) is not netted:
+    its demands are the requirement.
     """
     values = np.asarray(values, dtype=float)
-    if inventory_feature is None:
+    column = table.inventory_feature
+    if column is None:
         return values
-    if not 0 <= inventory_feature < table.feature_dim:
-        raise ConfigError(f"inventory_feature: {inventory_feature!r} is out of range, "
-                          f"the table has {table.feature_dim} features")
-    inventory = table.X[rows, inventory_feature]
+    inventory = table.X[rows, column]
     if values.ndim == 2:
         inventory = inventory[:, None]
     return np.clip(values - inventory, 0.0, None)

@@ -7,10 +7,11 @@ scored against the realized demand of the evaluation period as unmet
 demand in percent. The decision-aware run differs from the decision-blind
 run in exactly one thing: the training-row weights.
 
-When `inventory_feature` is set (the synthetic scenario does this, with
-prior inventory as feature 0), allocation and scoring are computed on the
-net requirement, demand minus on-hand inventory floored at zero. Budgets
-follow the same convention.
+When the feature table has a `prior_inventory` feature
+(`ingest.INVENTORY_COLUMN`; the synthetic scenario's feature 0 is one),
+allocation and scoring are computed on the net requirement, demand minus
+on-hand inventory floored at zero. Budgets follow the same convention. A
+ledger's table has no such feature, so its demand is the requirement.
 """
 
 import json
@@ -32,7 +33,7 @@ from .ingest import (
 )
 from .linear import train_linear
 from .periods import period_index, period_indices, period_str
-from .synth import INVENTORY_FEATURE, TwoClassScenario, generate
+from .synth import TwoClassScenario, generate
 from .weights import (
     DEFAULT_BUDGET_FRACTION,
     WeightConfig,
@@ -54,14 +55,13 @@ class RunConfig:
     lag_months: int = 10
     outlier_multiplier: float = 10.0
     eval_period: str | None = None  # None -> latest period present
-    budget_fraction: float | None = None  # None -> scenario's, else the default
+    budget_fraction: float = DEFAULT_BUDGET_FRACTION
     budgets: dict | None = None  # explicit ("YYYY-MM", product) -> units
     model: str = "forest"  # or "linear"
     forest_params: ForestParams = field(default_factory=ForestParams)
     linear_samples: int = 100
     weight_config: WeightConfig = field(default_factory=WeightConfig)
     rolling_window: int = 3
-    inventory_feature: int | str | None = "auto"  # "auto" | None | feature index
     seed: int = 0
 
     def __post_init__(self):
@@ -78,24 +78,12 @@ class RunConfig:
         multiplier, fraction = self.outlier_multiplier, self.budget_fraction
         check(self, "outlier_multiplier", is_real(multiplier) and multiplier > 1,
               "a finite number > 1")
-        check(self, "budget_fraction",
-              fraction is None or (is_real(fraction) and 0 < fraction <= 1), "in (0, 1]")
+        check(self, "budget_fraction", is_real(fraction) and 0 < fraction <= 1, "in (0, 1]")
         check(self, "model", self.model in ("forest", "linear"), "'forest' or 'linear'")
-        check(self, "inventory_feature",
-              self.inventory_feature in ("auto", None) or is_int(self.inventory_feature, 0),
-              "'auto', None or a feature index >= 0")
-
-    def resolved_inventory_feature(self):
-        if self.inventory_feature == "auto":
-            return INVENTORY_FEATURE if self.scenario is not None else None
-        return self.inventory_feature
 
     def resolved_budget_fraction(self):
-        if self.budget_fraction is not None:
-            return self.budget_fraction
-        if self.scenario is not None:
-            return self.scenario.budget_fraction
-        return DEFAULT_BUDGET_FRACTION
+        """The share of each group's realized requirement that its budget covers."""
+        return self.budget_fraction
 
     def training_signature(self):
         sig = {"model": self.model, "seed": self.seed}
@@ -114,7 +102,6 @@ class PreparedRun:
     eval_period: str
     budgets_train: dict
     budgets_eval: dict
-    inventory_feature: int | None
     rejects: list = field(default_factory=list)
     exclusions: list = field(default_factory=list)
     ground_truth: np.ndarray | None = None
@@ -132,15 +119,14 @@ def prepare(config):
     prepared = prepare_table(
         table,
         eval_period=config.eval_period,
-        budget_fraction=config.resolved_budget_fraction(),
+        budget_fraction=config.budget_fraction,
         budgets=config.budgets,
-        inventory_feature=config.resolved_inventory_feature(),
     )
     return replace(prepared, rejects=rejects, exclusions=exclusions, ground_truth=truth)
 
 
 def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTION,
-                  budgets=None, inventory_feature=None):
+                  budgets=None):
     """Split a feature table at the evaluation period and fix the budgets.
 
     The evaluation period defaults to the table's latest and is normalized
@@ -161,8 +147,8 @@ def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTI
     if budgets is not None:
         budgets_train, budgets_eval = dict(budgets), dict(budgets)
     else:
-        budgets_train = budgets_from_fraction(train, budget_fraction, inventory_feature)
-        budgets_eval = budgets_from_fraction(eval_table, budget_fraction, inventory_feature)
+        budgets_train = budgets_from_fraction(train, budget_fraction)
+        budgets_eval = budgets_from_fraction(eval_table, budget_fraction)
     return PreparedRun(
         table=table,
         train=train,
@@ -170,7 +156,6 @@ def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTI
         eval_period=eval_period,
         budgets_train=budgets_train,
         budgets_eval=budgets_eval,
-        inventory_feature=inventory_feature,
     )
 
 
@@ -231,7 +216,7 @@ def solve_products(prepared, samples_of):
     outcomes do not keep it.
     """
     for (_, product), rows, realized, problem in group_problems(
-            prepared.eval_table, prepared.budgets_eval, samples_of, prepared.inventory_feature):
+            prepared.eval_table, prepared.budgets_eval, samples_of):
         yield product, rows, realized, problem, solve_greedy(problem)
 
 
@@ -280,7 +265,7 @@ def run_decision_aware(config, prepared=None, initial_model=None):
     prepared = prepared or prepare(config)
     initial_model = initial_model or _train_model(config, prepared.train)
     report = compute_weights(prepared.train, initial_model, prepared.budgets_train,
-                             config.weight_config, inventory_feature=prepared.inventory_feature)
+                             config.weight_config)
     reweighted = apply_report(prepared.train, report)
     model = _train_model(config, reweighted)
     label = f"decision_aware({config.weight_config.jacobian_mode})"
@@ -361,10 +346,8 @@ def compare(config):
         "config": {
             "model": config.model,
             "seed": config.seed,
-            "budget_fraction": config.resolved_budget_fraction()
-            if config.budgets is None
-            else None,
-            "inventory_feature": prepared.inventory_feature,
+            "budget_fraction": config.budget_fraction if config.budgets is None else None,
+            "inventory_feature": prepared.table.inventory_feature,
             "weight_config": asdict(config.weight_config),
             "source": "scenario" if config.scenario is not None else config.csv_path,
         },

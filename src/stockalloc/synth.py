@@ -9,10 +9,11 @@ both populations interpolates between the two demand lines and makes
 systematic errors exactly where allocations are decided.
 
 The generator emits the same feature-table format the ingest stage
-produces, with prior inventory as feature 0, so downstream stages treat
-synthetic and real data identically. Allocation quality on this data is
-judged on the net requirement (demand minus on-hand inventory, floored at
-zero), which is what the budget actually has to cover.
+produces, so downstream stages treat synthetic and real data identically.
+Feature 0 is prior inventory, named `ingest.INVENTORY_COLUMN`; because of
+that name every stage judges allocations on this data by the net
+requirement (demand minus on-hand inventory, floored at zero), which is
+what the budget actually has to cover.
 """
 
 from dataclasses import dataclass
@@ -22,10 +23,9 @@ import numpy as np
 from .allocator import AllocationProblem, solve_greedy
 from .config import check, is_int, is_real, load_section
 from .errors import ConfigError
-from .ingest import FeatureTable
+from .ingest import INVENTORY_COLUMN, FeatureTable
 from .periods import period_index, period_str
 
-INVENTORY_FEATURE = 0
 PRODUCT_ID = "synthetic"
 _FIRST_PERIOD = "2020-01"
 
@@ -41,7 +41,6 @@ class TwoClassScenario:
     low_inventory: tuple = (0.0, 40.0)
     high_inventory: tuple = (45.0, 70.0)
     noise_sd: float | None = None  # None -> 0.1 * analytic mean demand
-    budget_fraction: float = 0.7
     seed: int = 0
 
     def __post_init__(self):
@@ -61,10 +60,9 @@ class TwoClassScenario:
                   and r[0] < r[1], "a (low, high) pair of finite numbers, low < high")
         if self.low_inventory[1] > self.high_inventory[0]:
             raise ConfigError("low-class inventory range must lie below the high-class range")
-        noise_sd, fraction = self.noise_sd, self.budget_fraction
+        noise_sd = self.noise_sd
         check(self, "noise_sd", noise_sd is None or (is_real(noise_sd) and noise_sd >= 0),
               "None or a finite number >= 0")
-        check(self, "budget_fraction", is_real(fraction) and 0 < fraction <= 1, "in (0, 1]")
 
     @property
     def mean_demand(self):
@@ -134,7 +132,7 @@ def generate(scenario, periods=24):
         X=np.vstack(Xs),
         y=np.concatenate(demands),
         weights=np.ones(n * periods),
-        feature_names=["prior_inventory", "month", "noise"],
+        feature_names=[INVENTORY_COLUMN, "month", "noise"],
     )
     return table, np.concatenate(truths)
 

@@ -141,22 +141,20 @@ def _groups(table):
     return group_rows(zip(map(normalize_period, table.periods), table.product_ids))
 
 
-def budgets_from_fraction(table, fraction, inventory_feature=None):
-    """Per-(period, product) budget as a fraction in (0, 1] of realized demand.
-
-    When `inventory_feature` is set the realized quantity is the net
-    requirement, demand minus that feature's on-hand inventory.
-    """
+def budgets_from_fraction(table, fraction):
+    """Per-(period, product) budget as a fraction in (0, 1] of the realized
+    requirement (`net_requirement`: demand, net of inventory when the table
+    holds it)."""
     if not (is_real(fraction) and 0 < fraction <= 1):
         raise ConfigError(f"budget fraction must be in (0, 1], got {fraction!r}")
     budgets = {}
     for key, rows in _groups(table).items():
-        realized = net_requirement(table, rows, table.y[rows], inventory_feature)
+        realized = net_requirement(table, rows, table.y[rows])
         budgets[key] = fraction * float(realized.sum())
     return budgets
 
 
-def group_problems(table, budgets, samples_of, inventory_feature):
+def group_problems(table, budgets, samples_of):
     """The allocation problem of every (period, product) group, in key order.
 
     Yields ((period, product), rows, realized, problem): the group's table
@@ -169,16 +167,16 @@ def group_problems(table, budgets, samples_of, inventory_feature):
     for key, rows in _groups(table).items():
         if key not in budgets:
             raise ConfigError(f"no budget for period {key[0]!r}, product {key[1]!r}")
-        realized = net_requirement(table, rows, table.y[rows], inventory_feature)
-        samples = net_requirement(table, rows, samples_of(rows), inventory_feature)
+        realized = net_requirement(table, rows, table.y[rows])
+        samples = net_requirement(table, rows, samples_of(rows))
         yield key, rows, realized, AllocationProblem(samples.T, float(budgets[key]))
 
 
-def compute_weights(train, initial_model, budget_per_period, config=None, inventory_feature=None):
+def compute_weights(train, initial_model, budget_per_period, config=None):
     """Derive per-row decision weights from the initial model's allocations.
 
     For every (period, product) group in the training table
-    (`group_problems`, netting by `inventory_feature` when it is set):
+    (`group_problems`, netting by inventory when the table holds it):
     solve the scenario problem of the initial model's samples at that
     group's rows once, take the shortfall subgradient against the realized
     requirement, push it through the configured Jacobian estimate, floor
@@ -200,7 +198,7 @@ def compute_weights(train, initial_model, budget_per_period, config=None, invent
         return initial_model.predict_samples(train.X[rows])
 
     for (period, product), rows, xi_star, problem in group_problems(
-            train, budget_per_period, samples_of, inventory_feature):
+            train, budget_per_period, samples_of):
         a_star = solve_greedy(problem).allocation
         g = loss_gradient(a_star, xi_star)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from stockalloc import (
     AllocationProblem,
     FeatureTable,
     Forest,
-    WeightConfig,
     WeightReport,
     budgets_from_fraction,
     compute_weights,
     solve_greedy,
+    unmet_demand_pct,
 )
 from stockalloc.cli import load_config_file, main
+from stockalloc.pipeline import prepare_table, solve_products
 
 LEDGER_HEADER = (
     "facility_id,product_id,period,region,opening_balance,quantity_received,"
@@ -140,8 +142,7 @@ class TestModelCommands:
 
         allocation = str(out / "allocation.json")
         assert run_cli("allocate", "--features", features, "--model", retrained,
-                       "--out", allocation, "--budget-fraction", "0.6",
-                       "--inventory-feature", "0") == 0
+                       "--out", allocation, "--budget-fraction", "0.6") == 0
         payload = json.loads((out / "allocation.json").read_text())
         assert "synthetic" in payload["products"]
         entry = payload["products"]["synthetic"]
@@ -149,7 +150,7 @@ class TestModelCommands:
         assert entry["fill_trace"]
 
         assert run_cli("evaluate", "--allocation", allocation, "--features", features,
-                       "--out", str(out / "eval.json"), "--inventory-feature", "0") == 0
+                       "--out", str(out / "eval.json")) == 0
         scored = json.loads((out / "eval.json").read_text())
         assert 0.0 <= scored["synthetic"]["unmet_demand_pct"] <= 100.0
 
@@ -318,7 +319,7 @@ def test_unreadable_ledger_is_a_schema_error(tmp_path, capsys, command, cells, m
     ("compare", '{"weight_config": {"fd_step": [1]}}',
      "compare: weight_config: fd_step: float() argument"),
     ("compare", '{"inventory_feature": 2.5}',
-     "compare: inventory_feature must be 'auto', None or a feature index >= 0, got 2.5"),
+     "compare: unknown key(s) ['inventory_feature'], expected some of "),
     ("compare", '{"weight_config": {"fd_step": "Infinity"}}', "compare: weight_config: fd_step must be finite"),
     ("compare", '{"weight_config": {"weight_floor": NaN}}', "compare: weight_config: weight_floor must be finite"),
     ("compare", "weight_config = abc", "compare: weight_config: expected an object"),
@@ -364,7 +365,6 @@ def test_config_that_is_a_directory_is_a_data_error(tmp_path, capsys):
     ("csv", '{"outlier_multiplier": "nan"}', "compare", "outlier_multiplier"),
     ("synth", '{"scenario": {"n_low": "x"}}', "compare: scenario", "n_low"),
     ("synth", '{"inventory_feature": "x"}', "compare", "inventory_feature"),
-    ("synth", '{"inventory_feature": 99}', "inventory_feature", "99"),
     ("csv", '{"schema": 5}', "compare", "schema"),
     ("synth", '{"model": "linear", "linear_samples": 0}', "compare", "linear_samples"),
     ("synth", '{"model": "linear", "linear_samples": 2.5}', "compare", "linear_samples"),
@@ -374,7 +374,7 @@ def test_config_that_is_a_directory_is_a_data_error(tmp_path, capsys):
     ("train", '{"forest_params": {"n_trees": 5}}', "train", "forest_params"),
 ], ids=["lag_months_text", "lag_months_zero", "periods_text", "budget_fraction_text",
         "rolling_window_text", "outlier_multiplier_below_one", "outlier_multiplier_nan",
-        "scenario_n_low_text", "inventory_feature_text", "inventory_feature_out_of_range",
+        "scenario_n_low_text", "inventory_feature_text",
         "schema_a_number", "linear_samples_zero", "linear_samples_fraction",
         "unknown_section", "unknown_forest_key", "forest_params_a_list",
         "train_reads_compare_shaped_file"])
@@ -434,42 +434,69 @@ def test_flag_a_command_does_not_read_is_refused(capsys, argv, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["allocate", "evaluate", "weights"])
-def test_inventory_feature_outside_the_table_is_a_config_error(tmp_path, capsys, command):
-    assert run_cli("synth", "--out", str(tmp_path), "--periods", "2") == 0
-    features = str(tmp_path / "features.csv")
-    forest_path, allocation = str(tmp_path / "forest.json"), str(tmp_path / "allocation.json")
-    assert run_cli("train", "--features", features, "--out", forest_path,
-                   "--config", str(TestEvalPeriodSplit._small_forest(tmp_path))) == 0
-    assert run_cli("allocate", "--features", features, "--model", forest_path,
-                   "--out", allocation) == 0
-    argv = {"allocate": ("allocate", "--model", forest_path, "--out", allocation),
-            "evaluate": ("evaluate", "--allocation", allocation),
-            "weights": ("weights", "--model", forest_path,
-                        "--out", str(tmp_path / "weights.csv"))}[command]
-    assert run_cli(*argv, "--features", features, "--inventory-feature", "3") == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: inventory_feature: 3 is out of range, the table has 3 features")
+def test_feature_csv_keeps_the_feature_names(tmp_path):
+    assert run_cli("synth", "--out", str(tmp_path / "s"), "--periods", "2") == 0
+    ledger = write_ledger(tmp_path / "ledger.csv")
+    assert run_cli("ingest", "--csv", str(ledger), "--out", str(tmp_path / "g"),
+                   "--lag-months", "2") == 0
+    synth = FeatureTable.from_csv(tmp_path / "s" / "features.csv")
+    ledger_table = FeatureTable.from_csv(tmp_path / "g" / "features.csv")
+    assert synth.feature_names == ["prior_inventory", "month", "noise"]
+    assert ledger_table.feature_names == ["lag_1", "lag_2", "lag_1_present", "lag_2_present",
+                                          "month", "year", "region_code"]
+    assert (synth.inventory_feature, ledger_table.inventory_feature) == (0, None)
 
 
-def test_weights_nets_by_its_inventory_feature_flag(tmp_path, synth_forest):
+def test_weights_allocate_evaluate_net_by_the_tables_prior_inventory(tmp_path, synth_forest):
     features, forest_path = synth_forest
-    cfg = tmp_path / "weights.json"
-    cfg.write_text('{"weight_config": {"weight_floor": 0.01}}')
+    table, model = FeatureTable.from_csv(features), Forest.load(forest_path)
+    weights_path, allocation = tmp_path / "weights.csv", tmp_path / "allocation.json"
+    scored = tmp_path / "eval.json"
+    assert run_cli("weights", "--features", features, "--model", forest_path,
+                   "--out", str(weights_path)) == 0
+    assert run_cli("allocate", "--features", features, "--model", forest_path,
+                   "--out", str(allocation)) == 0
+    assert run_cli("evaluate", "--allocation", str(allocation), "--features", features,
+                   "--out", str(scored)) == 0
 
-    def weights_csv(name, *argv):
-        path = tmp_path / name
-        assert run_cli("weights", "--features", features, "--model", forest_path,
-                       "--config", str(cfg), "--out", str(path), *argv) == 0
-        return WeightReport.from_csv(path).final_weights
+    expected = compute_weights(table, model, budgets_from_fraction(table, 0.7))
+    assert np.array_equal(WeightReport.from_csv(weights_path).final_weights,
+                          expected.final_weights)
+    prepared = prepare_table(table, budget_fraction=0.7)
+    X = prepared.eval_table.X
+    (product, rows, realized, problem, result), = solve_products(
+        prepared, lambda rows: model.predict_samples(X[rows]))
+    assert np.any(realized < prepared.eval_table.y[rows])  # netted
+    entry = json.loads(allocation.read_text())["products"][product]
+    assert (entry["budget"], entry["allocation"]) == (problem.budget, result.allocation.tolist())
+    assert json.loads(scored.read_text()) == {
+        product: {"unmet_demand_pct": unmet_demand_pct(result.allocation, realized)}}
 
-    table = FeatureTable.from_csv(features)
-    budgets = budgets_from_fraction(table, 0.7, inventory_feature=0)
-    expected = compute_weights(table, Forest.load(forest_path), budgets,
-                               WeightConfig(weight_floor=0.01), inventory_feature=0)
-    netted = weights_csv("netted.csv", "--inventory-feature", "0")
-    assert np.array_equal(netted, expected.final_weights)
-    assert not np.array_equal(weights_csv("gross.csv"), netted)
+    # The same table with its inventory column under another name is not netted.
+    gross_features, gross_weights = tmp_path / "gross.csv", tmp_path / "gross_weights.csv"
+    replace(table, feature_names=["stock", "month", "noise"]).to_csv(gross_features)
+    assert run_cli("weights", "--features", str(gross_features), "--model", forest_path,
+                   "--out", str(gross_weights)) == 0
+    assert not np.array_equal(WeightReport.from_csv(gross_weights).final_weights,
+                              expected.final_weights)
+
+
+@pytest.mark.parametrize("command", ["weights", "synth", "compare"])
+@pytest.mark.parametrize("text, where, key", [
+    ('{"inventory_feature": 0}', "", "inventory_feature"),
+    ('{"scenario": {"budget_fraction": 0.5}}', "scenario: ", "budget_fraction"),
+], ids=["inventory_feature", "scenario_budget_fraction"])
+def test_inventory_feature_and_scenario_budget_fraction_are_unknown_keys(
+        tmp_path, capsys, synth_forest, command, text, where, key):
+    cfg, out = tmp_path / "run.json", tmp_path / "out"
+    cfg.write_text(text)
+    features, forest_path = synth_forest
+    argv = {"weights": ("weights", "--features", features, "--model", forest_path),
+            "synth": ("synth",), "compare": ("compare", "--synth")}[command]
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {command}: {where}unknown key(s) ['{key}'], expected some of ")
+    assert not out.exists()
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
-"""The README's command-line and config tables agree with the code.
+"""The README's command-line and config tables, and its library quick
+start, agree with the code.
 
 A flag or config key that the README lists and the code does not have,
-or the other way round, fails here.
+or the other way round, fails here, and so does a quick start that no
+longer runs.
 """
 
 import argparse
@@ -82,3 +84,11 @@ def test_config_table_lists_the_keys_of_each_section():
 def test_compare_file_top_level_keys_match_run_config():
     listed = re.search(r"the top\s+level may hold only `([^`]*)`", _readme()).group(1).split()
     assert set(listed) == _fields(RunConfig) - RUN_GIVEN
+
+
+def test_library_quick_start_runs(capsys):
+    text = _readme()
+    (block,) = re.findall(r"## Library quick start\s+```python\n(.*?)```", text, re.S)
+    exec(compile(block, "README.md (Library quick start)", "exec"), {})
+    allocation, means = capsys.readouterr().out.splitlines()
+    assert allocation.startswith("[") and len(means.split()) == 2

@@ -20,6 +20,7 @@ from stockalloc import (
     split_train_eval,
 )
 
+from stockalloc.ingest import INVENTORY_COLUMN, net_requirement
 from stockalloc.periods import normalize_period, period_index
 
 from oracles import reference_clean, reference_feature_table, reference_period_index
@@ -569,6 +570,28 @@ class TestSplit:
             split_train_eval(self._table(), "2022-01")
 
 
+class TestNetRequirement:
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nets_by_the_inventory_column_wherever_it_sits(self, column):
+        names = ["other", "other"]
+        names[column] = INVENTORY_COLUMN
+        t = replace(FeatureTable.from_arrays(np.array([[9.0, 0.0], [1.0, 4.0], [0.0, 2.0]]),
+                                             np.array([5.0, 3.0, 1.0])), feature_names=names)
+        rows = np.array([2, 0, 1])
+        stock = t.X[rows, column]
+        assert t.inventory_feature == column
+        assert np.array_equal(net_requirement(t, rows, t.y[rows]),
+                              np.clip(t.y[rows] - stock, 0, None))
+        samples = np.stack([t.y[rows], 3 * t.y[rows]], 1)
+        assert np.array_equal(net_requirement(t, rows, samples),
+                              np.clip(samples - stock[:, None], 0, None))
+
+    def test_table_without_the_inventory_column_is_not_netted(self):
+        t = FeatureTable.from_arrays(np.ones((2, 2)), np.array([5.0, 3.0]))
+        assert t.inventory_feature is None
+        assert np.array_equal(net_requirement(t, np.arange(2), t.y), t.y)
+
+
 class TestFeatureTableCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -581,6 +604,7 @@ class TestFeatureTableCsv:
         assert np.array_equal(back.y, t.y)
         assert np.array_equal(back.weights, t.weights)
         assert back.facility_ids == t.facility_ids
+        assert back.feature_names == t.feature_names
         with open(path) as fh:
             header = fh.readline().strip().split(",")
         assert header[:3] == ["facility_id", "product_id", "period"]

@@ -100,7 +100,7 @@ class TestRollingForecasts:
         train, ev = split_train_eval(t, "2021-04")
         prepared = PreparedRun(
             table=t, train=train, eval_table=ev, eval_period="2021-04",
-            budgets_train={}, budgets_eval={}, inventory_feature=None,
+            budgets_train={}, budgets_eval={},
         )
         assert rolling_forecasts(prepared, window=3)[0] == 4.0
         assert rolling_forecasts(prepared, window=2)[0] == 5.0
@@ -121,7 +121,7 @@ class TestRollingForecasts:
         train, ev = split_train_eval(t, "2021-02")
         prepared = PreparedRun(
             table=t, train=train, eval_table=ev, eval_period="2021-02",
-            budgets_train={}, budgets_eval={}, inventory_feature=None,
+            budgets_train={}, budgets_eval={},
         )
         assert rolling_forecasts(prepared, window=3)[0] == 0.0  # b has no history
 
@@ -154,9 +154,10 @@ class TestPolicies:
                 assert np.all(entry["allocation"] >= 0)
 
     def test_full_budget_perfect_info_near_zero_unmet(self):
-        scen = TwoClassScenario(seed=4, n_high=0, noise_sd=0.0, budget_fraction=1.0)
+        scen = TwoClassScenario(seed=4, n_high=0, noise_sd=0.0)
         cfg = RunConfig(
             scenario=scen,
+            budget_fraction=1.0,
             model="forest",
             forest_params=ForestParams(n_trees=20, max_depth=14, min_leaf_weight=1.0, features_per_split=3),
             seed=4,
@@ -171,8 +172,9 @@ class TestPolicies:
         # Single class, zero noise: demand is exactly linear in the
         # features, so the linear learner predicts perfectly and its
         # allocation loss equals the perfect-foresight oracle.
-        scen = TwoClassScenario(seed=14, n_high=0, noise_sd=0.0, budget_fraction=1.0)
-        cfg = RunConfig(scenario=scen, model="linear", linear_samples=20, seed=14)
+        scen = TwoClassScenario(seed=14, n_high=0, noise_sd=0.0)
+        cfg = RunConfig(scenario=scen, budget_fraction=1.0, model="linear", linear_samples=20,
+                        seed=14)
         prepared = prepare(cfg)
         oracle = run_oracle(cfg, prepared)
         blind = run_decision_blind(cfg, prepared)
@@ -198,8 +200,7 @@ class TestPolicies:
         narrow.feature_names = narrow.feature_names[:2]
         model = train_linear(prepared.train, n_samples=5)
         with pytest.raises(ShapeError):
-            compute_weights(narrow, model, prepared.budgets_train, WeightConfig(),
-                            inventory_feature=0)
+            compute_weights(narrow, model, prepared.budgets_train, WeightConfig())
 
     def test_equal_weights_reduce_to_blind(self):
         # Zero budget in every training period makes every gradient -1
@@ -309,7 +310,8 @@ class TestCsvPipeline:
             seed=1,
         )
         report, outcomes, weight_report, prepared = compare(cfg)
-        assert prepared.inventory_feature is None  # no netting for CSV runs
+        assert prepared.table.inventory_feature is None  # a ledger table is not netted
+        assert report["config"]["inventory_feature"] is None
         assert "amox" in report["products"]
         entry = report["products"]["amox"]
         o = entry["policies"]["oracle"]["unmet_demand_pct"]

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from stockalloc import ConfigError, TwoClassScenario, generate, optimal_loss_oracle
-from stockalloc.synth import INVENTORY_FEATURE
 
 
 def test_noise_free_targets_equal_class_lines():
     scen = TwoClassScenario(noise_sd=0.0, seed=1)
     table, truth = generate(scen, periods=3)
     assert np.allclose(table.y, truth)
-    inv = table.X[:, INVENTORY_FEATURE]
+    inv = table.X[:, table.inventory_feature]
     for i in range(len(table)):
         if table.facility_ids[i].startswith("low"):
             expected = scen.intercept_low + scen.slope_low * inv[i]
@@ -47,7 +46,7 @@ def test_single_class_dataset_is_learnable():
 def test_high_class_inventory_exceeds_demand():
     scen = TwoClassScenario(seed=5)
     table, _ = generate(scen, periods=4)
-    inv = table.X[:, INVENTORY_FEATURE]
+    inv = table.X[:, table.inventory_feature]
     for i in range(len(table)):
         if table.facility_ids[i].startswith("high"):
             assert inv[i] > table.y[i]
@@ -60,7 +59,7 @@ def test_pooled_linear_fit_is_misspecified_for_low_class():
     # than a fit on the low class alone (the interpolation effect).
     scen = TwoClassScenario(seed=7)
     table, _ = generate(scen, periods=8)
-    X = np.column_stack([table.X[:, INVENTORY_FEATURE], np.ones(len(table))])
+    X = np.column_stack([table.X[:, table.inventory_feature], np.ones(len(table))])
     y = table.y
     low = np.array([f.startswith("low") for f in table.facility_ids])
 

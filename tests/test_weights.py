@@ -23,6 +23,7 @@ from stockalloc import (
     train_forest,
 )
 from stockalloc import weights
+from stockalloc.ingest import INVENTORY_COLUMN
 from stockalloc.weights import WEIGHTS_CSV_HEADER, apply_report, group_problems
 
 from oracles import reference_fd_columns
@@ -237,8 +238,8 @@ def tie_free_weight_instances(draw):
     sums exact, and each (period, product) budget spends whole water-fill
     levels (none, some, all, or more than all), so the budget never runs
     out inside a level shared by several facilities, where facility order
-    would pick the binding one. Feature 0 is the stock on hand, feature 1
-    identifies the row."""
+    would pick the binding one. Feature 0 is the stock on hand, netted when
+    it is named `INVENTORY_COLUMN`; feature 1 identifies the row."""
     n_products, n_periods, n_fac, K = (draw(st.integers(1, hi)) for hi in (2, 3, 6, 4))
     keys = [(f"2021-{t + 1:02d}", f"p{p}") for p in range(n_products) for t in range(n_periods)]
     n = len(keys) * n_fac
@@ -255,8 +256,8 @@ def tie_free_weight_instances(draw):
         weights=np.ones(n),
     )
     config = WeightConfig(weight_floor=draw(st.sampled_from([0.0, 0.05, 0.5])))
-    inventory_feature = draw(st.sampled_from([None, 0]))
-    if inventory_feature is not None:
+    if draw(st.booleans(), label="netted"):
+        table.feature_names[0] = INVENTORY_COLUMN
         net = np.maximum(samples - stock[:, None], 0.0)
     else:
         net = samples
@@ -266,7 +267,7 @@ def tie_free_weight_instances(draw):
         spent = draw(st.integers(0, K + 1), label="levels spent")  # K + 1: slack
         top = levels[g * n_fac:(g + 1) * n_fac, min(spent, K) - 1]
         budgets[key] = float(top.sum()) + 3.0 * (spent > K) if spent else 0.0
-    return table, _SampleModel(table.X, samples), budgets, config, inventory_feature
+    return table, _SampleModel(table.X, samples), budgets, config
 
 
 def floored_mean_one(report, floor):
@@ -288,7 +289,7 @@ class TestGroupProblems:
         budgets = budgets_from_fraction(t, 0.5)
         assert budgets == {("2021-01", "p"): 0.5 * float(t.y[:4].sum()),
                            ("2021-02", "p"): 0.5 * float(t.y[4:].sum())}
-        groups = list(group_problems(t, budgets, lambda rows: t.y[rows][:, None], None))
+        groups = list(group_problems(t, budgets, lambda rows: t.y[rows][:, None]))
         assert [key for key, *_ in groups] == list(budgets)
         for key, rows, realized, problem in groups:
             assert np.array_equal(realized, t.y[rows])
@@ -299,8 +300,9 @@ class TestGroupProblems:
     def test_nets_samples_and_realized_by_the_inventory_feature(self):
         t = panel_table(n_periods=1, n_fac=3)
         t.X[:, 0] = [0.0, 5.0, 100.0]
+        t.feature_names[0] = INVENTORY_COLUMN
         (_, _, realized, problem), = group_problems(
-            t, {("2021-01", "p"): 1.0}, lambda rows: np.stack([t.y[rows], 2 * t.y[rows]], 1), 0)
+            t, {("2021-01", "p"): 1.0}, lambda rows: np.stack([t.y[rows], 2 * t.y[rows]], 1))
         assert np.array_equal(realized, np.clip(t.y - t.X[:, 0], 0, None))
         assert np.array_equal(problem.samples[1], np.clip(2 * t.y - t.X[:, 0], 0, None))
 
@@ -388,10 +390,10 @@ class TestComputeWeights:
         # The identity Jacobian only: a finite-difference shift moves one
         # facility off the level boundary, and the perturbed budget then
         # runs out inside a level, where facility order decides.
-        table, model, budgets, config, inventory_feature = instance
+        table, model, budgets, config = instance
         perm = np.array(data.draw(st.permutations(range(len(table))), label="perm"))
-        report = compute_weights(table, model, budgets, config, inventory_feature)
-        permuted = compute_weights(table.subset(perm), model, budgets, config, inventory_feature)
+        report = compute_weights(table, model, budgets, config)
+        permuted = compute_weights(table.subset(perm), model, budgets, config)
         assert np.array_equal(permuted.gradients, report.gradients[perm])
         assert np.array_equal(permuted.raw_weights, report.raw_weights[perm])
         # the final weights divide by a mean summed in row order
@@ -425,10 +427,11 @@ class TestComputeWeights:
     def test_inventory_netting_zeroes_covered_class(self):
         t = panel_table(n_periods=1, n_fac=2, seed=10)
         t.X[:, 0] = [100.0, 0.0]  # facility 0 holds plenty of stock
+        t.feature_names[0] = INVENTORY_COLUMN
         t.y[:] = [20.0, 5.0]
         model = exact_model(t)
         report = compute_weights(t, model, {("2021-01", "p"): 1.0},
-                                 WeightConfig(weight_floor=0.01), inventory_feature=0)
+                                 WeightConfig(weight_floor=0.01))
         assert report.gradients[0] == 0.0  # net requirement zero, covered
         assert report.raw_weights[0] == 0.0
         assert np.array_equal(report.final_weights, floored_mean_one(report, 0.01))
