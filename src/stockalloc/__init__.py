@@ -12,7 +12,6 @@ from .allocator import (
     AllocationResult,
     FillStep,
     saa_objective,
-    shortfall,
     solve_greedy,
     solve_lp,
 )
@@ -34,7 +33,6 @@ from .ingest import (
     RejectedRow,
     StockRecord,
     build_feature_table,
-    build_features,
     clean_records,
     parse_records,
     split_train_eval,
@@ -52,7 +50,7 @@ from .pipeline import (
     run_rolling_average,
     unmet_demand_pct,
 )
-from .synth import TwoClassScenario, generate, optimal_loss_oracle
+from .synth import TwoClassScenario, generate
 from .weights import (
     WeightConfig,
     WeightReport,
@@ -91,7 +89,6 @@ __all__ = [
     "WeightReport",
     "budgets_from_fraction",
     "build_feature_table",
-    "build_features",
     "clean_records",
     "compare",
     "compute_weights",
@@ -99,7 +96,6 @@ __all__ = [
     "generate",
     "loss_gradient",
     "mdape",
-    "optimal_loss_oracle",
     "parse_records",
     "policy_jacobian",
     "run_decision_aware",
@@ -107,7 +103,6 @@ __all__ = [
     "run_oracle",
     "run_rolling_average",
     "saa_objective",
-    "shortfall",
     "solve_greedy",
     "solve_lp",
     "split_train_eval",

@@ -58,13 +58,6 @@ class AllocationProblem:
     def n_facilities(self):
         return self.samples.shape[1]
 
-    def to_dict(self):
-        return {"samples": self.samples.tolist(), "budget": self.budget}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(np.array(d["samples"], dtype=float), float(d["budget"]))
-
 
 @dataclass(frozen=True)
 class FillStep:
@@ -148,15 +141,6 @@ class AllocationResult:
             "objective": self.objective,
             "fill_trace": [s.to_dict() for s in self.fill_trace],
         }
-
-
-def shortfall(a, xi):
-    """Total unmet demand sum_n max(xi[n] - a[n], 0)."""
-    a = _as_vector(a, "allocation")
-    xi = _as_vector(xi, "demand")
-    if a.shape != xi.shape:
-        raise ShapeError(f"allocation {a.shape} vs demand {xi.shape}")
-    return float(np.maximum(xi - a, 0.0).sum())
 
 
 def saa_objective(problem, a):
@@ -337,7 +321,7 @@ def shifted_allocations(problem, step, own_only=False):
     return columns[0], columns[1]
 
 
-def solve_lp(problem, tolerance=1e-8, max_iter=20000):
+def solve_lp(problem):
     """Solve the explicit allocation LP with the built-in dense simplex.
 
     Variables are (a, c, s) with one surplus s per scenario constraint
@@ -347,8 +331,6 @@ def solve_lp(problem, tolerance=1e-8, max_iter=20000):
     facility's largest sample, which never changes the objective but
     keeps the result unique where the LP optimum is not.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     samples = problem.samples
     K, N = samples.shape
     n_scen = K * N
@@ -371,7 +353,7 @@ def solve_lp(problem, tolerance=1e-8, max_iter=20000):
     cost = np.zeros(n_var)
     cost[N : N + n_scen] = 1.0 / K
 
-    x, _ = _simplex.solve_standard_lp(cost, A, b, max_iter=max_iter)
+    x, _ = _simplex.solve_standard_lp(cost, A, b, max_iter=20000)
     allocation = np.clip(x[:N], 0.0, samples.max(axis=0))
     return AllocationResult(
         allocation=allocation,

@@ -18,12 +18,10 @@ from .config import load_config_file, load_section
 from .errors import ConfigError, NotFoundError, SchemaError, StockAllocError
 from .forest import Forest, ForestParams, train_forest
 from .ingest import (
+    REQUIRED_FIELDS,
     FeatureTable,
-    build_feature_table,
-    clean_records,
     group_rows,
     net_requirement,
-    parse_records,
     read_text,
     write_exclusions_csv,
     write_rejects_csv,
@@ -32,14 +30,15 @@ from .pipeline import (
     RunConfig,
     compare,
     evaluate,
+    load,
     prepare_table,
     report_to_json,
     solve_products,
+    split_table,
     write_breakdown_csv,
 )
 from .synth import generate
 from .weights import (
-    DEFAULT_BUDGET_FRACTION,
     JACOBIAN_MODES,
     WeightReport,
     apply_report,
@@ -48,6 +47,8 @@ from .weights import (
 )
 
 _EXIT_BY_CATEGORY = {"config": 2, "schema": 2, "data": 3, "shape": 3, "solver": 4, "internal": 4}
+# The RunConfig keys a flag of the same name sets, in the commands that have the flag.
+_RUN_FLAGS = ("periods", "lag_months", "outlier_multiplier", "eval_period", "budget_fraction")
 
 
 def _ensure_out(path):
@@ -69,40 +70,46 @@ def _with_flags(section, **flags):
     return dict(section, **{key: value for key, value in flags.items() if value is not None})
 
 
+def _run_config(args):
+    """The command's `RunConfig`: the config file's keys, each flag that was
+    given over its key, every value checked once by `RunConfig`.
+
+    An `ingest` file whose keys are all ledger fields is the schema. A run
+    without a ledger CSV takes the file's scenario, else the default one.
+    `compare --seed` leaves a scenario seed that the file sets."""
+    cfg = _config(getattr(args, "config", None))
+    if args.command == "ingest" and cfg and set(cfg) <= set(REQUIRED_FIELDS):
+        cfg = {"schema": cfg}
+    flags = {key: getattr(args, key, None) for key in _RUN_FLAGS}
+    if args.command == "compare":  # elsewhere `--model` is a forest file
+        flags["model"] = args.model
+    cfg = _with_flags(cfg, **flags)
+    csv_path, seed = getattr(args, "csv", None), getattr(args, "seed", None)
+    scenario = cfg.setdefault("scenario", {}) if csv_path is None else cfg.get("scenario")
+    if seed is not None and isinstance(scenario, dict):
+        if args.command == "synth" or "seed" not in scenario:
+            cfg["scenario"] = dict(scenario, seed=seed)
+    cfg["weight_config"] = _with_flags(cfg.get("weight_config", {}),
+                                       jacobian_mode=getattr(args, "jacobian", None))
+    return load_section(RunConfig, cfg, args.command, csv_path=csv_path, seed=seed or 0)
+
+
 def cmd_ingest(args):
-    cfg = _config(args.config)
-    schema = cfg.get("schema", cfg if cfg and "scenario" not in cfg else None)
-    config = load_section(RunConfig, {"schema": schema}, "ingest", csv_path=args.csv,
-                          lag_months=args.lag_months, outlier_multiplier=args.outlier_multiplier)
-    records, rejects = parse_records(config.csv_path, schema=config.schema)
-    kept, exclusions = clean_records(records, outlier_multiplier=config.outlier_multiplier)
-    table = build_feature_table(kept, lag_months=config.lag_months)
+    table, rejects, exclusions, n_records = load(_run_config(args))
     out = _ensure_out(args.out)
     table.to_csv(os.path.join(out, "features.csv"))
     write_rejects_csv(os.path.join(out, "rejects.csv"), rejects)
     write_exclusions_csv(os.path.join(out, "exclusions.csv"), exclusions)
     print(
-        f"ingested {len(records)} records ({len(rejects)} rejects, "
+        f"ingested {n_records} records ({len(rejects)} rejects, "
         f"{len(exclusions)} excluded), wrote {len(table)} feature rows"
     )
     return 0
 
 
-def _compare_config(args, cfg):
-    """The keys of a `compare` config file read as `compare --synth` reads
-    them: `RunConfig` refuses a key `compare` does not take, and converts
-    and checks every value. A file without a scenario reads with the
-    default one."""
-    return load_section(RunConfig, dict(cfg, scenario=cfg.get("scenario", {})), args.command,
-                        csv_path=None, budgets=None, seed=0)
-
-
 def cmd_synth(args):
-    cfg = _config(args.config)
-    cfg["scenario"] = _with_flags(cfg.get("scenario", {}), seed=args.seed)
-    config = _compare_config(args, cfg)
-    periods = config.periods if args.periods is None else args.periods
-    table, truth = generate(config.scenario, periods=periods)
+    config = _run_config(args)
+    table, truth = generate(config.scenario, periods=config.periods)
     out = _ensure_out(args.out)
     table.to_csv(os.path.join(out, "features.csv"))
     with open(os.path.join(out, "ground_truth.csv"), "w", encoding="utf-8") as fh:
@@ -112,7 +119,7 @@ def cmd_synth(args):
                 f"{table.facility_ids[i]},{table.product_ids[i]},"
                 f"{table.periods[i]},{float(truth[i])!r}\n"
             )
-    print(f"generated {len(table)} rows over {periods} periods")
+    print(f"generated {len(table)} rows over {config.periods} periods")
     return 0
 
 
@@ -129,13 +136,10 @@ def cmd_train(args):
 
 
 def cmd_weights(args):
-    cfg = _config(args.config)
-    cfg["weight_config"] = _with_flags(cfg.get("weight_config", {}), jacobian_mode=args.jacobian)
-    config = _compare_config(args, cfg)
-    fraction = config.budget_fraction if args.budget_fraction is None else args.budget_fraction
+    config = _run_config(args)
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
-    report = compute_weights(table, model, budgets_from_fraction(table, fraction),
+    report = compute_weights(table, model, budgets_from_fraction(table, config.budget_fraction),
                              config.weight_config)
     report.to_csv(args.out)
     print(f"wrote {len(report)} weights -> {args.out}")
@@ -143,9 +147,10 @@ def cmd_weights(args):
 
 
 def cmd_allocate(args):
+    config = _run_config(args)
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
-    prepared = prepare_table(table, args.eval_period, args.budget_fraction)
+    prepared = prepare_table(table, config.eval_period, config.budget_fraction)
     if args.budget is not None:
         prepared = replace(prepared, budgets_eval=dict.fromkeys(prepared.budgets_eval, args.budget))
     X = prepared.eval_table.X
@@ -184,8 +189,7 @@ def _read_allocation(path):
 def cmd_evaluate(args):
     allocation = _read_allocation(args.allocation)
     table = FeatureTable.from_csv(args.features)
-    prepared = prepare_table(table, allocation.get("eval_period"))
-    eval_table = prepared.eval_table
+    _, eval_table, _ = split_table(table, allocation.get("eval_period"))
     groups = group_rows(eval_table.product_ids)
     allocations, realized = {}, {}
     for product, entry in sorted(allocation["products"].items()):
@@ -204,19 +208,6 @@ def cmd_evaluate(args):
             fh.write(text)
     print(text)
     return 0
-
-
-def _run_config(args):
-    """`compare`'s RunConfig: the config file's keys, each flag given in place of its key's."""
-    cfg = _with_flags(_config(args.config), model=args.model, eval_period=args.eval_period,
-                      budget_fraction=args.budget_fraction)
-    if args.synth:
-        cfg.setdefault("scenario", {})
-    if args.seed is not None and isinstance(cfg.get("scenario"), dict):
-        cfg["scenario"] = {"seed": args.seed, **cfg["scenario"]}  # the file's seed wins
-    cfg["weight_config"] = _with_flags(cfg.get("weight_config", {}), jacobian_mode=args.jacobian)
-    return load_section(RunConfig, cfg, "compare", csv_path=args.csv, budgets=None,
-                        seed=args.seed or 0)
 
 
 def cmd_compare(args):
@@ -262,9 +253,9 @@ def build_parser():
     p = sub.add_parser("ingest", help="parse, clean, and featurize a stock ledger CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lag-months", dest="lag_months", type=int, default=10)
-    p.add_argument("--outlier-multiplier", dest="outlier_multiplier", type=float, default=10.0)
-    p.add_argument("--config", help="schema config: field = column lines or JSON")
+    p.add_argument("--lag-months", dest="lag_months", type=int, default=None)
+    p.add_argument("--outlier-multiplier", dest="outlier_multiplier", type=float, default=None)
+    p.add_argument("--config", help="ledger field = column lines, or a compare config file")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate the two-class synthetic dataset")
@@ -301,7 +292,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--eval-period", dest="eval_period", default=None)
     p.add_argument("--budget", type=float, default=None, help="absolute budget per product")
-    p.set_defaults(func=cmd_allocate, budget_fraction=DEFAULT_BUDGET_FRACTION)
+    p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("evaluate", help="score an allocation against realized demand")
     p.add_argument("--allocation", required=True)

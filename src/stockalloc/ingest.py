@@ -489,20 +489,6 @@ def net_requirement(table, rows, values):
     return np.clip(values - inventory, 0.0, None)
 
 
-def build_features(records, lag_months=10, as_of=None):
-    """Build one feature row per (facility, product) observed at `as_of`.
-
-    The one-period case of `build_feature_table`; `as_of` defaults to the
-    latest record period.
-    """
-    records = list(records)
-    if as_of is None and records:
-        as_of = max((r.period for r in records), key=period_index)
-    if as_of is not None:
-        as_of = period_str(period_index(as_of))
-    return _lag_table(records, lag_months, [as_of])
-
-
 def build_feature_table(records, lag_months=10, periods=None):
     """Lagged feature rows for every period (default: every record period).
 

@@ -56,7 +56,6 @@ class RunConfig:
     outlier_multiplier: float = 10.0
     eval_period: str | None = None  # None -> latest period present
     budget_fraction: float = DEFAULT_BUDGET_FRACTION
-    budgets: dict | None = None  # explicit ("YYYY-MM", product) -> units
     model: str = "forest"  # or "linear"
     forest_params: ForestParams = field(default_factory=ForestParams)
     linear_samples: int = 100
@@ -104,36 +103,35 @@ class PreparedRun:
     budgets_eval: dict
     rejects: list = field(default_factory=list)
     exclusions: list = field(default_factory=list)
-    ground_truth: np.ndarray | None = None
+
+
+def load(config):
+    """The run's feature table, generated or ingested from the ledger CSV.
+
+    Returns (table, rejected lines, excluded records, records parsed); a
+    generated table has no rejects, exclusions or parsed records.
+    `prepare` and `stockalloc ingest` both load here.
+    """
+    if config.scenario is not None:
+        return generate(config.scenario, periods=config.periods)[0], [], [], 0
+    records, rejects = parse_records(config.csv_path, schema=config.schema)
+    kept, exclusions = clean_records(records, outlier_multiplier=config.outlier_multiplier)
+    table = build_feature_table(kept, lag_months=config.lag_months)
+    return table, rejects, exclusions, len(records)
 
 
 def prepare(config):
-    """Load or generate data, then split it and fix budgets (`prepare_table`)."""
-    rejects, exclusions, truth = [], [], None
-    if config.scenario is not None:
-        table, truth = generate(config.scenario, periods=config.periods)
-    else:
-        records, rejects = parse_records(config.csv_path, schema=config.schema)
-        kept, exclusions = clean_records(records, outlier_multiplier=config.outlier_multiplier)
-        table = build_feature_table(kept, lag_months=config.lag_months)
-    prepared = prepare_table(
-        table,
-        eval_period=config.eval_period,
-        budget_fraction=config.budget_fraction,
-        budgets=config.budgets,
-    )
-    return replace(prepared, rejects=rejects, exclusions=exclusions, ground_truth=truth)
+    """Load the data (`load`), then split it and fix budgets (`prepare_table`)."""
+    table, rejects, exclusions, _ = load(config)
+    prepared = prepare_table(table, config.eval_period, config.budget_fraction)
+    return replace(prepared, rejects=rejects, exclusions=exclusions)
 
 
-def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTION,
-                  budgets=None):
-    """Split a feature table at the evaluation period and fix the budgets.
+def split_table(table, eval_period=None):
+    """(train, eval_table, eval_period): the table split at the evaluation period.
 
     The evaluation period defaults to the table's latest and is normalized
-    to "YYYY-MM". Budgets are `budgets` when given ((period, product) ->
-    units, the period spelled "YYYY-MM"), else `budget_fraction` of each
-    (period, product) group's realized requirement. `compare`, `stockalloc allocate` and
-    `stockalloc evaluate` all split here.
+    to "YYYY-MM". `prepare_table` and `stockalloc evaluate` split here.
     """
     if not len(table):
         raise EmptyInputError("feature table has no rows")
@@ -143,19 +141,24 @@ def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTI
         )
     except ValueError as exc:
         raise ConfigError(f"eval period: {exc}") from exc
-    train, eval_table = split_train_eval(table, eval_period)
-    if budgets is not None:
-        budgets_train, budgets_eval = dict(budgets), dict(budgets)
-    else:
-        budgets_train = budgets_from_fraction(train, budget_fraction)
-        budgets_eval = budgets_from_fraction(eval_table, budget_fraction)
+    return (*split_train_eval(table, eval_period), eval_period)
+
+
+def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTION):
+    """Split a feature table (`split_table`) and fix the budgets.
+
+    Each (period, product) group's budget is `budget_fraction` of its
+    realized requirement. `compare` and `stockalloc allocate` both
+    prepare here.
+    """
+    train, eval_table, eval_period = split_table(table, eval_period)
     return PreparedRun(
         table=table,
         train=train,
         eval_table=eval_table,
         eval_period=eval_period,
-        budgets_train=budgets_train,
-        budgets_eval=budgets_eval,
+        budgets_train=budgets_from_fraction(train, budget_fraction),
+        budgets_eval=budgets_from_fraction(eval_table, budget_fraction),
     )
 
 
@@ -346,7 +349,7 @@ def compare(config):
         "config": {
             "model": config.model,
             "seed": config.seed,
-            "budget_fraction": config.budget_fraction if config.budgets is None else None,
+            "budget_fraction": config.budget_fraction,
             "inventory_feature": prepared.table.inventory_feature,
             "weight_config": asdict(config.weight_config),
             "source": "scenario" if config.scenario is not None else config.csv_path,

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import AllocationProblem, solve_greedy
-from .config import check, is_int, is_real, load_section
+from .config import check, is_int, is_real
 from .errors import ConfigError
 from .ingest import INVENTORY_COLUMN, FeatureTable
 from .periods import period_index, period_str
@@ -81,11 +80,6 @@ class TwoClassScenario:
             return self.noise_sd
         return 0.1 * self.mean_demand
 
-    @classmethod
-    def from_dict(cls, d):
-        """The scenario a config section describes (`config.load_section`)."""
-        return load_section(cls, d, "scenario")
-
 
 def generate(scenario, periods=24):
     """Draw the scenario: (FeatureTable, per-row true mean demand).
@@ -135,11 +129,3 @@ def generate(scenario, periods=24):
         feature_names=[INVENTORY_COLUMN, "month", "noise"],
     )
     return table, np.concatenate(truths)
-
-
-def optimal_loss_oracle(scenario, realized_demand, budget):
-    """Perfect-foresight unmet demand: allocate against the realized vector
-    itself (a single-scenario problem). Lower bound for every pipeline."""
-    realized = np.asarray(realized_demand, dtype=float)
-    result = solve_greedy(AllocationProblem(realized[None, :], float(budget)))
-    return result.objective

@@ -8,7 +8,6 @@ from stockalloc import (
     AllocationProblem,
     ShapeError,
     saa_objective,
-    shortfall,
     solve_greedy,
     solve_lp,
 )
@@ -26,6 +25,11 @@ from oracles import (
 
 def problem(samples, budget):
     return AllocationProblem(np.asarray(samples, dtype=float), float(budget))
+
+
+def shortfall(a, xi):
+    """Total unmet demand of `a` against `xi`: `saa_objective` at K = 1."""
+    return saa_objective(problem([xi], 0.0), a)
 
 
 class TestShortfall:
@@ -55,7 +59,7 @@ class TestSaaObjective:
     def test_single_sample_equals_shortfall(self):
         p = problem([[4.0, 1.0]], 0.0)
         a = np.array([2.0, 1.0])
-        assert saa_objective(p, a) == shortfall(a, [4.0, 1.0])
+        assert saa_objective(p, a) == shortfall_loops(a, [4.0, 1.0])
 
     def test_hand_evaluated_symmetric(self):
         p = problem([[4, 0], [0, 4]], 99)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,14 +15,19 @@ from stockalloc import (
     AllocationProblem,
     FeatureTable,
     Forest,
+    RunConfig,
+    TwoClassScenario,
+    WeightConfig,
     WeightReport,
     budgets_from_fraction,
     compute_weights,
     solve_greedy,
     unmet_demand_pct,
 )
-from stockalloc.cli import load_config_file, main
-from stockalloc.pipeline import prepare_table, solve_products
+from stockalloc.cli import build_parser, load_config_file, main
+from stockalloc.config import load_section
+from stockalloc.ingest import write_exclusions_csv, write_rejects_csv
+from stockalloc.pipeline import prepare, prepare_table, solve_products
 
 LEDGER_HEADER = (
     "facility_id,product_id,period,region,opening_balance,quantity_received,"
@@ -383,7 +390,7 @@ def test_bad_config_value_fails_before_any_work(tmp_path, capsys, monkeypatch,
     def must_not_run(*args, **kwargs):
         raise AssertionError("a bad config reached the data or training stage")
 
-    for module, name in ((stockalloc.pipeline, "parse_records"), (stockalloc.cli, "parse_records"),
+    for module, name in ((stockalloc.pipeline, "parse_records"),
                          (stockalloc.pipeline, "train_forest"), (stockalloc.cli, "train_forest"),
                          (stockalloc.pipeline, "train_linear")):
         monkeypatch.setattr(module, name, must_not_run)
@@ -513,11 +520,11 @@ def synth_forest(tmp_path):
     ("allocate", "--budget=-5", "budget must be finite and nonnegative, got -5.0"),
     ("allocate", "--budget=nan", "budget must be finite and nonnegative, got nan"),
     ("allocate", "--budget=inf", "budget must be finite and nonnegative, got inf"),
-    ("allocate", "--budget-fraction=nan", "budget fraction must be in (0, 1], got nan"),
-    ("allocate", "--budget-fraction=5", "budget fraction must be in (0, 1], got 5.0"),
-    ("weights", "--budget-fraction=nan", "budget fraction must be in (0, 1], got nan"),
-    ("weights", "--budget-fraction=0", "budget fraction must be in (0, 1], got 0.0"),
-    ("weights", "--budget-fraction=5", "budget fraction must be in (0, 1], got 5.0"),
+    ("allocate", "--budget-fraction=nan", "allocate: budget_fraction must be in (0, 1], got nan"),
+    ("allocate", "--budget-fraction=5", "allocate: budget_fraction must be in (0, 1], got 5.0"),
+    ("weights", "--budget-fraction=nan", "weights: budget_fraction must be in (0, 1], got nan"),
+    ("weights", "--budget-fraction=0", "weights: budget_fraction must be in (0, 1], got 0.0"),
+    ("weights", "--budget-fraction=5", "weights: budget_fraction must be in (0, 1], got 5.0"),
 ])
 def test_bad_budget_is_a_config_error(tmp_path, capsys, synth_forest, command, flag, message):
     features, forest_path = synth_forest
@@ -575,6 +582,99 @@ def test_synth_takes_its_periods_from_a_compare_file(tmp_path, capsys, text):
     assert capsys.readouterr().out == "generated 400 rows over 4 periods\n"
     assert run_cli("synth", "--config", str(cfg), "--periods", "2", "--out", str(tmp_path / "b")) == 0
     assert capsys.readouterr().out == "generated 200 rows over 2 periods\n"
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema": {"facility_id": "facility_id"}, "lag_months": 3, "outlier_multiplier": 2.0}',
+    "lag_months = 3\noutlier_multiplier = 2",
+], ids=["json_with_schema", "key_value"])
+def test_ingest_reads_a_file_as_compare_csv_does(tmp_path, capsys, text):
+    ledger = write_ledger(tmp_path / "ledger.csv", months=8, facilities=5)
+    with open(ledger, "a") as fh:
+        fh.write("facX,ors,2021-03,r0,1,1,bad,0,2\n")  # reject
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(text)
+    assert run_cli("ingest", "--csv", str(ledger), "--config", str(cfg), "--out", str(out)) == 0
+
+    prepared = prepare(load_section(RunConfig, load_config_file(cfg), "compare",
+                                    csv_path=str(ledger)))
+    assert prepared.table.feature_dim == 2 * 3 + 3
+    assert "outlier" in {e.reason for e in prepared.exclusions}
+    prepared.table.to_csv(tmp_path / "features.csv")
+    write_exclusions_csv(tmp_path / "exclusions.csv", prepared.exclusions)
+    write_rejects_csv(tmp_path / "rejects.csv", prepared.rejects)
+    for name in ("features.csv", "exclusions.csv", "rejects.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert capsys.readouterr().out.startswith(f"ingested {5 * 8} records (1 rejects, ")
+
+
+# (command, config key, its flag, a bad value, a good value)
+SETTINGS = [
+    ("synth", "periods", "--periods", 1, 4),
+    ("weights", "budget_fraction", "--budget-fraction", 5, 0.5),
+    ("ingest", "lag_months", "--lag-months", 0, 3),
+]
+
+
+def _setting_argv(tmp_path, command, synth_forest):
+    features, forest_path = synth_forest
+    return {"synth": ("synth",),
+            "weights": ("weights", "--features", features, "--model", forest_path),
+            "ingest": ("ingest", "--csv", str(write_ledger(tmp_path / "ledger.csv")))}[command]
+
+
+@pytest.mark.parametrize("command, key, flag, bad, good", SETTINGS, ids=[s[0] for s in SETTINGS])
+def test_a_given_flag_replaces_a_bad_file_value(tmp_path, synth_forest,
+                                                command, key, flag, bad, good):
+    argv = _setting_argv(tmp_path, command, synth_forest)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: bad}))
+    with_file, flag_only = tmp_path / "with_file", tmp_path / "flag_only"
+    assert run_cli(*argv, "--config", str(cfg), flag, str(good), "--out", str(with_file)) == 0
+    assert run_cli(*argv, flag, str(good), "--out", str(flag_only)) == 0
+    if command == "weights":
+        assert with_file.read_bytes() == flag_only.read_bytes()
+    else:
+        assert (with_file / "features.csv").read_bytes() == (flag_only / "features.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, key, flag, bad, good", SETTINGS, ids=[s[0] for s in SETTINGS])
+def test_a_flag_and_a_file_key_give_the_same_error(tmp_path, capsys, synth_forest,
+                                                   command, key, flag, bad, good):
+    argv = _setting_argv(tmp_path, command, synth_forest)
+    cfg, out = tmp_path / "run.json", tmp_path / "out"
+    cfg.write_text(json.dumps({key: bad}))
+    assert run_cli(*argv, flag, str(bad), "--out", str(out)) == 2
+    from_flag = capsys.readouterr().err
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == from_flag
+    assert from_flag.startswith(f"config error: {command}: {key} must be ")
+    assert not out.exists()
+
+
+def test_flags_that_set_a_config_value_default_to_none():
+    """A flag's default would hide the file's value and the dataclass default."""
+    fields = {f.name for cls in (RunConfig, WeightConfig, TwoClassScenario)
+              for f in dataclasses.fields(cls)}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defaults = {(command, action.dest): parser.get_default(action.dest)
+                for command, parser in sub.choices.items() for action in parser._actions
+                if {"jacobian": "jacobian_mode"}.get(action.dest, action.dest) in fields}
+    assert ("allocate", "budget_fraction") in defaults and ("compare", "jacobian") in defaults
+    assert {key: value for key, value in defaults.items() if value is not None} == {}
+
+
+def test_evaluate_computes_no_budget(tmp_path, monkeypatch, synth_forest):
+    features, forest_path = synth_forest
+    allocation = tmp_path / "allocation.json"
+    assert run_cli("allocate", "--features", features, "--model", forest_path,
+                   "--out", str(allocation)) == 0
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("evaluate computed a budget")
+
+    monkeypatch.setattr(stockalloc.pipeline, "budgets_from_fraction", must_not_run)
+    assert run_cli("evaluate", "--allocation", str(allocation), "--features", features) == 0
 
 
 @pytest.mark.parametrize("facilities, named", [

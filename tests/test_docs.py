@@ -21,7 +21,7 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 SECTION_OF_ROW = {"synth": TwoClassScenario, "train": ForestParams, "retrain": ForestParams,
                   "weights": WeightConfig}
 # RunConfig fields that a `compare` file may not set: the command gives them.
-RUN_GIVEN = {"csv_path", "budgets", "seed"}
+RUN_GIVEN = {"csv_path", "seed"}
 
 
 def _readme():

@@ -14,7 +14,6 @@ from stockalloc import (
     StockAllocError,
     StockRecord,
     build_feature_table,
-    build_features,
     clean_records,
     parse_records,
     split_train_eval,
@@ -250,7 +249,7 @@ class TestBuildFeatures:
             record(period="2021-02", dispensed=3.0),
             record(period="2021-03", dispensed=4.0),
         ]
-        t = build_features(series, lag_months=2, as_of="2021-03")
+        t = build_feature_table(series, lag_months=2, periods=["2021-03"])
         assert len(t) == 1
         row = t.X[0]
         names = t.feature_names
@@ -265,7 +264,7 @@ class TestBuildFeatures:
             record(period="2021-01", dispensed=2.0),
             record(period="2021-03", dispensed=4.0),
         ]
-        t = build_features(series, lag_months=2, as_of="2021-03")
+        t = build_feature_table(series, lag_months=2, periods=["2021-03"])
         names = t.feature_names
         assert t.X[0][names.index("lag_1")] == -1.0  # 2021-02 absent
         assert t.X[0][names.index("lag_1_present")] == 0.0
@@ -276,17 +275,17 @@ class TestBuildFeatures:
             record(facility="f1", period="2021-02", dispensed=1.0),
             record(facility="f2", period="2021-02", dispensed=9.0),
         ]
-        t = build_features(series, lag_months=3, as_of="2021-02")
+        t = build_feature_table(series, lag_months=3, periods=["2021-02"])
         assert len(t) == 2
         assert t.feature_dim == 2 * 3 + 3
 
     def test_default_dimension_is_23_for_10_lags(self):
-        t = build_features([record(period="2021-01")], lag_months=10, as_of="2021-01")
+        t = build_feature_table([record(period="2021-01")], lag_months=10, periods=["2021-01"])
         assert t.feature_dim == 23
 
     def test_as_of_before_all_records(self):
         with pytest.raises(EmptyInputError):
-            build_features([record(period="2021-05")], lag_months=2, as_of="2020-01")
+            build_feature_table([record(period="2021-05")], lag_months=2, periods=["2020-01"])
 
     def test_unnormalized_period_spellings_are_lags_but_not_rows(self):
         records = [record(period="2021-3", dispensed=2.0), record(period=" 2021-04 "),

@@ -183,10 +183,9 @@ class TestPolicies:
 
     def test_zero_budget_means_total_unmet(self):
         scen = TwoClassScenario(seed=15, n_high=0, noise_sd=0.0)
-        budgets = {(f"20{20 + m // 12}-{1 + m % 12:02d}", "synthetic"): 0.0 for m in range(24)}
-        cfg = RunConfig(scenario=scen, model="linear", linear_samples=10,
-                        seed=15, budgets=budgets)
+        cfg = RunConfig(scenario=scen, model="linear", linear_samples=10, seed=15)
         prepared = prepare(cfg)
+        prepared.budgets_eval = dict.fromkeys(prepared.budgets_eval, 0.0)
         blind = run_decision_blind(cfg, prepared)
         assert blind.mean_unmet_pct() == 100.0
 
@@ -213,10 +212,9 @@ class TestPolicies:
             model="forest",
             forest_params=SMALL_FOREST,
             seed=5,
-            budgets={(p, "synthetic"): 0.0 for p in
-                     (f"2020-{m:02d}" for m in range(1, 13))} | {(f"2021-{m:02d}", "synthetic"): 0.0 for m in range(1, 13)},
         )
         prepared = prepare(cfg)
+        prepared.budgets_train = dict.fromkeys(prepared.budgets_train, 0.0)
         # restore a real eval budget so allocations are comparable
         prepared.budgets_eval = {k: 500.0 for k in prepared.budgets_eval}
         blind = run_decision_blind(cfg, prepared)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from stockalloc import ConfigError, TwoClassScenario, generate, optimal_loss_oracle
+from stockalloc import AllocationProblem, ConfigError, TwoClassScenario, generate, solve_greedy
+from stockalloc.config import load_section
+
+
+def perfect_foresight_loss(realized, budget):
+    """Perfect-foresight unmet demand, as `pipeline.run_oracle` allocates:
+    the realized vector is the problem's one scenario."""
+    return solve_greedy(AllocationProblem(realized[None, :], budget)).objective
 
 
 def test_noise_free_targets_equal_class_lines():
@@ -84,15 +91,15 @@ def test_emits_ingest_compatible_csv(tmp_path):
 class TestOracle:
     def test_budget_covers_everything(self):
         realized = np.array([3.0, 4.0])
-        assert optimal_loss_oracle(None, realized, 10.0) == 0.0
+        assert perfect_foresight_loss(realized, 10.0) == 0.0
 
     def test_zero_budget(self):
         realized = np.array([3.0, 4.0])
-        assert optimal_loss_oracle(None, realized, 0.0) == 7.0
+        assert perfect_foresight_loss(realized, 0.0) == 7.0
 
     def test_half_budget_symmetric_pair(self):
         d = 6.0
-        assert optimal_loss_oracle(None, np.array([d, d]), d) == d
+        assert perfect_foresight_loss(np.array([d, d]), d) == d
 
     def test_lower_bounds_any_allocation(self):
         rng = np.random.default_rng(13)
@@ -100,7 +107,7 @@ class TestOracle:
             n = rng.integers(1, 8)
             realized = rng.uniform(0, 10, n)
             budget = float(rng.uniform(0, realized.sum() * 1.2))
-            oracle = optimal_loss_oracle(None, realized, budget)
+            oracle = perfect_foresight_loss(realized, budget)
             a = rng.uniform(0, 5, n)
             a *= min(1.0, budget / max(a.sum(), 1e-12))
             other = float(np.maximum(realized - a, 0.0).sum())
@@ -122,7 +129,7 @@ class TestScenarioValidation:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
-            TwoClassScenario.from_dict({"slope": 1.0})
+            load_section(TwoClassScenario, {"slope": 1.0}, "scenario")
 
     def test_default_noise_tracks_mean_demand(self):
         scen = TwoClassScenario()
