@@ -2,12 +2,15 @@
 
 Trees are grown a block at a time; at each depth one vectorized pass finds
 the best split of every open node of the block. Each open node's m features
-are an ascending row of an (open nodes, m) index array, so the pass scans
-one (sample, feature) pair per sample and feature of its node. Both orders
-a pass needs, the pairs by (node, feature, value rank) for the split scan
-and the samples by child for the routing, come from `_stable_order`: one
-value sort of int64 keys with each key's position packed into its low
-bits, which gives numpy's stable argsort without running one.
+are an ascending row of an (open nodes, m) index array, so the pass keys
+one (sample, feature) pair per sample and feature of its node by (node,
+feature, value rank). Pairs of one key, bootstrap duplicates and tied
+values, are summed into one bin, and the split scan runs over the bins: a
+cut can only fall between distinct values, as in exact-greedy tree
+learners. Both orders a pass needs, the pairs by key for the bins and the
+samples by child for the routing, come from `_stable_order`: one value sort
+of int64 keys with each key's position packed into its low bits, which
+gives numpy's stable argsort without running one.
 """
 
 from dataclasses import dataclass
@@ -22,8 +25,24 @@ class _Data:
     X: np.ndarray  # (n, d) positive-weight rows
     y: np.ndarray
     w: np.ndarray
+    wy: np.ndarray  # w * y
+    wyy: np.ndarray  # w * y * y
     rank: np.ndarray  # (d, n) dense value ranks
     rank_bits: int  # bits that hold any rank
+
+    @classmethod
+    def of(cls, X, y, w):
+        """The training rows with their moments and feature value ranks."""
+        # Dense rank of each value within its feature: sorting by rank sorts
+        # by value, and equal values share a rank.
+        rank = np.empty(X.shape[::-1], dtype=np.int32)
+        for f in range(X.shape[1]):
+            column = X[:, f].copy()
+            order = np.argsort(column, kind="stable")
+            ordered = column[order]
+            rank[f, order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+        wy = w * y
+        return cls(X, y, w, wy, wy * y, rank, int(rank.max()).bit_length() if rank.size else 0)
 
 
 def grow_trees(X, y, w, params, seed, block_rows):
@@ -33,15 +52,7 @@ def grow_trees(X, y, w, params, seed, block_rows):
     # for n uniforms u; drawing so directly builds this CDF once, not per tree.
     cdf = (w / w.sum()).cumsum()
     cdf /= cdf[-1]
-    # Dense rank of each value within its feature: sorting by rank sorts by
-    # value, and equal values share a rank.
-    rank = np.empty(X.shape[::-1], dtype=np.int32)
-    for f in range(X.shape[1]):
-        column = X[:, f].copy()
-        order = np.argsort(column, kind="stable")
-        ordered = column[order]
-        rank[f, order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
-    data = _Data(X, y, w, rank, int(rank.max()).bit_length() if rank.size else 0)
+    data = _Data.of(X, y, w)
 
     per_block = max(1, block_rows // len(y))
     trees = []
@@ -79,7 +90,7 @@ def _grow_block(data, cdf, params, seed, tree_ids):
     levels = []
     for depth in range(params.max_depth + 1):
         size = len(level_tree)
-        weight, wy, wyy, varied = _node_sums(node, data.y[rows], data.w[rows], size)
+        weight, wy, wyy, varied = _node_sums(data, rows, node, size)
         n_nodes += np.bincount(level_tree, minlength=n_trees)
         feature = np.full(size, -1, dtype=np.int64)
         threshold = np.zeros(size)
@@ -128,7 +139,7 @@ def _grow_block(data, cdf, params, seed, tree_ids):
         f_row = best_f[node]
         keep = f_row >= 0
         rows, node, f_row = rows[keep], node[keep], f_row[keep]
-        go_right = data.rank[f_row, rows] > last_left[node]
+        go_right = data.rank.take(f_row * n + rows) > last_left[node]
         child = 2 * (np.cumsum(split) - 1)[node] + go_right
         order, node = _stable_order(child)
         rows = rows[order]
@@ -152,16 +163,17 @@ def _grow_block(data, cdf, params, seed, tree_ids):
     ]
 
 
-def _node_sums(node, y, w, size):
-    """Weight, w*y and w*y^2 sums per node and whether its targets vary;
-    `node` is sorted and every node has a row."""
-    wy = w * y
+def _node_sums(data, rows, node, size):
+    """Weight, w*y and w*y^2 sums per node of the table rows `rows` and
+    whether each node's targets vary; `node` is sorted and every node has a
+    row."""
+    y = data.y[rows]
     starts = np.searchsorted(node, np.arange(size))
     varied = np.maximum.reduceat(y, starts) > np.minimum.reduceat(y, starts)
     return (
-        np.bincount(node, w, minlength=size),
-        np.bincount(node, wy, minlength=size),
-        np.bincount(node, wy * y, minlength=size),
+        np.bincount(node, data.w[rows], minlength=size),
+        np.bincount(node, data.wy[rows], minlength=size),
+        np.bincount(node, data.wyy[rows], minlength=size),
         varied,
     )
 
@@ -176,17 +188,21 @@ def _best_splits(data, rows, node, chosen, weight, wy, wyy, min_leaf):
     node's features to scan, ascending; the weight, w*y and w*y^2 sums
     and min_leaf come per open node. Every sample is paired with each of
     its node's features, and `_stable_order` sorts the pairs by one packed
-    key, ((node * d + feature) << rank_bits) | value rank.
+    key, ((node * d + feature) << rank_bits) | value rank. Each run of
+    equal keys becomes one bin, which holds the w, w*y and w*y^2 sums of
+    its pairs, its (node, feature) segment and the row of its first pair;
+    the scan runs over the bins. Every row of a bin has the bin's value.
 
     A node's feature is scanned as in one sort of its values: boundaries
-    between distinct values whose sides both weigh >= min_leaf, gain =
-    parent SSE - left SSE - right SSE. Gains within `tol` count as tied:
-    a feature keeps the first boundary within tol of its best, and a
-    feature replaces the node's best only if it beats it by more than tol,
-    so ties go to the lowest feature, then the lowest threshold. Gains come
-    out of cancelling moment sums, so their float error scales with the
-    node's raw second moment, and so does tol; uniform weight rescaling
-    then cannot flip a tie between equivalent splits.
+    between bins, that is between distinct values, whose sides both weigh
+    >= min_leaf, gain = parent SSE - left SSE - right SSE. Gains within
+    `tol` count as tied: a feature keeps the first boundary within tol of
+    its best, and a feature replaces the node's best only if it beats it by
+    more than tol, so ties go to the lowest feature, then the lowest
+    threshold. Gains come out of cancelling moment sums, so their float
+    error scales with the node's raw second moment, and so does tol;
+    uniform weight rescaling then cannot flip a tie between equivalent
+    splits.
     """
     d = data.rank.shape[0]
     n_open = len(weight)
@@ -194,41 +210,49 @@ def _best_splits(data, rows, node, chosen, weight, wy, wyy, min_leaf):
     best_f = np.full(n_open, -1, dtype=np.int64)
     best_thr = np.zeros(n_open)
     last_left = np.zeros(n_open, dtype=np.int64)
+    if not len(rows):
+        return best_f, best_thr, last_left
 
     # One sort puts every (node, feature) pair's values in order: a segment
     # per pair, nodes in level order, features ascending within a node.
-    f = chosen[node].ravel()
-    pair = np.repeat(np.arange(len(rows)), chosen.shape[1])
-    if not pair.size:
-        return best_f, best_thr, last_left
-    key = node[pair]
-    key *= d
-    key += f
+    # (`np.take` copies whole rows of the small (open node, m) arrays, several
+    # times faster than indexing them with `node`.)
+    n_rows = data.rank.shape[1]
+    key = np.take(chosen + np.arange(n_open)[:, None] * d, node, axis=0)
     key <<= data.rank_bits
-    key |= data.rank[f, rows[pair]]
-    del f
-    order, key = _stable_order(key)
-    row = rows[pair[order]]
-    del pair, order
-    offset = _run_offsets(key >> data.rank_bits)
-    sums = np.empty((3, len(row)))
-    sums[0] = data.w[row]
-    np.multiply(sums[0], data.y[row], out=sums[1])
-    np.multiply(sums[1], data.y[row], out=sums[2])
+    at_rank = np.take(chosen * n_rows, node, axis=0)
+    at_rank += rows[:, None]
+    key |= data.rank.take(at_rank)
+    del at_rank
+    order, key = _stable_order(key.ravel())
+    row = rows[order // chosen.shape[1]]
+    del order
+
+    # One bin per run of equal keys.
+    first, size = _runs(key)
+    pair_bin = np.repeat(np.arange(len(first)), size)
+    sums = np.empty((3, len(first)))
+    for moment, per_row in zip(sums, (data.w, data.wy, data.wyy)):
+        moment[:] = np.bincount(pair_bin, per_row[row], minlength=len(first))
+    segment, row = key[first] >> data.rank_bits, row[first]
+    del key, first, size, pair_bin
+    offset = _run_offsets(segment)
     _segment_cumsum(sums, offset)
 
-    # Candidate cut k: last row of the left side, the value rises at k + 1.
-    cut = np.flatnonzero((key[1:] > key[:-1]) & (offset[1:] > 0))
-    segment = key[cut] >> data.rank_bits
-    del key, offset
-    lw, ly, ly2 = sums[:, cut]
-    del sums
-    at = segment // d
+    # Candidate cut k: the last bin of the left side; bin k + 1 is of the
+    # same segment and so of a higher value.
+    cut = np.flatnonzero(offset[1:] > 0)
+    del offset
+    lw = sums[0][cut]
+    at = segment[cut] // d
     rw = weight[at] - lw
-    ok = (lw >= min_leaf[at]) & (rw >= min_leaf[at])
-    cut, segment, at, lw, ly, ly2, rw = (a[ok] for a in (cut, segment, at, lw, ly, ly2, rw))
-    if not cut.size:
+    ok = np.flatnonzero((lw >= min_leaf[at]) & (rw >= min_leaf[at]))
+    if not ok.size:
         return best_f, best_thr, last_left
+    cut, at, lw, rw = cut[ok], at[ok], lw[ok], rw[ok]
+    segment = segment[cut]
+    ly, ly2 = sums[1][cut], sums[2][cut]
+    del sums
     ry = wy[at] - ly
     ry2 = wyy[at] - ly2
     parent = wyy - wy**2 / weight
@@ -280,11 +304,12 @@ def _run_offsets(keys):
 def _segment_cumsum(sums, offset):
     """Prefix sums of each row of `sums`, restarted at every segment, in place.
 
-    `offset` is each column's position inside its segment. The log-step
-    scan adds only values of the same segment, so a node's sums carry the
-    rounding of its own values alone, as sums taken inside the node do:
-    they are independent of the other nodes and trees of the block, and as
-    precise as the node's moment that scales the tie tolerance.
+    Each column is one bin of `_best_splits`, the sums of its own pairs, and
+    `offset` is its position inside its segment. The log-step scan adds
+    only bins of the same segment, so a node's sums carry the rounding of
+    its own values alone, as sums taken inside the node do: they are
+    independent of the other nodes and trees of the block, and as precise
+    as the node's moment that scales the tie tolerance.
     """
     step = 1
     longest = int(offset.max()) + 1

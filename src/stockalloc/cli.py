@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .pipeline import (
     compare,
     evaluate,
     load,
-    prepare_table,
     report_to_json,
     solve_products,
     split_table,
@@ -150,16 +148,17 @@ def cmd_allocate(args):
     config = _run_config(args)
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
-    prepared = prepare_table(table, config.eval_period, config.budget_fraction)
+    _, eval_table, eval_period = split_table(table, config.eval_period)
+    budgets = budgets_from_fraction(eval_table, config.budget_fraction)
     if args.budget is not None:
-        prepared = replace(prepared, budgets_eval=dict.fromkeys(prepared.budgets_eval, args.budget))
-    X = prepared.eval_table.X
+        budgets = dict.fromkeys(budgets, args.budget)
+    X = eval_table.X
     products = {}
     for product, rows, _, problem, result in solve_products(
-            prepared, lambda rows: model.predict_samples(X[rows])):
+            eval_table, budgets, lambda rows: model.predict_samples(X[rows])):
         products[product] = dict(result.to_dict(), budget=problem.budget,
-                                 facility_ids=[prepared.eval_table.facility_ids[i] for i in rows])
-    payload = {"eval_period": prepared.eval_period, "products": products}
+                                 facility_ids=[eval_table.facility_ids[i] for i in rows])
+    payload = {"eval_period": eval_period, "products": products}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
     print(f"allocated {len(products)} product(s) -> {args.out}")

@@ -148,8 +148,7 @@ def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTI
     """Split a feature table (`split_table`) and fix the budgets.
 
     Each (period, product) group's budget is `budget_fraction` of its
-    realized requirement. `compare` and `stockalloc allocate` both
-    prepare here.
+    realized requirement. `compare` prepares here.
     """
     train, eval_table, eval_period = split_table(table, eval_period)
     return PreparedRun(
@@ -208,18 +207,19 @@ class PolicyOutcome:
         return float(np.mean(vals)) if vals else None
 
 
-def solve_products(prepared, samples_of):
+def solve_products(eval_table, budgets, samples_of):
     """Solve each evaluation product's problem at its budget, in product order.
 
-    `samples_of(rows)` gives the (n_rows, K) demand samples of evaluation
-    table rows; `weights.group_problems` nets them and builds the problem.
+    `budgets` maps each ("YYYY-MM", product) group of `eval_table` to its
+    budget. `samples_of(rows)` gives the (n_rows, K) demand samples of
+    evaluation table rows; `weights.group_problems` nets them and builds the
+    problem.
     Yields (product, rows of the evaluation table, realized requirement,
     problem, result). Every policy and `stockalloc allocate` allocate
     through this loop; only the latter reads the result's fill trace, so
     outcomes do not keep it.
     """
-    for (_, product), rows, realized, problem in group_problems(
-            prepared.eval_table, prepared.budgets_eval, samples_of):
+    for (_, product), rows, realized, problem in group_problems(eval_table, budgets, samples_of):
         yield product, rows, realized, problem, solve_greedy(problem)
 
 
@@ -228,7 +228,8 @@ def _allocate_policy(name, prepared, samples_of, training, point_of=None):
     point forecasts that MdAPE reads, when the policy has them."""
     eval_table = prepared.eval_table
     per_product = {}
-    for product, rows, realized, problem, result in solve_products(prepared, samples_of):
+    for product, rows, realized, problem, result in solve_products(
+            eval_table, prepared.budgets_eval, samples_of):
         per_product[product] = {
             "allocation": result.allocation,
             "objective": result.objective,

@@ -474,6 +474,19 @@ def reference_forest(X, y, w, n_trees, max_depth, min_leaf_weight, features_per_
     return trees
 
 
+def reference_node_split(X, y, w, min_leaf):
+    """(feature, threshold) of the depth-first builder's split of one node
+    holding the rows X, y, w, every feature scanned; feature -1 if it stays
+    a leaf."""
+    X = np.asarray(X, dtype=float)
+    params = _ReferenceParams(max_depth=1, features_per_split=X.shape[1])
+    root = _ReferenceTreeBuilder(
+        X, np.asarray(y, dtype=float), np.asarray(w, dtype=float), np.random.default_rng(0),
+        params, min_leaf,
+    ).build()
+    return int(root["feature"][0]), float(root["threshold"][0])
+
+
 def preorder(tree):
     """Node indices of a tree (anything with `feature`, `left`, `right`
     items) in preorder: node, left subtree, right subtree."""

@@ -263,6 +263,24 @@ class TestSolveLp:
         assert np.all(res.allocation <= p.samples.max(axis=0) + 1e-9)
 
 
+@st.composite
+def integer_instances(draw, max_n=8, max_k=5, max_value=20):
+    """Integer-valued instances, as `oracles.random_instance` draws them: K
+    samples of N facilities and a budget from 0 to 2 past the total cap.
+    Samples come from the full range or from a few values, which ties them
+    within and across facilities."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, max_k))
+    values = draw(st.sampled_from([
+        st.integers(0, max_value),
+        st.sampled_from([0, 1, max_value // 2]),
+    ]))
+    samples = np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                     min_size=k, max_size=k)), dtype=float)
+    budget = draw(st.integers(0, int(samples.max(axis=0).sum()) + 2))
+    return samples, float(budget)
+
+
 class TestOracleEquivalence:
     def test_dp_matches_literal_enumeration(self):
         rng = np.random.default_rng(7)
@@ -272,24 +290,24 @@ class TestOracleEquivalence:
                 integer_grid_optimum_literal(samples, budget), abs=1e-12
             )
 
-    def test_greedy_lp_and_grid_agree_on_random_instances(self):
-        rng = np.random.default_rng(11)
-        for _ in range(120):
-            samples, budget = random_instance(rng)
-            p = problem(samples, budget)
-            greedy = solve_greedy(p).objective
-            assert greedy == pytest.approx(solve_lp(p).objective, abs=1e-6)
-            assert greedy == pytest.approx(integer_grid_optimum(samples, budget), abs=1e-6)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(integer_instances())
+    def test_greedy_lp_and_grid_agree_on_random_instances(self, instance):
+        samples, budget = instance
+        p = problem(samples, budget)
+        greedy = solve_greedy(p).objective
+        assert greedy == pytest.approx(solve_lp(p).objective, abs=1e-6)
+        assert greedy == pytest.approx(integer_grid_optimum(samples, budget), abs=1e-6)
 
 
 class TestProperties:
-    def test_budget_monotonicity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(80):
-            samples, budget = random_instance(rng)
-            lo = solve_greedy(problem(samples, budget)).objective
-            hi = solve_greedy(problem(samples, budget + rng.integers(1, 5))).objective
-            assert hi <= lo + 1e-12
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(integer_instances(), st.integers(1, 4))
+    def test_budget_monotonicity(self, instance, extra):
+        samples, budget = instance
+        lo = solve_greedy(problem(samples, budget)).objective
+        hi = solve_greedy(problem(samples, budget + extra)).objective
+        assert hi <= lo + 1e-12
 
     def test_feasibility(self):
         rng = np.random.default_rng(4)

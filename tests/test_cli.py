@@ -27,7 +27,7 @@ from stockalloc import (
 from stockalloc.cli import build_parser, load_config_file, main
 from stockalloc.config import load_section
 from stockalloc.ingest import write_exclusions_csv, write_rejects_csv
-from stockalloc.pipeline import prepare, prepare_table, solve_products
+from stockalloc.pipeline import prepare, prepare_table, solve_products, split_table
 
 LEDGER_HEADER = (
     "facility_id,product_id,period,region,opening_balance,quantity_received,"
@@ -472,7 +472,7 @@ def test_weights_allocate_evaluate_net_by_the_tables_prior_inventory(tmp_path, s
     prepared = prepare_table(table, budget_fraction=0.7)
     X = prepared.eval_table.X
     (product, rows, realized, problem, result), = solve_products(
-        prepared, lambda rows: model.predict_samples(X[rows]))
+        prepared.eval_table, prepared.budgets_eval, lambda rows: model.predict_samples(X[rows]))
     assert np.any(realized < prepared.eval_table.y[rows])  # netted
     entry = json.loads(allocation.read_text())["products"][product]
     assert (entry["budget"], entry["allocation"]) == (problem.budget, result.allocation.tolist())
@@ -675,6 +675,23 @@ def test_evaluate_computes_no_budget(tmp_path, monkeypatch, synth_forest):
 
     monkeypatch.setattr(stockalloc.pipeline, "budgets_from_fraction", must_not_run)
     assert run_cli("evaluate", "--allocation", str(allocation), "--features", features) == 0
+
+
+@pytest.mark.parametrize("flags", [[], ["--budget", "20"]], ids=["fraction", "fixed"])
+def test_allocate_budgets_only_the_evaluation_period(tmp_path, monkeypatch, synth_forest, flags):
+    features, forest_path = synth_forest
+    _, eval_table, _ = split_table(FeatureTable.from_csv(features))
+    budgeted = []
+
+    def recording(table, fraction):
+        budgeted.append(table)
+        return budgets_from_fraction(table, fraction)
+
+    monkeypatch.setattr(stockalloc.cli, "budgets_from_fraction", recording)
+    assert run_cli("allocate", "--features", features, "--model", forest_path,
+                   "--out", str(tmp_path / "allocation.json"), *flags) == 0
+    assert [(len(t), set(t.periods)) for t in budgeted] == [
+        (len(eval_table), set(eval_table.periods))]
 
 
 @pytest.mark.parametrize("facilities, named", [

@@ -19,9 +19,9 @@ from stockalloc import (
     train_forest,
 )
 from stockalloc import forest as forest_module
-from stockalloc._levelwise import _stable_order
+from stockalloc._levelwise import _best_splits, _Data, _node_sums, _stable_order
 
-from oracles import preorder, reference_forest, reference_predict
+from oracles import preorder, reference_forest, reference_node_split, reference_predict
 
 
 def table(X, y, w=None):
@@ -355,16 +355,103 @@ class TestMatchesReferenceBuilder:
         # both sides left and grows an empty child; the level-wise builder
         # keeps the lower value as threshold (test_split_between_adjacent_floats).
         assume(all(np.all(ref["support"] > 0) for ref in reference))
-        for tree, ref in zip(forest.trees, reference, strict=True):
-            assert level_order(tree) == list(range(len(tree.feature)))
-            mine, theirs = preorder(vars(tree)), preorder(ref)
-            assert [(tree.feature[i], tree.threshold[i]) for i in mine] == [
-                (ref["feature"][i], ref["threshold"][i]) for i in theirs
-            ]
-            for name in ("value", "support"):
-                np.testing.assert_allclose(
-                    getattr(tree, name)[mine], ref[name][theirs], rtol=1e-12, atol=0
-                )
+        assert_same_trees(forest, reference)
+
+
+def reference_trees(X, y, w, params, seed):
+    return reference_forest(X, y, w, params.n_trees, params.max_depth, params.min_leaf_weight,
+                            params.features_per_split, seed)
+
+
+def assert_same_trees(forest, reference):
+    """The forest's trees split as the reference builder's, node for node,
+    with the same leaf values and supports up to rounding."""
+    for tree, ref in zip(forest.trees, reference, strict=True):
+        assert level_order(tree) == list(range(len(tree.feature)))
+        mine, theirs = preorder(vars(tree)), preorder(ref)
+        assert [(tree.feature[i], tree.threshold[i]) for i in mine] == [
+            (ref["feature"][i], ref["threshold"][i]) for i in theirs
+        ]
+        for name in ("value", "support"):
+            np.testing.assert_allclose(
+                getattr(tree, name)[mine], ref[name][theirs], rtol=1e-12, atol=0
+            )
+
+
+def one_pass(X, y, w, nodes, min_leaf):
+    """(feature, threshold) that one depth pass picks for each open node, the
+    i-th holding the table rows `nodes[i]` (repeats are bootstrap
+    duplicates), every feature scanned."""
+    X, y, w = (np.asarray(a, dtype=float) for a in (X, y, w))
+    data = _Data.of(X, y, w)
+    rows = np.concatenate(nodes)
+    node = np.repeat(np.arange(len(nodes)), [len(r) for r in nodes])
+    weight, wy, wyy, _ = _node_sums(data, rows, node, len(nodes))
+    chosen = np.broadcast_to(np.arange(X.shape[1]), (len(nodes), X.shape[1]))
+    best_f, best_thr, _ = _best_splits(data, rows, node, chosen, weight, wy, wyy,
+                                       np.full(len(nodes), min_leaf))
+    return [(int(f), float(t)) for f, t in zip(best_f, best_thr)]
+
+
+def reference_pass(X, y, w, nodes, min_leaf):
+    X, y, w = (np.asarray(a, dtype=float) for a in (X, y, w))
+    return [reference_node_split(X[r], y[r], w[r], min_leaf) for r in nodes]
+
+
+class TestBinnedScanEdges:
+    """Where the scan's bins matter most: pairs of one (node, feature, value)
+    summed into one bin, and segments of one bin or one pair."""
+
+    X = np.array([[3.0, 0], [3.0, 1], [3.0, 1], [3.0, 2], [3.0, 4], [3.0, 4], [3.0, 7]])
+    y = np.array([1.0, 2.0, 9.0, 4.0, 8.0, 5.0, 6.0])
+    w = np.array([1.0, 0.5, 2.0, 1.5, 1.0, 3.0, 0.7])
+
+    def test_a_constant_feature_is_one_bin_and_no_cut(self):
+        # Feature 0 is constant everywhere; in the second node feature 1 is
+        # constant too (rows 1 and 2, and a duplicate), so it cannot split.
+        nodes = [np.array([0, 1, 1, 2, 3, 5, 6, 6]), np.array([1, 2, 1]), np.arange(7)]
+        picks = one_pass(self.X, self.y, self.w, nodes, 1.0)
+        assert picks == reference_pass(self.X, self.y, self.w, nodes, 1.0)
+        assert [f for f, _ in picks] == [1, -1, 1]
+        params = ForestParams(n_trees=6, max_depth=4, min_leaf_weight=0.5, features_per_split=2)
+        forest = train_forest(table(self.X, self.y, self.w), params, seed=3)
+        assert_same_trees(forest, reference_trees(self.X, self.y, self.w, params, 3))
+        assert all(0 not in tree.feature for tree in forest.trees)
+
+    def test_a_segment_of_one_pair(self):
+        # A node of one sample scans one pair per feature and cannot split;
+        # the nodes around it in the pass split as the reference does.
+        nodes = [np.array([0, 2, 4, 6]), np.array([3]), np.array([1, 2, 5, 5, 6])]
+        picks = one_pass(self.X, self.y, self.w, nodes, 0.5)
+        assert picks == reference_pass(self.X, self.y, self.w, nodes, 0.5)
+        assert [f for f, _ in picks] == [1, -1, 1]
+
+    def test_every_target_tied(self):
+        y = np.full(7, 4.2)
+        nodes = [np.arange(7), np.array([0, 1, 1, 6])]
+        assert one_pass(self.X, y, self.w, nodes, 0.5) == [(-1, 0.0), (-1, 0.0)]
+        assert reference_pass(self.X, y, self.w, nodes, 0.5) == [(-1, 0.0), (-1, 0.0)]
+        params = ForestParams(n_trees=4, max_depth=4, min_leaf_weight=0.5, features_per_split=2)
+        forest = train_forest(table(self.X, y, self.w), params, seed=5)
+        assert_same_trees(forest, reference_trees(self.X, y, self.w, params, 5))
+        assert all(len(tree.feature) == 1 for tree in forest.trees)
+
+    def test_zero_weight_rows_next_to_tied_values(self):
+        # Zero-weight rows share values with weighted ones and sit between
+        # them; dropped before training, they change no bin and no cut.
+        rng = np.random.default_rng(23)
+        X = rng.integers(0, 4, size=(60, 3)).astype(float)
+        y = rng.choice([0.5, 2.0, 7.5], size=60)
+        w = rng.uniform(0.5, 2.0, 60)
+        zero = rng.random(60) < 0.3
+        w[zero] = 0.0
+        X[zero, 1] += 0.5  # between the tied values of the weighted rows
+        params = ForestParams(n_trees=8, max_depth=6, min_leaf_weight=1.0, features_per_split=3)
+        forest = train_forest(table(X, y, w), params, seed=7)
+        assert_same_trees(forest, reference_trees(X, y, w, params, 7))
+        kept = ~zero
+        alone = train_forest(table(X[kept], y[kept], w[kept]), params, seed=7)
+        assert forest.to_json() == alone.to_json()
 
 
 def benchmark_forest(seed=18):
@@ -441,6 +528,25 @@ def golden_forest(case):
     return train_forest(table(X, y, w), params, seed=32)
 
 
+def ledger_forest():
+    """A forest on a tie-heavy table shaped like an ingested ledger's: 10
+    many-valued lag columns (-1 where missing), 13 two-valued columns (the
+    lags' presence flags and three others) and a 12-valued month, d = 24.
+    Here most (node, feature) pairs repeat a value already in their node."""
+    rng = np.random.default_rng(33)
+    n = 240
+    lags = rng.poisson(rng.gamma(2.0, 6.0, size=(n, 1)), size=(n, 10)).astype(float)
+    present = rng.random((n, 10)) < 0.85
+    lags[~present] = -1.0
+    flags = np.hstack([present, rng.random((n, 3)) < 0.5]).astype(float)
+    month = rng.integers(1, 13, size=(n, 1)).astype(float)
+    X = np.hstack([lags, flags, month])
+    y = np.maximum(lags[:, 0], 0) + rng.poisson(3.0, n)
+    w = rng.uniform(0.2, 3.0, n)
+    params = ForestParams(n_trees=12, max_depth=8, min_leaf_weight=1.0)
+    return train_forest(table(X, y, w), params, seed=34)
+
+
 # sha256 of each forest's JSON as the builder wrote it when these were
 # recorded; any change to the bootstrap, the feature subsets, the split
 # scan or the routing changes them.
@@ -450,7 +556,9 @@ GOLDEN_DIGESTS = {
     "zero_weight": "83a5c65801ac18fe87ddd52b34486797a24d7e7f0e6827e0b3d4edef213ebe84",
     "tied_targets": "000cf7326539e91891285738a2ef20a3a4d7040096c4d7d8222a229f3cec7e22",
     "benchmark": "c192e7701b168c08fadc1e723800d50b2fd9b46e2765ba9706755a5932b16fe8",
+    "ledger_ties": "49003b03f465d5668fbd2f4cba61733c46f5bf75ace038a37c343eb8c1c1264c",
 }
+SPECIAL_FORESTS = {"benchmark": benchmark_forest, "ledger_ties": ledger_forest}
 
 
 class TestGoldenForests:
@@ -458,7 +566,7 @@ class TestGoldenForests:
     @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
     def test_forest_json_digest(self, case, block_rows, monkeypatch):
         monkeypatch.setattr(forest_module, "BLOCK_ROWS", block_rows)
-        forest = benchmark_forest() if case == "benchmark" else golden_forest(case)
+        forest = SPECIAL_FORESTS[case]() if case in SPECIAL_FORESTS else golden_forest(case)
         digest = hashlib.sha256(forest.to_json().encode()).hexdigest()
         assert digest == GOLDEN_DIGESTS[case]
 
