@@ -86,8 +86,7 @@ equivalent CLI session:
   stockalloc ingest  --csv ledger.csv --out work/ --lag-months 3
   stockalloc train   --features work/features.csv --out work/forest.json --seed 1
   stockalloc weights --features work/features.csv --model work/forest.json \\
-                     --out work/weights.csv --budget-fraction 0.8
-  stockalloc retrain --features work/features.csv --weights work/weights.csv \\
-                     --out work/forest_aware.json --seed 1
+                     --out work/aware --budget-fraction 0.8
+  stockalloc train   --features work/aware/features.csv --out work/forest_aware.json --seed 1
   stockalloc compare --csv ledger.csv --seed 1 --budget-fraction 0.8 --out work/run
 """)

@@ -20,7 +20,6 @@ from .errors import (
     DegenerateWeightsError,
     EmptyInputError,
     IterationLimitError,
-    MissingWeightError,
     NotFoundError,
     SchemaError,
     ShapeError,
@@ -75,7 +74,6 @@ __all__ = [
     "ForestParams",
     "IterationLimitError",
     "LinearModel",
-    "MissingWeightError",
     "NotFoundError",
     "PolicyOutcome",
     "RejectedRow",

@@ -210,7 +210,7 @@ def _best_splits(data, rows, node, chosen, weight, wy, wyy, min_leaf):
     best_f = np.full(n_open, -1, dtype=np.int64)
     best_thr = np.zeros(n_open)
     last_left = np.zeros(n_open, dtype=np.int64)
-    if not len(rows):
+    if not len(rows) or not chosen.shape[1]:  # a table without features has no split
         return best_f, best_thr, last_left
 
     # One sort puts every (node, feature) pair's values in order: a segment

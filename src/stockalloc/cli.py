@@ -1,9 +1,11 @@
 """Batch command-line interface.
 
 Subcommands mirror the pipeline stages: ingest, synth, train, weights,
-retrain, allocate, evaluate, compare. Outputs are JSON-shaped reports and
-CSV tables; a run with a fixed config and seed writes byte-identical
-files. Errors exit nonzero with a categorized message on stderr.
+allocate, evaluate, compare. `weights` writes the reweighted feature
+table, so the decision-aware retrain is `train` on that table. Outputs
+are JSON-shaped reports and CSV tables; a run with a fixed config and
+seed writes byte-identical files. Errors exit nonzero with a categorized
+message on stderr.
 """
 
 import argparse
@@ -36,13 +38,7 @@ from .pipeline import (
     write_breakdown_csv,
 )
 from .synth import generate
-from .weights import (
-    JACOBIAN_MODES,
-    WeightReport,
-    apply_report,
-    budgets_from_fraction,
-    compute_weights,
-)
+from .weights import JACOBIAN_MODES, budgets_from_fraction, compute_weights
 
 _EXIT_BY_CATEGORY = {"config": 2, "schema": 2, "data": 3, "shape": 3, "solver": 4, "internal": 4}
 # The RunConfig keys a flag of the same name sets, in the commands that have the flag.
@@ -122,25 +118,28 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    """`train`, and `retrain` with the decision weights of `--weights`."""
     params = load_section(ForestParams, _config(args.config), args.command)
     table = FeatureTable.from_csv(args.features)
-    if args.command == "retrain":
-        table = apply_report(table, WeightReport.from_csv(args.weights))
     forest = train_forest(table, params=params, seed=args.seed or 0)
     forest.save(args.out)
-    print(f"{args.command}ed forest with {forest.n_trees} trees on {len(table)} rows -> {args.out}")
+    print(f"trained forest with {forest.n_trees} trees on {len(table)} rows -> {args.out}")
     return 0
 
 
 def cmd_weights(args):
+    """Write the table reweighted by the decision weights, and their audit table."""
+    features = os.path.join(args.out, "features.csv")
+    if os.path.exists(features) and os.path.samefile(features, args.features):
+        raise ConfigError(f"weights --out {args.out} would overwrite --features {args.features}")
     config = _run_config(args)
     table = FeatureTable.from_csv(args.features)
     model = Forest.load(args.model)
     report = compute_weights(table, model, budgets_from_fraction(table, config.budget_fraction),
                              config.weight_config)
-    report.to_csv(args.out)
-    print(f"wrote {len(report)} weights -> {args.out}")
+    _ensure_out(args.out)
+    table.with_weights(report.final_weights).to_csv(features)
+    report.to_csv(os.path.join(args.out, "weights.csv"))
+    print(f"wrote {len(report)} weights -> {features} and weights.csv")
     return 0
 
 
@@ -180,6 +179,8 @@ def _read_allocation(path):
                 raise ValueError("'facility_ids' must be a list of strings")
             if allocation.shape != (len(ids),):
                 raise ValueError("'allocation' must be a list as long as 'facility_ids'")
+            if not (np.all(np.isfinite(allocation)) and np.all(allocation >= 0)):
+                raise ValueError("'allocation' must be finite and nonnegative")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: not an allocation file: {exc!r}") from exc
     return payload
@@ -274,15 +275,9 @@ def build_parser():
     add_shared(p, "--config", "--budget-fraction", "--jacobian")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, help="forest JSON from `train`")
-    p.add_argument("--out", required=True, help="output weights CSV path")
+    p.add_argument("--out", required=True,
+                   help="output directory: the reweighted features.csv and weights.csv")
     p.set_defaults(func=cmd_weights)
-
-    p = sub.add_parser("retrain", help="retrain the forest with decision weights")
-    add_shared(p, "--config", "--seed")
-    p.add_argument("--features", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("allocate", help="solve the allocation for the latest period")
     add_shared(p, "--budget-fraction")

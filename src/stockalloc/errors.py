@@ -37,12 +37,6 @@ class DegenerateWeightsError(StockAllocError):
     category = "data"
 
 
-class MissingWeightError(StockAllocError):
-    """A weight report does not cover every training row."""
-
-    category = "data"
-
-
 class ConfigError(StockAllocError, ValueError):
     """Invalid or incomplete configuration; a bad value, so also a ValueError."""
 

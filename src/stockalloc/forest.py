@@ -171,7 +171,7 @@ def _walk(trees, X):
     for start in range(0, n, step):
         m = min(step, n - start)
         node = np.tile(roots, m)
-        base = np.arange(start * d, (start + m) * d, d).repeat(K)  # each pair's row in `flat`
+        base = (np.arange(start, start + m) * d).repeat(K)  # each pair's row in `flat`
         active = np.flatnonzero(feature[node] >= 0)
         while active.size:
             ids = node[active]

@@ -349,9 +349,6 @@ class FeatureTable:
         names = self.feature_names
         return names.index(INVENTORY_COLUMN) if INVENTORY_COLUMN in names else None
 
-    def row_keys(self):
-        return list(zip(self.facility_ids, self.product_ids, self.periods))
-
     def subset(self, idx):
         idx = np.asarray(idx)
         if idx.dtype == bool:
@@ -414,9 +411,34 @@ class FeatureTable:
 
     @classmethod
     def from_csv(cls, path):
-        """Read a `to_csv` file; a malformed line raises SchemaError naming it."""
-        header, cells, values = read_csv_table(path, "feature table", lambda h: (
-            h[:3] == ["facility_id", "product_id", "period"] and h[-2:] == ["target", "weight"]))
+        """Read a `to_csv` file: each row holds three text cells, a period
+        among them, then finite numbers, the weight nonnegative. An empty
+        file is an EmptyInputError; another header, text that is not UTF-8
+        CSV and a malformed row raise SchemaError naming the file and line."""
+        reader = csv.reader(io.StringIO(read_text(path), newline=""))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyInputError(f"{path} is empty")
+            if header[:3] != ["facility_id", "product_id", "period"] or (
+                    header[-2:] != ["target", "weight"]):
+                raise SchemaError(f"{path} is not a feature table CSV")
+            cells, values = [], []
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(header):
+                    raise SchemaError(f"{where}: {len(row)} cells, header has {len(header)}")
+                try:
+                    period_index(row[2])
+                    numbers = [float(v) for v in row[3:]]
+                except ValueError as exc:
+                    raise SchemaError(f"{where}: {exc}") from exc
+                if not all(map(math.isfinite, numbers)) or numbers[-1] < 0:
+                    raise SchemaError(f"{where}: values must be finite, the weight nonnegative")
+                cells.append(row[:3])
+                values.append(numbers)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from exc
         d = len(header) - 5
         values = np.array(values, dtype=float).reshape(len(cells), d + 2)
         return cls(
@@ -428,39 +450,6 @@ class FeatureTable:
             weights=values[:, d + 1].copy(),
             feature_names=header[3 : 3 + d],
         )
-
-
-def read_csv_table(path, what, header_ok):
-    """(header, text cells, numbers) of a `to_csv` file of `what`: each row
-    holds three text cells, a period among them, then finite numbers, the
-    last nonnegative. An empty file is an EmptyInputError; a header that
-    `header_ok` refuses, text that is not UTF-8 CSV and a malformed row
-    raise SchemaError naming the file and line."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInputError(f"{path} is empty")
-        if not header_ok(header):
-            raise SchemaError(f"{path} is not a {what} CSV")
-        period, last = header.index("period"), header[-1].replace("_", " ")
-        cells, numbers = [], []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise SchemaError(f"{where}: {len(row)} cells, header has {len(header)}")
-            try:
-                period_index(row[period])
-                values = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
-            if not all(map(math.isfinite, values)) or values[-1] < 0:
-                raise SchemaError(f"{where}: values must be finite, the {last} nonnegative")
-            cells.append(row[:3])
-            numbers.append(values)
-    except csv.Error as exc:
-        raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return header, cells, numbers
 
 
 def group_rows(keys):
@@ -591,15 +580,14 @@ def _last_per_key(keys, records):
 
 
 def split_train_eval(table, eval_period):
-    """Partition rows into (strictly earlier than eval, exactly at eval)."""
-    eval_period = period_str(period_index(eval_period))
+    """Partition rows into (strictly earlier than eval, exactly at eval),
+    comparing months, so "2020-2" and "2020-02" are one period."""
     idx = period_index(eval_period)
     months = period_indices(table.periods)
-    if eval_period not in set(table.periods):
-        raise NotFoundError(f"eval period {eval_period} not present in table")
-    train = table.subset(np.flatnonzero(months < idx))
-    evaluation = table.subset(np.flatnonzero(months == idx))
-    return train, evaluation
+    at_eval = np.flatnonzero(months == idx)
+    if not len(at_eval):
+        raise NotFoundError(f"eval period {period_str(idx)} not present in table")
+    return table.subset(np.flatnonzero(months < idx)), table.subset(at_eval)
 
 
 def write_exclusions_csv(path, exclusions):

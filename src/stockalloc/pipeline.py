@@ -37,7 +37,6 @@ from .synth import TwoClassScenario, generate
 from .weights import (
     DEFAULT_BUDGET_FRACTION,
     WeightConfig,
-    apply_report,
     budgets_from_fraction,
     compute_weights,
     group_problems,
@@ -270,8 +269,7 @@ def run_decision_aware(config, prepared=None, initial_model=None):
     initial_model = initial_model or _train_model(config, prepared.train)
     report = compute_weights(prepared.train, initial_model, prepared.budgets_train,
                              config.weight_config)
-    reweighted = apply_report(prepared.train, report)
-    model = _train_model(config, reweighted)
+    model = _train_model(config, prepared.train.with_weights(report.final_weights))
     label = f"decision_aware({config.weight_config.jacobian_mode})"
     outcome = _model_policy("decision_aware", config, prepared, model, label)
     return outcome, report
@@ -298,10 +296,11 @@ def rolling_forecasts(prepared, window):
     return forecasts
 
 
-def run_rolling_average(config, prepared=None, window=None):
-    """Trailing-mean point forecast allocated greedily (single scenario)."""
+def run_rolling_average(config, prepared=None):
+    """Trailing-mean point forecast over `config.rolling_window` months,
+    allocated greedily (single scenario)."""
     prepared = prepared or prepare(config)
-    window = window or config.rolling_window
+    window = config.rolling_window
     forecasts = rolling_forecasts(prepared, window)
     training = {"window": window, "weights": "none"}
     return _allocate_policy("rolling_average", prepared, lambda rows: forecasts[rows][:, None],

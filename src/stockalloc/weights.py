@@ -10,6 +10,11 @@ covers contribute zero and are kept alive only by the configurable floor.
 The reference allocation is solved once per (period, product) group on the
 initial (uniformly weighted) model's scenario samples, so the optimizer
 runs a fixed, small number of times regardless of model size.
+
+The weights reach training through the feature table's own `weight`
+column (`FeatureTable.with_weights`): `stockalloc weights` writes the
+reweighted table, which `train` reads like any other, and the weights
+CSV (`WeightReport.to_csv`) is an audit table that nothing reads back.
 """
 
 import csv
@@ -19,8 +24,8 @@ import numpy as np
 
 from .allocator import AllocationProblem, shifted_allocations, solve_greedy
 from .config import check, is_real
-from .errors import ConfigError, MissingWeightError, ShapeError
-from .ingest import group_rows, net_requirement, read_csv_table
+from .errors import ConfigError, ShapeError
+from .ingest import group_rows, net_requirement
 from .periods import normalize_period
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
@@ -61,9 +66,6 @@ class WeightReport:
     def __len__(self):
         return len(self.facility_ids)
 
-    def row_keys(self):
-        return list(zip(self.facility_ids, self.product_ids, self.periods))
-
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -79,20 +81,6 @@ class WeightReport:
                         repr(float(self.final_weights[i])),
                     ]
                 )
-
-    @classmethod
-    def from_csv(cls, path):
-        """Read a `to_csv` file; a malformed line raises SchemaError naming it."""
-        _, cells, values = read_csv_table(path, "weights", lambda h: h == WEIGHTS_CSV_HEADER)
-        values = np.array(values, dtype=float).reshape(len(cells), 3)
-        return cls(
-            facility_ids=[c[1] for c in cells],
-            product_ids=[c[2] for c in cells],
-            periods=[c[0] for c in cells],
-            gradients=values[:, 0].copy(),
-            raw_weights=values[:, 1].copy(),
-            final_weights=values[:, 2].copy(),
-        )
 
 
 def loss_gradient(a, xi_star):
@@ -229,15 +217,3 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         config=config,
     )
 
-
-def apply_report(train, report):
-    """Return the table reweighted by the report's final weights."""
-    if len(report) == len(train) and report.row_keys() == train.row_keys():
-        return train.with_weights(report.final_weights)
-    by_key = dict(zip(report.row_keys(), report.final_weights))
-    weights = np.empty(len(train))
-    for i, key in enumerate(train.row_keys()):
-        if key not in by_key:
-            raise MissingWeightError(f"report has no weight for row {key}")
-        weights[i] = by_key[key]
-    return train.with_weights(weights)

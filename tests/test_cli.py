@@ -18,13 +18,13 @@ from stockalloc import (
     RunConfig,
     TwoClassScenario,
     WeightConfig,
-    WeightReport,
     budgets_from_fraction,
     compute_weights,
     solve_greedy,
     unmet_demand_pct,
 )
 from stockalloc.cli import build_parser, load_config_file, main
+from stockalloc.forest import ForestParams, train_forest
 from stockalloc.config import load_section
 from stockalloc.ingest import write_exclusions_csv, write_rejects_csv
 from stockalloc.pipeline import prepare, prepare_table, solve_products, split_table
@@ -139,12 +139,12 @@ class TestModelCommands:
         assert run_cli("train", "--features", features, "--out", forest_path,
                        "--config", str(cfg), "--seed", "1") == 0
 
-        weights_path = str(out / "weights.csv")
+        aware = out / "aware"
         assert run_cli("weights", "--features", features, "--model", forest_path,
-                       "--out", weights_path, "--budget-fraction", "0.6") == 0
+                       "--out", str(aware), "--budget-fraction", "0.6") == 0
 
         retrained = str(out / "forest2.json")
-        assert run_cli("retrain", "--features", features, "--weights", weights_path,
+        assert run_cli("train", "--features", str(aware / "features.csv"),
                        "--out", retrained, "--config", str(cfg), "--seed", "1") == 0
 
         allocation = str(out / "allocation.json")
@@ -227,6 +227,23 @@ class TestEvalPeriodSplit:
         assert 0.0 <= json.loads(scored.read_text())["synthetic"]["unmet_demand_pct"] <= 100.0
 
 
+    def test_table_spelling_months_without_a_zero(self, tmp_path, synth_forest):
+        features, forest_path = synth_forest
+        table = FeatureTable.from_csv(features)
+        unpadded = tmp_path / "unpadded.csv"
+        replace(table, periods=[p.replace("-0", "-") for p in table.periods]).to_csv(unpadded)
+        assert "2020-3" in unpadded.read_text()
+        runs = []
+        for name, path in (("padded", features), ("unpadded", str(unpadded))):
+            allocation, scored = tmp_path / f"{name}.json", tmp_path / f"{name}_eval.json"
+            assert run_cli("allocate", "--features", path, "--model", forest_path,
+                           "--out", str(allocation)) == 0
+            assert run_cli("evaluate", "--allocation", str(allocation), "--features", path,
+                           "--out", str(scored)) == 0
+            runs.append((allocation.read_bytes(), scored.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][0])["eval_period"] == "2020-03"
+
     def test_bad_period_is_a_config_error(self, tmp_path, capsys):
         assert run_cli("compare", "--synth", "--eval-period", "2020-13",
                        "--out", str(tmp_path / "run")) == 2
@@ -262,7 +279,6 @@ FOREST_WITH_HUGE_FEATURE = json.dumps({
     "params": {"n_trees": 1}, "trees": [{"feature": [1.0], "threshold": [0.0], "left": [0],
                                           "right": [0], "value": [0.0], "support": [1.0]}],
 }).replace("[1.0]", "[1e400]", 1)
-WEIGHTS_HEADER = "period,facility_id,product_id,gradient,raw_weight,final_weight\n"
 
 
 @pytest.mark.parametrize("command, text, where", [
@@ -272,21 +288,22 @@ WEIGHTS_HEADER = "period,facility_id,product_id,gradient,raw_weight,final_weight
     ("evaluate", '{"eval_period": "2021-01"}', ": "),
     ("allocate", FEATURE_HEADER, ", line 1: "),
     ("allocate", FOREST_WITH_UNKNOWN_PARAM, ": bad forest: TypeError"),
-    ("retrain", WEIGHTS_HEADER + "2021-01,a,p,x,1.0,1.0\n", ", line 2: "),
     ("train", FEATURE_HEADER.encode() + b"b,p,2021-01,\xff,2.0,1.0\n",
      ", line 3: 'utf-8' codec can't decode byte 0xff"),
     ("train", FEATURE_HEADER + 'b,p,2021-01,"' + "x" * 131_073 + '",2.0,1.0\n',
      ", line 3: field larger than field limit"),
-    ("retrain", WEIGHTS_HEADER.encode() + b"2021-01,a\xff,p,1.0,1.0,1.0\n",
-     ", line 2: 'utf-8' codec can't decode byte 0xff"),
     ("evaluate", b'{"eval_period": "2021-01\xff"}', ", line 1: 'utf-8' codec can't decode"),
     ("evaluate", '{"products": {"p": {"facility_ids": [["a"]], "allocation": [1.0]}}}',
      ": not an allocation file: ValueError(\"'facility_ids' must be a list of strings"),
     ("allocate", FOREST_WITH_HUGE_FEATURE, ": bad forest: OverflowError"),
+    *(("evaluate", '{"products": {"p": {"facility_ids": ["a"], "allocation": [%s]}}}' % value,
+       ": not an allocation file: ValueError(\"'allocation' must be finite and nonnegative")
+      for value in ("NaN", "Infinity", "-1.0")),
 ], ids=["nan_target", "non_numeric_cell", "short_row", "allocation_without_products",
-        "model_not_json", "model_unknown_param", "weights_non_numeric_cell",
-        "features_not_utf8", "features_field_over_csv_limit", "weights_not_utf8",
-        "allocation_not_utf8", "allocation_facility_id_a_list", "model_node_overflows"])
+        "model_not_json", "model_unknown_param", "features_not_utf8",
+        "features_field_over_csv_limit", "allocation_not_utf8",
+        "allocation_facility_id_a_list", "model_node_overflows", "allocation_nan",
+        "allocation_infinite", "allocation_negative"])
 def test_malformed_input_is_a_schema_error(tmp_path, capsys, command, text, where):
     bad = tmp_path / "bad"
     bad.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -297,7 +314,6 @@ def test_malformed_input_is_a_schema_error(tmp_path, capsys, command, text, wher
         "train": ("train", "--features", str(bad), "--out", out),
         "evaluate": ("evaluate", "--allocation", str(bad), "--features", str(features)),
         "allocate": ("allocate", "--features", str(features), "--model", str(bad), "--out", out),
-        "retrain": ("retrain", "--features", str(features), "--weights", str(bad), "--out", out),
     }[command]
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith(f"schema error: {bad}{where}")
@@ -410,14 +426,11 @@ def test_bad_config_value_fails_before_any_work(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "retrain"])
+@pytest.mark.parametrize("command", ["train"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     features = tmp_path / "features.csv"
     features.write_text(FEATURE_HEADER)
-    weights = tmp_path / "weights.csv"
-    weights.write_text(WEIGHTS_HEADER + "2021-01,a,p,0.0,1.0,1.0\n")
-    argv = ("--weights", str(weights)) if command == "retrain" else ()
-    assert run_cli(command, "--features", str(features), *argv, "--seed", "-1",
+    assert run_cli(command, "--features", str(features), "--seed", "-1",
                    "--out", str(tmp_path / "forest.json")) == 2
     assert capsys.readouterr().err.startswith("config error: seed must be an integer >= 0")
 
@@ -428,8 +441,6 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     (("train", "--features", "f", "--out", "o"), ("--budget-fraction", "0.5")),
     (("train", "--features", "f", "--out", "o"), ("--jacobian", "full_fd")),
     (("weights", "--features", "f", "--model", "m", "--out", "o"), ("--seed", "4")),
-    (("retrain", "--features", "f", "--weights", "w", "--out", "o"), ("--budget-fraction", "0.5")),
-    (("retrain", "--features", "f", "--weights", "w", "--out", "o"), ("--jacobian", "full_fd")),
     (("allocate", "--features", "f", "--model", "m", "--out", "o"), ("--config", "c.json")),
     (("allocate", "--features", "f", "--model", "m", "--out", "o"), ("--seed", "4")),
     (("allocate", "--features", "f", "--model", "m", "--out", "o"), ("--jacobian", "full_fd")),
@@ -457,17 +468,17 @@ def test_feature_csv_keeps_the_feature_names(tmp_path):
 def test_weights_allocate_evaluate_net_by_the_tables_prior_inventory(tmp_path, synth_forest):
     features, forest_path = synth_forest
     table, model = FeatureTable.from_csv(features), Forest.load(forest_path)
-    weights_path, allocation = tmp_path / "weights.csv", tmp_path / "allocation.json"
+    aware, allocation = tmp_path / "aware", tmp_path / "allocation.json"
     scored = tmp_path / "eval.json"
     assert run_cli("weights", "--features", features, "--model", forest_path,
-                   "--out", str(weights_path)) == 0
+                   "--out", str(aware)) == 0
     assert run_cli("allocate", "--features", features, "--model", forest_path,
                    "--out", str(allocation)) == 0
     assert run_cli("evaluate", "--allocation", str(allocation), "--features", features,
                    "--out", str(scored)) == 0
 
     expected = compute_weights(table, model, budgets_from_fraction(table, 0.7))
-    assert np.array_equal(WeightReport.from_csv(weights_path).final_weights,
+    assert np.array_equal(FeatureTable.from_csv(aware / "features.csv").weights,
                           expected.final_weights)
     prepared = prepare_table(table, budget_fraction=0.7)
     X = prepared.eval_table.X
@@ -480,11 +491,11 @@ def test_weights_allocate_evaluate_net_by_the_tables_prior_inventory(tmp_path, s
         product: {"unmet_demand_pct": unmet_demand_pct(result.allocation, realized)}}
 
     # The same table with its inventory column under another name is not netted.
-    gross_features, gross_weights = tmp_path / "gross.csv", tmp_path / "gross_weights.csv"
+    gross_features, gross = tmp_path / "gross.csv", tmp_path / "gross"
     replace(table, feature_names=["stock", "month", "noise"]).to_csv(gross_features)
     assert run_cli("weights", "--features", str(gross_features), "--model", forest_path,
-                   "--out", str(gross_weights)) == 0
-    assert not np.array_equal(WeightReport.from_csv(gross_weights).final_weights,
+                   "--out", str(gross)) == 0
+    assert not np.array_equal(FeatureTable.from_csv(gross / "features.csv").weights,
                               expected.final_weights)
 
 
@@ -504,6 +515,57 @@ def test_inventory_feature_and_scenario_budget_fraction_are_unknown_keys(
     assert capsys.readouterr().err.startswith(
         f"config error: {command}: {where}unknown key(s) ['{key}'], expected some of ")
     assert not out.exists()
+
+
+def test_weights_writes_the_table_that_train_retrains_on(tmp_path, synth_forest):
+    features, forest_path = synth_forest
+    table, model = FeatureTable.from_csv(features), Forest.load(forest_path)
+    aware = tmp_path / "aware"
+    assert run_cli("weights", "--features", features, "--model", forest_path,
+                   "--jacobian", "diagonal_fd", "--out", str(aware)) == 0
+    report = compute_weights(table, model, budgets_from_fraction(table, 0.7),
+                             WeightConfig(jacobian_mode="diagonal_fd"))
+    reweighted = table.with_weights(report.final_weights)
+    reweighted.to_csv(tmp_path / "features.csv")
+    report.to_csv(tmp_path / "weights.csv")
+    for name in ("features.csv", "weights.csv"):
+        assert (aware / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    cfg = TestEvalPeriodSplit._small_forest(tmp_path)
+    assert run_cli("train", "--features", str(aware / "features.csv"), "--config", str(cfg),
+                   "--seed", "1", "--out", str(tmp_path / "aware.json")) == 0
+    direct = train_forest(reweighted, ForestParams(n_trees=4, max_depth=3), seed=1)
+    assert (tmp_path / "aware.json").read_text() == direct.to_json()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot_dot"])
+def test_weights_refuses_to_overwrite_its_features(tmp_path, capsys, synth_forest, spelling):
+    features, _ = synth_forest
+    before = (tmp_path / "features.csv").read_bytes()
+    work = os.path.dirname(features)
+    out = work if spelling == "same" else os.path.join(work, os.pardir, os.path.basename(work))
+    assert run_cli("weights", "--features", features, "--model", str(tmp_path / "absent.json"),
+                   "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"config error: weights --out {out} would overwrite --features {features}\n")
+    assert (tmp_path / "features.csv").read_bytes() == before
+
+
+def test_table_without_features_trains_allocates_and_evaluates(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    features = tmp_path / "features.csv"
+    features.write_text("facility_id,product_id,period,target,weight\n" + "".join(
+        f"f{i % 10},p,2021-0{i // 10 + 1},{float(rng.integers(1, 9))!r},1.0\n"
+        for i in range(30)))
+    forest_path, allocation = tmp_path / "forest.json", tmp_path / "allocation.json"
+    assert run_cli("train", "--features", str(features), "--out", str(forest_path)) == 0
+    forest = Forest.load(forest_path)
+    assert forest.n_trees == 100 and {len(tree.feature) for tree in forest.trees} == {1}
+    assert run_cli("allocate", "--features", str(features), "--model", str(forest_path),
+                   "--out", str(allocation)) == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", "--allocation", str(allocation), "--features", str(features)) == 0
+    assert 0 <= json.loads(capsys.readouterr().out)["p"]["unmet_demand_pct"] <= 100
 
 
 @pytest.fixture
@@ -565,13 +627,14 @@ def test_a_compare_file_serves_weights_and_synth(tmp_path, synth_forest):
                    "--out", str(tmp_path / "s")) == 0
     assert len((tmp_path / "s" / "features.csv").read_text().splitlines()) == 1 + 2 * 5
     features, forest_path = synth_forest
-    weights_path = tmp_path / "weights.csv"
+    aware = tmp_path / "aware"
     assert run_cli("weights", "--features", features, "--model", forest_path,
-                   "--config", str(cfg), "--out", str(weights_path)) == 0
-    report = WeightReport.from_csv(weights_path)
-    floored = np.maximum(np.abs(report.raw_weights), 0.25)
+                   "--config", str(cfg), "--out", str(aware)) == 0
+    raw_weights = np.loadtxt(aware / "weights.csv", delimiter=",", skiprows=1, usecols=4)
+    floored = np.maximum(np.abs(raw_weights), 0.25)
     assert floored.min() == 0.25
-    assert np.array_equal(report.final_weights, floored / floored.mean())
+    assert np.array_equal(FeatureTable.from_csv(aware / "features.csv").weights,
+                          floored / floored.mean())
 
 
 @pytest.mark.parametrize("text", ['{"periods": 4}', "periods = 4"], ids=["json", "key_value"])
@@ -632,10 +695,8 @@ def test_a_given_flag_replaces_a_bad_file_value(tmp_path, synth_forest,
     with_file, flag_only = tmp_path / "with_file", tmp_path / "flag_only"
     assert run_cli(*argv, "--config", str(cfg), flag, str(good), "--out", str(with_file)) == 0
     assert run_cli(*argv, flag, str(good), "--out", str(flag_only)) == 0
-    if command == "weights":
-        assert with_file.read_bytes() == flag_only.read_bytes()
-    else:
-        assert (with_file / "features.csv").read_bytes() == (flag_only / "features.csv").read_bytes()
+    for name in ("features.csv", "weights.csv") if command == "weights" else ("features.csv",):
+        assert (with_file / name).read_bytes() == (flag_only / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command, key, flag, bad, good", SETTINGS, ids=[s[0] for s in SETTINGS])
@@ -714,17 +775,17 @@ def test_weights_takes_its_budget_fraction_from_a_compare_file(tmp_path, synth_f
     cfg = tmp_path / "run.json"
     cfg.write_text('{"budget_fraction": 0.3}')
 
-    def weights_csv(name, *argv):
-        path = tmp_path / name
+    def weights_csvs(name, *argv):
+        out = tmp_path / name
         assert run_cli("weights", "--features", features, "--model", forest_path,
-                       "--out", str(path), *argv) == 0
-        return path.read_bytes()
+                       "--out", str(out), *argv) == 0
+        return (out / "features.csv").read_bytes(), (out / "weights.csv").read_bytes()
 
-    default = weights_csv("default.csv")
-    from_file = weights_csv("file.csv", "--config", str(cfg))
-    assert from_file != default
-    assert from_file == weights_csv("flag.csv", "--budget-fraction", "0.3")
-    assert weights_csv("both.csv", "--config", str(cfg), "--budget-fraction", "0.7") == default
+    default = weights_csvs("default")
+    from_file = weights_csvs("file", "--config", str(cfg))
+    assert from_file[0] != default[0] and from_file[1] != default[1]
+    assert from_file == weights_csvs("flag", "--budget-fraction", "0.3")
+    assert weights_csvs("both", "--config", str(cfg), "--budget-fraction", "0.7") == default
 
 
 @pytest.mark.parametrize("config", [

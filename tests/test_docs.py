@@ -1,32 +1,43 @@
-"""The README's command-line and config tables, and its library quick
-start, agree with the code.
+"""The README's command-line and config tables, its CLI sessions and
+library quick start, and demo 05's CLI session agree with the code.
 
-A flag or config key that the README lists and the code does not have,
-or the other way round, fails here, and so does a quick start that no
-longer runs.
+A flag, subcommand or config key that the README lists and the code does
+not have, or the other way round, fails here, and so does a documented
+command line that the parser refuses or a quick start that no longer runs.
 """
 
 import argparse
 import dataclasses
 import os
 import re
+import shlex
 import typing
 
 from stockalloc import ForestParams, RunConfig, TwoClassScenario, WeightConfig
 from stockalloc.cli import build_parser
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+DEMO_05 = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "05_ledger_to_report.py")
 
 # The config table's rows that read one section dataclass each.
-SECTION_OF_ROW = {"synth": TwoClassScenario, "train": ForestParams, "retrain": ForestParams,
-                  "weights": WeightConfig}
+SECTION_OF_ROW = {"synth": TwoClassScenario, "train": ForestParams, "weights": WeightConfig}
 # RunConfig fields that a `compare` file may not set: the command gives them.
 RUN_GIVEN = {"csv_path", "seed"}
 
 
 def _readme():
-    with open(README, encoding="utf-8") as fh:
+    return _read(README)
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _command_lines(text):
+    """The `stockalloc ...` commands of `text`, each continuation line joined on."""
+    joined = re.sub(r"\\+\n", " ", text)
+    return [line.strip() for line in joined.splitlines() if line.strip().startswith("stockalloc ")]
 
 
 def _table(heading):
@@ -66,6 +77,28 @@ def test_flags_table_lists_every_flag_of_each_subcommand():
         flags = {flag for action in parser._actions for flag in action.option_strings
                  if flag != "--help" and flag.startswith("--")}
         assert set(re.findall(r"--[a-z][a-z-]*", rows[name][0])) == flags, name
+
+
+def test_module_table_lists_the_subcommands():
+    listed = re.search(r"\| `stockalloc\.cli` \|[^`]*`([^`]*)`", _readme()).group(1).split()
+    assert listed == list(_subcommands())
+
+
+def _sessions():
+    readme = re.search(r"## Command line\s+```bash\n(.*?)```", _readme(), re.S).group(1)
+    demo = re.search(r"equivalent CLI session:\n(.*?)\"\"\"", _read(DEMO_05), re.S).group(1)
+    return [("README", readme), ("demo 05", demo)]
+
+
+def test_documented_sessions_parse():
+    for where, text in _sessions():
+        lines = _command_lines(text)
+        assert len(lines) >= 3, where
+        for line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                raise AssertionError(f"{where}: the parser refuses {line!r}") from None
 
 
 def test_config_table_lists_the_keys_of_each_section():

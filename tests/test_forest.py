@@ -454,6 +454,27 @@ class TestBinnedScanEdges:
         assert forest.to_json() == alone.to_json()
 
 
+    @pytest.mark.parametrize("features_per_split", [None, 1])
+    def test_a_table_without_features_grows_one_leaf_per_tree(self, features_per_split):
+        # No feature to scan, so no split: each tree is the weighted mean of
+        # its bootstrap, drawn as the reference builder draws it.
+        rng = np.random.default_rng(29)
+        y, w = rng.uniform(0, 9, 12), rng.uniform(0.5, 2.0, 12)
+        params = ForestParams(n_trees=5, features_per_split=features_per_split)
+        forest = train_forest(table(np.zeros((12, 0)), y, w), params, seed=4)
+        for k, tree in enumerate(forest.trees):
+            draw = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(k,))).choice(
+                12, size=12, replace=True, p=w / w.sum())
+            assert list(tree.feature) == [-1]
+            np.testing.assert_allclose(tree.support, [w[draw].sum()], rtol=1e-12)
+            np.testing.assert_allclose(tree.value, [np.average(y[draw], weights=w[draw])],
+                                       rtol=1e-12)
+        X = np.zeros((3, 0))
+        assert_same_bytes(forest.predict_samples(X),
+                          np.tile([tree.value[0] for tree in forest.trees], (3, 1)))
+        assert_matches_reference(forest, X)
+
+
 def benchmark_forest(seed=18):
     """The default forest on a table of the benchmark's shape."""
     rng = np.random.default_rng(17)

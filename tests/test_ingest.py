@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -568,6 +569,15 @@ class TestSplit:
         with pytest.raises(NotFoundError):
             split_train_eval(self._table(), "2022-01")
 
+    @pytest.mark.parametrize("eval_period", ["2021-3", "2021-03"])
+    def test_months_spelled_without_a_zero_match(self, eval_period):
+        t = self._table()
+        unpadded = replace(t, periods=[p.replace("-0", "-") for p in t.periods])
+        train, evaluation = split_train_eval(unpadded, eval_period)
+        assert (set(train.periods), evaluation.periods) == ({"2021-1", "2021-2"}, ["2021-3"])
+        with pytest.raises(NotFoundError, match="eval period 2022-01 not present"):
+            split_train_eval(unpadded, "2022-1")
+
 
 class TestNetRequirement:
     @pytest.mark.parametrize("column", [0, 1])
@@ -609,6 +619,28 @@ class TestFeatureTableCsv:
         assert header[:3] == ["facility_id", "product_id", "period"]
         assert header[3:7] == ["f_0", "f_1", "f_2", "f_3"]
         assert header[-2:] == ["target", "weight"]
+
+    @pytest.mark.parametrize("line, message", [
+        ("f0,p,2021-01,1.0,1.0\n", "5 cells, header has 6"),
+        ("f0,p,2021-01,x,1.0,1.0\n", "could not convert"),
+        ("f0,p,2021-01,1.0,inf,1.0\n", "values must be finite"),
+        ("f0,p,2021-01,1.0,1.0,-1.0\n", "the weight nonnegative"),
+    ], ids=["short_row", "non_numeric", "non_finite", "negative_weight"])
+    def test_malformed_line_is_a_schema_error(self, tmp_path, line, message):
+        path = tmp_path / "features.csv"
+        path.write_text("facility_id,product_id,period,f_0,target,weight\n"
+                        "f1,p,2021-01,0.0,1.0,1.0\n" + line)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}, line 3: .*{message}"):
+            FeatureTable.from_csv(path)
+
+    def test_foreign_header_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("period,facility_id,product_id,gradient,raw_weight,final_weight\n")
+        with pytest.raises(SchemaError, match="not a feature table CSV"):
+            FeatureTable.from_csv(path)
+        path.write_text("")
+        with pytest.raises(EmptyInputError, match="is empty"):
+            FeatureTable.from_csv(path)
 
     @pytest.mark.parametrize("periods, message", [
         (["2022-03", "2022-13", "20x2-01"], "bad month in period '2022-13'"),

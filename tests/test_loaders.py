@@ -1,16 +1,19 @@
 """Loader fuzzing: a reader of outside input returns, or raises a StockAllocError.
 
-Covers config files and every section loader, feature-table and weights
-CSVs, forest JSON and `allocate` JSON (`parse_records` has its own fuzz
-tests in test_ingest.py).
+Covers config files and every section loader, feature-table CSVs, forest
+JSON and `allocate` JSON (`parse_records` has its own fuzz tests in
+test_ingest.py). The weights CSV is written for audit only and never read.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stockalloc import (
@@ -21,11 +24,9 @@ from stockalloc import (
     StockAllocError,
     TwoClassScenario,
     WeightConfig,
-    WeightReport,
 )
 from stockalloc.cli import main
 from stockalloc.config import load_config_file, load_section
-from stockalloc.weights import WEIGHTS_CSV_HEADER
 
 SECTIONS = (ForestParams, WeightConfig, TwoClassScenario, RunConfig)
 KEYS = sorted({f.name for cls in SECTIONS for f in dataclasses.fields(cls)} | {"x"})
@@ -80,11 +81,10 @@ def test_config_file_text(data):
 
 
 @_FUZZ
-@given(st.lists(st.binary(max_size=30) | _CELLS.map(str.encode), max_size=6), st.booleans())
-def test_feature_and_weight_csvs(lines, weights):
-    header = ",".join(WEIGHTS_CSV_HEADER) + "\n" if weights else FEATURE_CSV
-    _load(header.encode() + b"\n".join(lines), WeightReport.from_csv if weights
-          else FeatureTable.from_csv)
+@given(st.lists(st.binary(max_size=30) | _CELLS.map(str.encode), max_size=6))
+def test_feature_and_weight_csvs(lines):
+    """The feature table, whose `weight` column carries the decision weights."""
+    _load(FEATURE_CSV.encode() + b"\n".join(lines), FeatureTable.from_csv)
 
 
 _ARRAYS = st.lists(st.integers(-2, 4) | st.floats() | st.integers(10**20, 10**30), max_size=4)
@@ -112,6 +112,7 @@ _ENTRY = st.fixed_dictionaries({
 
 
 @_FUZZ
+@example({"products": {"p": {"facility_ids": ["a"], "allocation": [float("nan")]}}})
 @given(st.fixed_dictionaries({
     "eval_period": st.just("2021-02") | _SCALARS,
     "products": st.dictionaries(st.sampled_from(["p", "q"]), _ENTRY | _JSON) | _JSON,
@@ -124,4 +125,9 @@ def test_allocation_json(payload):
         allocation = os.path.join(tmp, "allocation.json")
         with open(allocation, "w") as fh:
             fh.write(json.dumps(payload))
-        assert main(["evaluate", "--allocation", allocation, "--features", features]) in (0, 2, 3)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = main(["evaluate", "--allocation", allocation, "--features", features])
+        assert code in (0, 2, 3)
+        if code == 0:  # strict JSON: no NaN or Infinity
+            json.loads(printed.getvalue(), parse_constant=lambda name: pytest.fail(name))

@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -11,11 +12,8 @@ from stockalloc import (
     DegenerateWeightsError,
     FeatureTable,
     ForestParams,
-    MissingWeightError,
-    SchemaError,
     ShapeError,
     WeightConfig,
-    WeightReport,
     budgets_from_fraction,
     compute_weights,
     loss_gradient,
@@ -24,7 +22,7 @@ from stockalloc import (
 )
 from stockalloc import weights
 from stockalloc.ingest import INVENTORY_COLUMN
-from stockalloc.weights import WEIGHTS_CSV_HEADER, apply_report, group_problems
+from stockalloc.weights import WEIGHTS_CSV_HEADER, group_problems
 
 from oracles import reference_fd_columns
 
@@ -444,16 +442,8 @@ class TestRetrain:
 
     def test_equal_weights_match_uniform_training(self):
         t = self._table()
-        report = WeightReport(
-            facility_ids=list(t.facility_ids),
-            product_ids=list(t.product_ids),
-            periods=list(t.periods),
-            gradients=np.zeros(len(t)),
-            raw_weights=np.zeros(len(t)),
-            final_weights=np.full(len(t), 2.5),
-        )
         params = ForestParams(n_trees=5, max_depth=4, min_leaf_weight=1.0)
-        weighted = train_forest(apply_report(t, report), params, seed=3)
+        weighted = train_forest(t.with_weights(np.full(len(t), 2.5)), params, seed=3)
         uniform = train_forest(t, params, seed=3)
         probe = np.random.default_rng(4).uniform(0, 1, (10, 3))
         assert np.allclose(weighted.predict_point(probe), uniform.predict_point(probe), rtol=1e-9)
@@ -467,16 +457,9 @@ class TestRetrain:
         t = FeatureTable.from_arrays(
             np.vstack([clean_X, noise_X]), np.concatenate([clean_y, noise_y])
         )
-        report = WeightReport(
-            facility_ids=list(t.facility_ids),
-            product_ids=list(t.product_ids),
-            periods=list(t.periods),
-            gradients=np.zeros(len(t)),
-            raw_weights=np.zeros(len(t)),
-            final_weights=np.concatenate([np.ones(50), np.zeros(30)]),
-        )
         params = ForestParams(n_trees=6, max_depth=5, min_leaf_weight=1.0)
-        weighted = train_forest(apply_report(t, report), params, seed=7)
+        weighted = train_forest(t.with_weights(np.concatenate([np.ones(50), np.zeros(30)])),
+                                params, seed=7)
         clean_only = train_forest(
             FeatureTable.from_arrays(clean_X, clean_y), params, seed=7
         )
@@ -485,58 +468,25 @@ class TestRetrain:
 
     def test_all_zero_weights_error(self):
         t = self._table(seed=8)
-        report = WeightReport(
-            facility_ids=list(t.facility_ids),
-            product_ids=list(t.product_ids),
-            periods=list(t.periods),
-            gradients=np.zeros(len(t)),
-            raw_weights=np.zeros(len(t)),
-            final_weights=np.zeros(len(t)),
-        )
         with pytest.raises(DegenerateWeightsError):
-            train_forest(apply_report(t, report), ForestParams(n_trees=2), seed=0)
-
-    def test_coverage_gap_raises(self):
-        t = self._table(seed=9)
-        report = WeightReport(
-            facility_ids=list(t.facility_ids)[:-1],
-            product_ids=list(t.product_ids)[:-1],
-            periods=list(t.periods)[:-1],
-            gradients=np.zeros(len(t) - 1),
-            raw_weights=np.zeros(len(t) - 1),
-            final_weights=np.ones(len(t) - 1),
-        )
-        with pytest.raises(MissingWeightError):
-            apply_report(t, report)
+            train_forest(t.with_weights(np.zeros(len(t))), ForestParams(n_trees=2), seed=0)
 
 
 class TestReportCsv:
     def test_round_trip(self, tmp_path):
+        """The audit table holds every row's key and its exact floats."""
         t = panel_table(seed=11)
         model = exact_model(t)
         budgets = budgets_from_fraction(t, 0.5)
         report = compute_weights(t, model, budgets, WeightConfig())
         path = tmp_path / "weights.csv"
         report.to_csv(path)
-        back = WeightReport.from_csv(path)
-        assert np.array_equal(back.final_weights, report.final_weights)
-        assert np.array_equal(back.gradients, report.gradients)
-        assert back.row_keys() == report.row_keys()
-
-    @pytest.mark.parametrize("line, message", [
-        ("2021-01,f0,p,-1.0,1.0\n", "5 cells, header has 6"),
-        ("2021-01,f0,p,x,1.0,1.0\n", "could not convert"),
-        ("2021-01,f0,p,-1.0,inf,1.0\n", "values must be finite"),
-        ("2021-01,f0,p,-1.0,1.0,-1.0\n", "final weight nonnegative"),
-    ], ids=["short_row", "non_numeric", "non_finite", "negative_weight"])
-    def test_malformed_line_is_a_schema_error(self, tmp_path, line, message):
-        path = tmp_path / "weights.csv"
-        path.write_text(",".join(WEIGHTS_CSV_HEADER) + "\n2021-01,f1,p,0.0,1.0,1.0\n" + line)
-        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}, line 3: .*{message}"):
-            WeightReport.from_csv(path)
-
-    def test_foreign_header_is_a_schema_error(self, tmp_path):
-        path = tmp_path / "weights.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(SchemaError, match="not a weights CSV"):
-            WeightReport.from_csv(path)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == WEIGHTS_CSV_HEADER
+        assert [tuple(r[:3]) for r in rows] == list(
+            zip(report.periods, report.facility_ids, report.product_ids))
+        values = np.array([r[3:] for r in rows], dtype=float)
+        assert np.array_equal(values[:, 0], report.gradients)
+        assert np.array_equal(values[:, 1], report.raw_weights)
+        assert np.array_equal(values[:, 2], report.final_weights)
