@@ -11,6 +11,16 @@ learners. Both orders a pass needs, the pairs by key for the bins and the
 samples by child for the routing, come from `_stable_order`: one value sort
 of int64 keys with each key's position packed into its low bits, which
 gives numpy's stable argsort without running one.
+
+A pass's memory sets how many trees a block holds (`forest.BLOCK_ROWS`).
+At its peak, while the bins' moment sums are added up, a pass holds 24
+bytes per pair (its row, its bin and one gathered moment, 8 bytes each) and
+40 per bin (three moment sums, segment, row); the other steps hold less.
+The scan frees each array once it is used, gathers the candidate cuts only
+after the min_leaf filter and works the gain arithmetic in place, so at
+most five float arrays of cuts are alive at once. Positions stay int64:
+numpy gathers through int32 index arrays about 2.4x slower, and `np.take`
+and `np.bincount` copy them to int64 first.
 """
 
 from dataclasses import dataclass
@@ -144,6 +154,7 @@ def _grow_block(data, cdf, params, seed, tree_ids):
         order, node = _stable_order(child)
         rows = rows[order]
         level_tree, level_id = child_tree, child_id
+        del keep, f_row, go_right, child, order  # not held through the next scan
 
     # Each tree gets arrays of its own, so it does not keep its block alive.
     columns = [np.concatenate(c) for c in zip(*levels)]
@@ -225,46 +236,79 @@ def _best_splits(data, rows, node, chosen, weight, wy, wyy, min_leaf):
     key |= data.rank.take(at_rank)
     del at_rank
     order, key = _stable_order(key.ravel())
-    row = rows[order // chosen.shape[1]]
+    order //= chosen.shape[1]
+    row = rows[order]
     del order
 
-    # One bin per run of equal keys.
-    first, size = _runs(key)
-    pair_bin = np.repeat(np.arange(len(first)), size)
-    sums = np.empty((3, len(first)))
-    for moment, per_row in zip(sums, (data.w, data.wy, data.wyy)):
-        moment[:] = np.bincount(pair_bin, per_row[row], minlength=len(first))
-    segment, row = key[first] >> data.rank_bits, row[first]
-    del key, first, size, pair_bin
-    offset = _run_offsets(segment)
-    _segment_cumsum(sums, offset)
+    # One bin per run of equal keys: its segment, its first pair's row and
+    # its moment sums, the pairs added in their sorted order. (A bool
+    # `np.cumsum` would first copy the flags to int64.)
+    is_first = np.empty(len(key), dtype=bool)
+    is_first[0] = True
+    np.not_equal(key[1:], key[:-1], out=is_first[1:])
+    pair_bin = is_first.astype(np.int64)
+    np.cumsum(pair_bin, out=pair_bin)
+    pair_bin -= 1
+    first = np.flatnonzero(is_first)
+    del is_first
+    segment = key[first] >> data.rank_bits
+    del key
+    sums = [np.bincount(pair_bin, per_row[row], minlength=len(first))
+            for per_row in (data.w, data.wy, data.wyy)]
+    row = row[first]
+    del pair_bin, first
+    _segment_cumsum(sums, _run_offsets(segment))
 
     # Candidate cut k: the last bin of the left side; bin k + 1 is of the
-    # same segment and so of a higher value.
-    cut = np.flatnonzero(offset[1:] > 0)
-    del offset
-    lw = sums[0][cut]
-    at = segment[cut] // d
-    rw = weight[at] - lw
-    ok = np.flatnonzero((lw >= min_leaf[at]) & (rw >= min_leaf[at]))
-    if not ok.size:
+    # same segment and so of a higher value. Only the cuts whose sides both
+    # weigh >= min_leaf are gathered out of the bins.
+    at = segment // d
+    ok = np.zeros(len(segment), dtype=bool)
+    np.equal(segment[1:], segment[:-1], out=ok[:-1])
+    floor = min_leaf[at]
+    ok &= sums[0] >= floor
+    rw = weight[at]
+    rw -= sums[0]
+    ok &= rw >= floor
+    del floor, rw
+    if not ok.any():
         return best_f, best_thr, last_left
-    cut, at, lw, rw = cut[ok], at[ok], lw[ok], rw[ok]
-    segment = segment[cut]
-    ly, ly2 = sums[1][cut], sums[2][cut]
+    at, segment = at[ok], segment[ok]
+    for i in range(3):  # a moment's cuts replace its bins one at a time
+        sums[i] = sums[i][ok]
+    lw, ly, ly2 = sums
     del sums
-    ry = wy[at] - ly
-    ry2 = wyy[at] - ly2
-    parent = wyy - wy**2 / weight
-    gain = parent[at] - (ly2 - ly**2 / lw) - (ry2 - ry**2 / rw)
-    del lw, ly, ly2, rw, ry, ry2
+
+    # gain = parent SSE - (ly2 - ly**2 / lw) - (ry2 - ry**2 / rw), each
+    # operation in place and in that order.
+    rw = weight[at]
+    rw -= lw
+    ry = wy[at]
+    ry -= ly
+    ly **= 2
+    ly /= lw
+    del lw
+    ry2 = wyy[at]
+    ry2 -= ly2
+    ly2 -= ly  # the left SSE
+    del ly
+    ry **= 2
+    ry /= rw
+    del rw
+    ry2 -= ry  # the right SSE
+    del ry
+    gain = (wyy - wy**2 / weight)[at]
+    gain -= ly2
+    gain -= ry2
+    del ly2, ry2
 
     # Per segment: the first cut within tol of the segment's best gain.
     starts, counts = _runs(segment)
     top = np.maximum.reduceat(gain, starts)
     near = np.flatnonzero(gain >= np.repeat(top - tol[at[starts]], counts))
     first = near[_runs(segment[near])[0]]
-    gain, segment, cut = gain[first], segment[first], cut[first]
+    gain, segment = gain[first], segment[first]
+    cut = np.flatnonzero(ok)[first]
     at, f = segment // d, segment % d
     below, above = data.X[row[cut], f], data.X[row[cut + 1], f]
     threshold = 0.5 * (below + above)
@@ -302,9 +346,10 @@ def _run_offsets(keys):
 
 
 def _segment_cumsum(sums, offset):
-    """Prefix sums of each row of `sums`, restarted at every segment, in place.
+    """Prefix sums of each of the arrays `sums`, restarted at every segment,
+    in place.
 
-    Each column is one bin of `_best_splits`, the sums of its own pairs, and
+    Each entry is one bin of `_best_splits`, the sums of its own pairs, and
     `offset` is its position inside its segment. The log-step scan adds
     only bins of the same segment, so a node's sums carry the rounding of
     its own values alone, as sums taken inside the node do: they are
@@ -314,7 +359,9 @@ def _segment_cumsum(sums, offset):
     step = 1
     longest = int(offset.max()) + 1
     while step < longest:
-        sums[:, step:] += sums[:, :-step] * (offset[step:] >= step)
+        same = offset[step:] >= step
+        for moment in sums:
+            moment[step:] += moment[:-step] * same
         step *= 2
     return sums
 

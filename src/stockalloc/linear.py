@@ -56,8 +56,6 @@ def train_linear(table, n_samples=100):
     w = np.asarray(table.weights, dtype=float)
     if len(y) == 0:
         raise DegenerateWeightsError("empty training table")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
     if not (w > 0).any():
         raise DegenerateWeightsError("all row weights are zero")
 
