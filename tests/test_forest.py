@@ -600,7 +600,9 @@ SPECIAL_FORESTS = {"benchmark": benchmark_forest, "ledger_ties": ledger_forest}
 
 
 class TestGoldenForests:
-    @pytest.mark.parametrize("block_rows", [1, forest_module.BLOCK_ROWS])
+    # The forest must not depend on the block size: one row per block, an
+    # intermediate size and the default are all checked.
+    @pytest.mark.parametrize("block_rows", sorted({1, 4096, forest_module.BLOCK_ROWS}))
     @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
     def test_forest_json_digest(self, case, block_rows, monkeypatch):
         monkeypatch.setattr(forest_module, "BLOCK_ROWS", block_rows)
