@@ -3,8 +3,10 @@
 # The ingestion stage parses a stock-ledger CSV, applies the cleaning
 # rules (balance identity, all-zero rows, per-series outliers), builds
 # lagged feature tables, and the pipeline compares allocation policies on
-# the held-out final month.
+# the held-out final month. The CLI session printed at the end runs the
+# same comparison one stage at a time, from the same settings.
 
+import json
 import os
 import tempfile
 
@@ -12,13 +14,20 @@ import numpy as np
 
 from stockalloc import (
     RunConfig,
-    ForestParams,
     build_feature_table,
     clean_records,
     parse_records,
     split_train_eval,
 )
+from stockalloc.config import load_section
 from stockalloc.pipeline import compare
+
+# The run's settings: a `compare` config file, which every subcommand reads.
+settings = {
+    "lag_months": 3,
+    "budget_fraction": 0.8,
+    "forest_params": {"n_trees": 20, "max_depth": 6, "min_leaf_weight": 1.0},
+}
 
 rng = np.random.default_rng(42)
 
@@ -54,11 +63,11 @@ print(f"cleaning kept {len(kept)}, excluded {len(excluded)}:")
 for e in excluded:
     print(f"  {e.record.facility_id} {e.record.period}: {e.reason}")
 
-table = build_feature_table(kept, lag_months=3)
+table = build_feature_table(kept, lag_months=settings["lag_months"])
 print(f"\nfeature table: {len(table)} rows x {table.feature_dim} features")
 print("columns:", ", ".join(table.feature_names))
 
-train, evaluation = split_train_eval(table, "2021-10")
+train, evaluation, _ = split_train_eval(table, "2021-10")
 print(f"train rows {len(train)}, eval rows {len(evaluation)}")
 
 # Full comparison via the pipeline (CSV path wants a file on disk).
@@ -66,13 +75,8 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "ledger.csv")
     with open(path, "w") as fh:
         fh.write(ledger_text)
-    config = RunConfig(
-        csv_path=path,
-        lag_months=3,
-        forest_params=ForestParams(n_trees=20, max_depth=6, min_leaf_weight=1.0),
-        budget_fraction=0.8,
-        seed=1,
-    )
+    # What `stockalloc compare --csv PATH --config run.json --seed 1` runs.
+    config = load_section(RunConfig, settings, "compare", csv_path=path, seed=1)
     report, outcomes, weight_report, prepared = compare(config)
 
 print("\nunmet demand by policy (eval period", report["eval_period"] + "):")
@@ -80,13 +84,22 @@ for name in report["policy_order"]:
     pct = report["products"]["ors"]["policies"][name]["unmet_demand_pct"]
     print(f"  {name:>16}: {pct:6.2f}%")
 
-# The same flow as shell commands:
-print("""
+# The same run as shell commands, on the ledger above saved as ledger.csv.
+# `train` fits and `weights` weights only the months before the evaluation
+# period, so `evaluate` prints the decision_aware figure above. `allocate`
+# reads no config file: it takes the budget fraction as a flag.
+print(f"""
 equivalent CLI session:
-  stockalloc ingest  --csv ledger.csv --out work/ --lag-months 3
-  stockalloc train   --features work/features.csv --out work/forest.json --seed 1
-  stockalloc weights --features work/features.csv --model work/forest.json \\
-                     --out work/aware --budget-fraction 0.8
-  stockalloc train   --features work/aware/features.csv --out work/forest_aware.json --seed 1
-  stockalloc compare --csv ledger.csv --seed 1 --budget-fraction 0.8 --out work/run
+  echo '{json.dumps(settings)}' > run.json
+  stockalloc ingest   --csv ledger.csv --config run.json --out work
+  stockalloc train    --features work/features.csv --config run.json --seed 1 \\
+                      --out work/forest.json
+  stockalloc weights  --features work/features.csv --model work/forest.json \\
+                      --config run.json --out work/aware
+  stockalloc train    --features work/aware/features.csv --config run.json --seed 1 \\
+                      --out work/forest_aware.json
+  stockalloc allocate --features work/features.csv --model work/forest_aware.json \\
+                      --budget-fraction {settings["budget_fraction"]} --out work/allocation.json
+  stockalloc evaluate --allocation work/allocation.json --features work/features.csv
+  stockalloc compare  --csv ledger.csv --config run.json --seed 1 --out work/run
 """)

@@ -1,11 +1,12 @@
 """Batch command-line interface.
 
 Subcommands mirror the pipeline stages: ingest, synth, train, weights,
-allocate, evaluate, compare. `weights` writes the reweighted feature
-table, so the decision-aware retrain is `train` on that table. Outputs
-are JSON-shaped reports and CSV tables; a run with a fixed config and
-seed writes byte-identical files. Errors exit nonzero with a categorized
-message on stderr.
+allocate, evaluate, compare. The staged ones are `compare` cut into
+stages: `train` fits and `weights` weights the rows before the evaluation
+period, `allocate` solves that period (`_split_features`), and every
+`--config` reads a `compare` file. Outputs are JSON-shaped reports and CSV
+tables; a run with a fixed config and seed writes byte-identical files.
+Errors exit nonzero with a categorized message on stderr.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import numpy as np
 
 from .config import load_config_file, load_section
 from .errors import ConfigError, NotFoundError, SchemaError, StockAllocError
-from .forest import Forest, ForestParams, train_forest
+from .forest import Forest, train_forest
 from .ingest import (
     REQUIRED_FIELDS,
     FeatureTable,
@@ -50,10 +51,6 @@ def _ensure_out(path):
     return path
 
 
-def _config(path):
-    return load_config_file(path) if path else {}
-
-
 def _with_flags(section, **flags):
     """`section` with the value of every flag that was given in place of its own.
 
@@ -70,8 +67,9 @@ def _run_config(args):
 
     An `ingest` file whose keys are all ledger fields is the schema. A run
     without a ledger CSV takes the file's scenario, else the default one.
-    `compare --seed` leaves a scenario seed that the file sets."""
-    cfg = _config(getattr(args, "config", None))
+    `compare --seed` leaves a scenario seed that the file sets; `train --seed`
+    seeds only the forest."""
+    cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
     if args.command == "ingest" and cfg and set(cfg) <= set(REQUIRED_FIELDS):
         cfg = {"schema": cfg}
     flags = {key: getattr(args, key, None) for key in _RUN_FLAGS}
@@ -80,7 +78,7 @@ def _run_config(args):
     cfg = _with_flags(cfg, **flags)
     csv_path, seed = getattr(args, "csv", None), getattr(args, "seed", None)
     scenario = cfg.setdefault("scenario", {}) if csv_path is None else cfg.get("scenario")
-    if seed is not None and isinstance(scenario, dict):
+    if seed is not None and isinstance(scenario, dict) and args.command != "train":
         if args.command == "synth" or "seed" not in scenario:
             cfg["scenario"] = dict(scenario, seed=seed)
     cfg["weight_config"] = _with_flags(cfg.get("weight_config", {}),
@@ -94,10 +92,8 @@ def cmd_ingest(args):
     table.to_csv(os.path.join(out, "features.csv"))
     write_rejects_csv(os.path.join(out, "rejects.csv"), rejects)
     write_exclusions_csv(os.path.join(out, "exclusions.csv"), exclusions)
-    print(
-        f"ingested {n_records} records ({len(rejects)} rejects, "
-        f"{len(exclusions)} excluded), wrote {len(table)} feature rows"
-    )
+    print(f"ingested {n_records} records ({len(rejects)} rejects, "
+          f"{len(exclusions)} excluded), wrote {len(table)} feature rows")
     return 0
 
 
@@ -109,52 +105,55 @@ def cmd_synth(args):
     with open(os.path.join(out, "ground_truth.csv"), "w", encoding="utf-8") as fh:
         fh.write("facility_id,product_id,period,true_mean_demand\n")
         for i in range(len(table)):
-            fh.write(
-                f"{table.facility_ids[i]},{table.product_ids[i]},"
-                f"{table.periods[i]},{float(truth[i])!r}\n"
-            )
+            fh.write(f"{table.facility_ids[i]},{table.product_ids[i]},"
+                     f"{table.periods[i]},{float(truth[i])!r}\n")
     print(f"generated {len(table)} rows over {config.periods} periods")
     return 0
 
 
-def cmd_train(args):
-    params = load_section(ForestParams, _config(args.config), args.command)
+def _split_features(args):
+    """The command's `RunConfig` and `--features` table, then the table split at
+    the config's evaluation period as `compare` splits it (`split_table`)."""
+    config = _run_config(args)
     table = FeatureTable.from_csv(args.features)
-    forest = train_forest(table, params=params, seed=args.seed or 0)
+    return config, table, *split_table(table, config.eval_period)
+
+
+def cmd_train(args):
+    config, _, train, *_ = _split_features(args)
+    forest = train_forest(train, params=config.forest_params, seed=config.seed)
     forest.save(args.out)
-    print(f"trained forest with {forest.n_trees} trees on {len(table)} rows -> {args.out}")
+    print(f"trained forest with {forest.n_trees} trees on {len(train)} rows -> {args.out}")
     return 0
 
 
 def cmd_weights(args):
-    """Write the table reweighted by the decision weights, and their audit table."""
+    """Write the table with its training rows reweighted by the decision weights,
+    the retrain's input, and the weights' audit table. Later rows keep theirs."""
     features = os.path.join(args.out, "features.csv")
     if os.path.exists(features) and os.path.samefile(features, args.features):
         raise ConfigError(f"weights --out {args.out} would overwrite --features {args.features}")
-    config = _run_config(args)
-    table = FeatureTable.from_csv(args.features)
+    config, table, train, _, _, train_rows = _split_features(args)
     model = Forest.load(args.model)
-    report = compute_weights(table, model, budgets_from_fraction(table, config.budget_fraction),
+    report = compute_weights(train, model, budgets_from_fraction(train, config.budget_fraction),
                              config.weight_config)
+    table.weights[train_rows] = report.final_weights
     _ensure_out(args.out)
-    table.with_weights(report.final_weights).to_csv(features)
+    table.to_csv(features)
     report.to_csv(os.path.join(args.out, "weights.csv"))
     print(f"wrote {len(report)} weights -> {features} and weights.csv")
     return 0
 
 
 def cmd_allocate(args):
-    config = _run_config(args)
-    table = FeatureTable.from_csv(args.features)
+    config, _, _, eval_table, eval_period, _ = _split_features(args)
     model = Forest.load(args.model)
-    _, eval_table, eval_period = split_table(table, config.eval_period)
     budgets = budgets_from_fraction(eval_table, config.budget_fraction)
     if args.budget is not None:
         budgets = dict.fromkeys(budgets, args.budget)
-    X = eval_table.X
     products = {}
     for product, rows, _, problem, result in solve_products(
-            eval_table, budgets, lambda rows: model.predict_samples(X[rows])):
+            eval_table, budgets, lambda rows: model.predict_samples(eval_table.X[rows])):
         products[product] = dict(result.to_dict(), budget=problem.budget,
                                  facility_ids=[eval_table.facility_ids[i] for i in rows])
     payload = {"eval_period": eval_period, "products": products}
@@ -189,7 +188,7 @@ def _read_allocation(path):
 def cmd_evaluate(args):
     allocation = _read_allocation(args.allocation)
     table = FeatureTable.from_csv(args.features)
-    _, eval_table, _ = split_table(table, allocation.get("eval_period"))
+    _, eval_table, *_ = split_table(table, allocation.get("eval_period"))
     groups = group_rows(eval_table.product_ids)
     allocations, realized = {}, {}
     for product, entry in sorted(allocation["products"].items()):
@@ -265,13 +264,13 @@ def build_parser():
                    help="periods to generate (default: the config file's, else 24)")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a forest on a feature table CSV")
+    p = sub.add_parser("train", help="train a forest on a feature table's training rows")
     add_shared(p, "--config", "--seed")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output forest JSON path")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("weights", help="compute decision weights for a feature table")
+    p = sub.add_parser("weights", help="decision weights for a feature table's training rows")
     add_shared(p, "--config", "--budget-fraction", "--jacobian")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, help="forest JSON from `train`")

@@ -286,13 +286,9 @@ def train_forest(table, params=None, seed=0):
     params = params or ForestParams()
     if not is_int(seed, 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    X = np.asarray(table.X, dtype=float)
-    y = np.asarray(table.y, dtype=float)
-    w = np.asarray(table.weights, dtype=float)
+    X, y, w = table.X, table.y, table.weights  # float arrays: `FeatureTable` converts them
     if len(y) == 0:
         raise DegenerateWeightsError("empty training table")
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise ShapeError(f"bad feature matrix shape {X.shape} for {len(y)} rows")
     pos = w > 0
     if not pos.any():
         raise DegenerateWeightsError("all row weights are zero")

@@ -580,14 +580,16 @@ def _last_per_key(keys, records):
 
 
 def split_train_eval(table, eval_period):
-    """Partition rows into (strictly earlier than eval, exactly at eval),
-    comparing months, so "2020-2" and "2020-02" are one period."""
+    """(train, evaluation, train_rows): the rows strictly earlier than eval,
+    the rows exactly at eval, and the positions of the former in `table`.
+    Months are compared, so "2020-2" and "2020-02" are one period."""
     idx = period_index(eval_period)
     months = period_indices(table.periods)
     at_eval = np.flatnonzero(months == idx)
     if not len(at_eval):
         raise NotFoundError(f"eval period {period_str(idx)} not present in table")
-    return table.subset(np.flatnonzero(months < idx)), table.subset(at_eval)
+    train_rows = np.flatnonzero(months < idx)
+    return table.subset(train_rows), table.subset(at_eval), train_rows
 
 
 def write_exclusions_csv(path, exclusions):

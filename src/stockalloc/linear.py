@@ -51,9 +51,7 @@ def train_linear(table, n_samples=100):
     """Fit weighted ordinary least squares on a FeatureTable."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    X = np.asarray(table.X, dtype=float)
-    y = np.asarray(table.y, dtype=float)
-    w = np.asarray(table.weights, dtype=float)
+    X, y, w = table.X, table.y, table.weights  # float arrays: `FeatureTable` converts them
     if len(y) == 0:
         raise DegenerateWeightsError("empty training table")
     if not (w > 0).any():

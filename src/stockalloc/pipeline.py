@@ -127,10 +127,12 @@ def prepare(config):
 
 
 def split_table(table, eval_period=None):
-    """(train, eval_table, eval_period): the table split at the evaluation period.
+    """(train, eval_table, eval_period, train_rows): the table split at the
+    evaluation period, and the training rows' positions in `table`.
 
     The evaluation period defaults to the table's latest and is normalized
-    to "YYYY-MM". `prepare_table` and `stockalloc evaluate` split here.
+    to "YYYY-MM". `prepare_table` and every `stockalloc` command that reads
+    a feature table split here.
     """
     if not len(table):
         raise EmptyInputError("feature table has no rows")
@@ -140,7 +142,8 @@ def split_table(table, eval_period=None):
         )
     except ValueError as exc:
         raise ConfigError(f"eval period: {exc}") from exc
-    return (*split_train_eval(table, eval_period), eval_period)
+    train, eval_table, train_rows = split_train_eval(table, eval_period)
+    return train, eval_table, eval_period, train_rows
 
 
 def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTION):
@@ -149,7 +152,7 @@ def prepare_table(table, eval_period=None, budget_fraction=DEFAULT_BUDGET_FRACTI
     Each (period, product) group's budget is `budget_fraction` of its
     realized requirement. `compare` prepares here.
     """
-    train, eval_table, eval_period = split_table(table, eval_period)
+    train, eval_table, eval_period, _ = split_table(table, eval_period)
     return PreparedRun(
         table=table,
         train=train,

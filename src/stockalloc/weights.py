@@ -24,7 +24,7 @@ import numpy as np
 
 from .allocator import AllocationProblem, shifted_allocations, solve_greedy
 from .config import check, is_real
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DegenerateWeightsError, ShapeError
 from .ingest import group_rows, net_requirement
 from .periods import normalize_period
 
@@ -170,10 +170,12 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
     requirement, push it through the configured Jacobian estimate, floor
     the absolute values, and scale the result to mean one. Groups whose
     facility panel is incomplete relative to the product's full panel fall
-    back to the identity Jacobian.
+    back to the identity Jacobian. An empty table is a DegenerateWeightsError.
     """
     config = config or WeightConfig()
     n = len(train)
+    if not n:
+        raise DegenerateWeightsError("empty training table")
     gradients = np.zeros(n)
     raw = np.zeros(n)
     modes = {}
@@ -201,10 +203,9 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         modes[(period, product)] = mode
 
     final = np.maximum(np.abs(raw), config.weight_floor)
-    if n:
-        mean = final.mean()
-        if mean > 0:
-            final = final / mean
+    mean = final.mean()
+    if mean > 0:
+        final = final / mean
 
     return WeightReport(
         facility_ids=list(train.facility_ids),

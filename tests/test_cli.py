@@ -133,7 +133,7 @@ class TestModelCommands:
         assert run_cli("synth", "--out", str(out), "--periods", "5", "--seed", "2") == 0
         features = str(out / "features.csv")
         cfg = out / "forest.json.cfg"
-        cfg.write_text('{"n_trees": 5, "max_depth": 5}')
+        cfg.write_text('{"forest_params": {"n_trees": 5, "max_depth": 5}}')
 
         forest_path = str(out / "forest.json")
         assert run_cli("train", "--features", features, "--out", forest_path,
@@ -171,7 +171,7 @@ class TestMultiProductAllocation:
                        "--lag-months", "3") == 0
         features, forest_path = work / "features.csv", work / "forest.json"
         cfg = tmp_path / "forest.cfg"
-        cfg.write_text('{"n_trees": 6, "max_depth": 4}')
+        cfg.write_text('{"forest_params": {"n_trees": 6, "max_depth": 4}}')
         assert run_cli("train", "--features", str(features), "--out", str(forest_path),
                        "--config", str(cfg), "--seed", "1") == 0
         table, model = FeatureTable.from_csv(features), Forest.load(forest_path)
@@ -250,11 +250,20 @@ class TestEvalPeriodSplit:
         assert capsys.readouterr().err.startswith("config error: eval period: ")
 
     def test_table_without_rows_is_a_data_error(self, tmp_path, capsys):
+        """`train` and `weights` stop on a table with no rows before its
+        evaluation period, as `compare` does; `allocate` on a table with none."""
         assert run_cli("synth", "--out", str(tmp_path), "--periods", "2") == 0
         features = tmp_path / "features.csv"
         forest_path = str(tmp_path / "forest.json")
         assert run_cli("train", "--features", str(features), "--out", forest_path,
                        "--config", str(self._small_forest(tmp_path))) == 0
+        single_period = tmp_path / "single_period.csv"
+        split_table(FeatureTable.from_csv(features))[1].to_csv(single_period)
+        for argv in (("train",), ("weights", "--model", forest_path)):
+            out = tmp_path / "out"
+            assert run_cli(*argv, "--features", str(single_period), "--out", str(out)) == 3
+            assert capsys.readouterr().err == "data error: empty training table\n"
+            assert not out.exists()
         features.write_text(features.read_text().splitlines()[0] + "\n")
         assert run_cli("allocate", "--features", str(features), "--model", forest_path,
                        "--out", str(tmp_path / "allocation.json")) == 3
@@ -263,7 +272,7 @@ class TestEvalPeriodSplit:
     @staticmethod
     def _small_forest(tmp_path):
         cfg = tmp_path / "forest.cfg"
-        cfg.write_text('{"n_trees": 4, "max_depth": 3}')
+        cfg.write_text('{"forest_params": {"n_trees": 4, "max_depth": 3}}')
         return cfg
 
 
@@ -334,8 +343,8 @@ def test_unreadable_ledger_is_a_schema_error(tmp_path, capsys, command, cells, m
 
 
 @pytest.mark.parametrize("command, text, message", [
-    ("train", '{"n_trees": 2,', "{cfg}, line 1: Expecting property name"),
-    ("train", '{"n_trees": 2}\n{', "{cfg}, line 2: Extra data"),
+    ("train", '{"forest_params": {"n_trees": 2},', "{cfg}, line 1: Expecting property name"),
+    ("train", '{"forest_params": {"n_trees": 2}}\n{', "{cfg}, line 2: Extra data"),
     ("train", "[1, 2]", "{cfg}: config must be a JSON object"),
     ("compare", '{"weight_config": {"weight_floor": "abc"}}',
      "compare: weight_config: weight_floor: could not convert string to float: 'abc'"),
@@ -352,7 +361,7 @@ def test_unreadable_ledger_is_a_schema_error(tmp_path, capsys, command, cells, m
      "compare: weight_config: unknown key(s) ['expansion_point'], expected some of "),
     ("compare", '{"weight_config": {"normalization": "none"}}',
      "compare: weight_config: unknown key(s) ['normalization'], expected some of "),
-    ("train", b"n_trees = \xff\n", "{cfg}, line 1: 'utf-8' codec can't decode byte 0xff"),
+    ("train", b"lag_months = \xff\n", "{cfg}, line 1: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["not_json", "trailing_data", "json_array", "weight_floor_not_a_number",
         "fd_step_a_list", "inventory_feature_not_an_integer", "fd_step_infinite",
         "weight_floor_nan", "weight_config_key_value", "weight_config_inventory_feature",
@@ -394,7 +403,7 @@ def test_config_that_is_a_directory_is_a_data_error(tmp_path, capsys):
     ("synth", '{"forest_param": {"n_trees": 5}}', "compare", "forest_param"),
     ("synth", '{"forest_params": {"n_tree": 5}}', "compare: forest_params", "n_tree"),
     ("synth", '{"forest_params": [1]}', "compare: forest_params", "[1]"),
-    ("train", '{"forest_params": {"n_trees": 5}}', "train", "forest_params"),
+    ("train", '{"forest_params": {"n_tree": 5}}', "train: forest_params", "n_tree"),
 ], ids=["lag_months_text", "lag_months_zero", "periods_text", "budget_fraction_text",
         "rolling_window_text", "outlier_multiplier_below_one", "outlier_multiplier_nan",
         "scenario_n_low_text", "inventory_feature_text",
@@ -432,7 +441,7 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     features.write_text(FEATURE_HEADER)
     assert run_cli(command, "--features", str(features), "--seed", "-1",
                    "--out", str(tmp_path / "forest.json")) == 2
-    assert capsys.readouterr().err.startswith("config error: seed must be an integer >= 0")
+    assert capsys.readouterr().err.startswith("config error: train: seed must be an integer >= 0")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -477,8 +486,9 @@ def test_weights_allocate_evaluate_net_by_the_tables_prior_inventory(tmp_path, s
     assert run_cli("evaluate", "--allocation", str(allocation), "--features", features,
                    "--out", str(scored)) == 0
 
-    expected = compute_weights(table, model, budgets_from_fraction(table, 0.7))
-    assert np.array_equal(FeatureTable.from_csv(aware / "features.csv").weights,
+    train, _, _, train_rows = split_table(table)
+    expected = compute_weights(train, model, budgets_from_fraction(train, 0.7))
+    assert np.array_equal(FeatureTable.from_csv(aware / "features.csv").weights[train_rows],
                           expected.final_weights)
     prepared = prepare_table(table, budget_fraction=0.7)
     X = prepared.eval_table.X
@@ -495,7 +505,7 @@ def test_weights_allocate_evaluate_net_by_the_tables_prior_inventory(tmp_path, s
     replace(table, feature_names=["stock", "month", "noise"]).to_csv(gross_features)
     assert run_cli("weights", "--features", str(gross_features), "--model", forest_path,
                    "--out", str(gross)) == 0
-    assert not np.array_equal(FeatureTable.from_csv(gross / "features.csv").weights,
+    assert not np.array_equal(FeatureTable.from_csv(gross / "features.csv").weights[train_rows],
                               expected.final_weights)
 
 
@@ -518,15 +528,20 @@ def test_inventory_feature_and_scenario_budget_fraction_are_unknown_keys(
 
 
 def test_weights_writes_the_table_that_train_retrains_on(tmp_path, synth_forest):
+    """The training rows carry the weights of the training part; the evaluation
+    rows keep theirs, and the retrain fits the reweighted training part."""
     features, forest_path = synth_forest
     table, model = FeatureTable.from_csv(features), Forest.load(forest_path)
     aware = tmp_path / "aware"
     assert run_cli("weights", "--features", features, "--model", forest_path,
                    "--jacobian", "diagonal_fd", "--out", str(aware)) == 0
-    report = compute_weights(table, model, budgets_from_fraction(table, 0.7),
+    train, _, _, train_rows = split_table(table)
+    assert set(train.periods) == {"2020-01", "2020-02"} and set(table.weights) == {1.0}
+    report = compute_weights(train, model, budgets_from_fraction(train, 0.7),
                              WeightConfig(jacobian_mode="diagonal_fd"))
-    reweighted = table.with_weights(report.final_weights)
-    reweighted.to_csv(tmp_path / "features.csv")
+    weights = np.ones(len(table))
+    weights[train_rows] = report.final_weights
+    table.with_weights(weights).to_csv(tmp_path / "features.csv")
     report.to_csv(tmp_path / "weights.csv")
     for name in ("features.csv", "weights.csv"):
         assert (aware / name).read_bytes() == (tmp_path / name).read_bytes(), name
@@ -534,8 +549,58 @@ def test_weights_writes_the_table_that_train_retrains_on(tmp_path, synth_forest)
     cfg = TestEvalPeriodSplit._small_forest(tmp_path)
     assert run_cli("train", "--features", str(aware / "features.csv"), "--config", str(cfg),
                    "--seed", "1", "--out", str(tmp_path / "aware.json")) == 0
-    direct = train_forest(reweighted, ForestParams(n_trees=4, max_depth=3), seed=1)
+    direct = train_forest(train.with_weights(report.final_weights),
+                          ForestParams(n_trees=4, max_depth=3), seed=1)
     assert (tmp_path / "aware.json").read_text() == direct.to_json()
+
+
+@pytest.mark.parametrize("source, eval_period", [
+    ("synth", None), ("ledger", None), ("ledger", "2021-08"),
+], ids=["synth", "ledger", "ledger_earlier_eval_period"])
+def test_staged_session_is_compare_cut_into_stages(tmp_path, source, eval_period):
+    """Under one `compare` file, the staged session (`train`, `weights`, the
+    retrain, `allocate`, `evaluate`) scores every product exactly as
+    `compare`'s `decision_aware`, and without `weights` and the retrain as
+    its `decision_blind`."""
+    settings = {"periods": 5, "lag_months": 3, "budget_fraction": 0.8, "eval_period": eval_period,
+                "forest_params": {"n_trees": 12, "max_depth": 5}}
+    cfg, work = tmp_path / "run.json", tmp_path / "work"
+    cfg.write_text(json.dumps(settings))
+    if source == "synth":
+        assert run_cli("synth", "--config", str(cfg), "--seed", "2", "--out", str(work)) == 0
+        data = ("--synth",)
+    else:
+        ledger = write_ledger(tmp_path / "ledger.csv", months=9, facilities=8,
+                              products=("ors", "zinc"))
+        assert run_cli("ingest", "--csv", str(ledger), "--config", str(cfg),
+                       "--out", str(work)) == 0
+        data = ("--csv", str(ledger))
+    assert run_cli("compare", *data, "--config", str(cfg), "--seed", "2",
+                   "--out", str(tmp_path / "run")) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+
+    features, blind, aware = (str(work / name) for name in ("features.csv", "blind.json",
+                                                             "aware.json"))
+    run = ("--config", str(cfg), "--seed", "2")
+    assert run_cli("train", "--features", features, *run, "--out", blind) == 0
+    assert run_cli("weights", "--features", features, "--model", blind, "--config", str(cfg),
+                   "--out", str(work / "aware")) == 0
+    assert run_cli("train", "--features", str(work / "aware" / "features.csv"), *run,
+                   "--out", aware) == 0
+    period = ("--eval-period", eval_period) if eval_period else ()
+    scored = {}
+    for policy, model in (("decision_blind", blind), ("decision_aware", aware)):
+        allocation, evaluated = work / f"{policy}.json", work / f"{policy}_eval.json"
+        assert run_cli("allocate", "--features", features, "--model", model, *period,
+                       "--budget-fraction", "0.8", "--out", str(allocation)) == 0
+        assert run_cli("evaluate", "--allocation", str(allocation), "--features", features,
+                       "--out", str(evaluated)) == 0
+        scored[policy] = json.loads(evaluated.read_text())
+        assert scored[policy] == {
+            product: {"unmet_demand_pct": entry["policies"][policy]["unmet_demand_pct"]}
+            for product, entry in report["products"].items()}, policy
+    assert len(report["products"]) == (1 if source == "synth" else 2)
+    assert scored["decision_blind"] != scored["decision_aware"]
 
 
 @pytest.mark.parametrize("spelling", ["same", "dot_dot"])
@@ -598,6 +663,7 @@ def test_bad_budget_is_a_config_error(tmp_path, capsys, synth_forest, command, f
 
 
 @pytest.mark.parametrize("command, text, key", [
+    ("train", '{"n_trees": 5}', "n_trees"),
     ("weights", '{"n_trees": 5}', "n_trees"),
     ("weights", '{"weight_confg": {"weight_floor": 0.1}}', "weight_confg"),
     ("weights", "jacobian_mode = full_fd", "jacobian_mode"),
@@ -609,7 +675,8 @@ def test_config_key_compare_does_not_take_is_refused(tmp_path, capsys, synth_for
     cfg, out = tmp_path / "run.cfg", tmp_path / "out"
     cfg.write_text(text)
     features, forest_path = synth_forest
-    argv = ("--features", features, "--model", forest_path) if command == "weights" else ()
+    argv = {"train": ("--features", features),
+            "weights": ("--features", features, "--model", forest_path)}.get(command, ())
     assert run_cli(command, *argv, "--config", str(cfg), "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: {command}: unknown key(s) ['{key}'], expected some of ")
@@ -633,7 +700,8 @@ def test_a_compare_file_serves_weights_and_synth(tmp_path, synth_forest):
     raw_weights = np.loadtxt(aware / "weights.csv", delimiter=",", skiprows=1, usecols=4)
     floored = np.maximum(np.abs(raw_weights), 0.25)
     assert floored.min() == 0.25
-    assert np.array_equal(FeatureTable.from_csv(aware / "features.csv").weights,
+    _, _, _, train_rows = split_table(FeatureTable.from_csv(features))
+    assert np.array_equal(FeatureTable.from_csv(aware / "features.csv").weights[train_rows],
                           floored / floored.mean())
 
 
@@ -741,7 +809,7 @@ def test_evaluate_computes_no_budget(tmp_path, monkeypatch, synth_forest):
 @pytest.mark.parametrize("flags", [[], ["--budget", "20"]], ids=["fraction", "fixed"])
 def test_allocate_budgets_only_the_evaluation_period(tmp_path, monkeypatch, synth_forest, flags):
     features, forest_path = synth_forest
-    _, eval_table, _ = split_table(FeatureTable.from_csv(features))
+    _, eval_table, *_ = split_table(FeatureTable.from_csv(features))
     budgeted = []
 
     def recording(table, fraction):
@@ -788,19 +856,23 @@ def test_weights_takes_its_budget_fraction_from_a_compare_file(tmp_path, synth_f
     assert weights_csvs("both", "--config", str(cfg), "--budget-fraction", "0.7") == default
 
 
-@pytest.mark.parametrize("config", [
+FOREST_VALUES = [("n_trees", 0), ("max_depth", "2.5"), ("criterion", "mae"),
+                 ("features_per_split", 0), ("min_leaf_weight", "heavy"), ("max_depth", 2.5)]
+
+
+@pytest.mark.parametrize("key, value", FOREST_VALUES, ids=[
     "n_trees = 0", "max_depth = 2.5", "criterion = mae", "features_per_split = 0",
-    "min_leaf_weight = heavy", '{"max_depth": 2.5}',
-])
-def test_bad_forest_config_is_a_config_error(tmp_path, capsys, config):
+    "min_leaf_weight = heavy", '{"max_depth": 2.5}'])
+def test_bad_forest_config_is_a_config_error(tmp_path, capsys, key, value):
     features = tmp_path / "features.csv"
     features.write_text(FEATURE_HEADER)
-    cfg = tmp_path / "forest.cfg"
-    cfg.write_text(config + "\n")
-    argv = ("train", "--features", str(features), "--config", str(cfg),
-            "--out", str(tmp_path / "forest.json"))
-    assert run_cli(*argv) == 2
-    assert capsys.readouterr().err.startswith("config error: train: ")
+    cfg, out = tmp_path / "run.json", tmp_path / "forest.json"
+    cfg.write_text(json.dumps({"forest_params": {key: value}}))
+    assert run_cli("train", "--features", str(features), "--config", str(cfg),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: train: forest_params: ") and key in err
+    assert not out.exists()
 
 
 class TestCompareCommand:

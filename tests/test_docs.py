@@ -3,18 +3,20 @@ library quick start, and demo 05's CLI session agree with the code.
 
 A flag, subcommand or config key that the README lists and the code does
 not have, or the other way round, fails here, and so does a documented
-command line that the parser refuses or a quick start that no longer runs.
+command line that fails or a quick start that no longer runs.
 """
 
 import argparse
 import dataclasses
+import json
 import os
 import re
+import runpy
 import shlex
 import typing
 
 from stockalloc import ForestParams, RunConfig, TwoClassScenario, WeightConfig
-from stockalloc.cli import build_parser
+from stockalloc.cli import build_parser, main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 DEMO_05 = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "05_ledger_to_report.py")
@@ -84,21 +86,42 @@ def test_module_table_lists_the_subcommands():
     assert listed == list(_subcommands())
 
 
-def _sessions():
-    readme = re.search(r"## Command line\s+```bash\n(.*?)```", _readme(), re.S).group(1)
-    demo = re.search(r"equivalent CLI session:\n(.*?)\"\"\"", _read(DEMO_05), re.S).group(1)
-    return [("README", readme), ("demo 05", demo)]
+def _decision_aware(report):
+    return {product: {"unmet_demand_pct": entry["policies"]["decision_aware"]["unmet_demand_pct"]}
+            for product, entry in report["products"].items()}
 
 
-def test_documented_sessions_parse():
-    for where, text in _sessions():
+def test_documented_sessions_run(tmp_path, monkeypatch, capsys):
+    """Every line of the README's and of demo 05's session exits 0, run on demo
+    05's ledger as `ledger.csv` (and its `run.json`). Each `evaluate` prints
+    the `decision_aware` unmet demand of its session's `compare`, and demo
+    05's also that of the demo's own library run."""
+    monkeypatch.chdir(tmp_path)
+    demo = runpy.run_path(DEMO_05)
+    sessions = [
+        ("README", re.search(r"## Command line\s+```bash\n(.*?)```", _readme(), re.S).group(1)),
+        ("demo_05", capsys.readouterr().out.split("equivalent CLI session:\n")[1]),
+    ]
+    for where, text in sessions:
+        work = tmp_path / where
+        work.mkdir()
+        monkeypatch.chdir(work)
+        (work / "ledger.csv").write_text(demo["ledger_text"])
+        for settings in re.findall(r"echo '(.*)' > run\.json", text):
+            (work / "run.json").write_text(settings)
         lines = _command_lines(text)
-        assert len(lines) >= 3, where
+        assert len(lines) >= 7, where
         for line in lines:
-            try:
-                build_parser().parse_args(shlex.split(line)[1:])
-            except SystemExit:
-                raise AssertionError(f"{where}: the parser refuses {line!r}") from None
+            argv = shlex.split(line)[1:]
+            assert main(argv) == 0, f"{where}: {line!r} failed"
+            printed = capsys.readouterr().out
+            if argv[0] == "evaluate":
+                scored = json.loads(printed)
+            elif argv[:2] == ["compare", "--csv"]:
+                out = argv[argv.index("--out") + 1]
+                report = json.loads((work / out / "report.json").read_text())
+        assert scored == _decision_aware(report), where
+    assert scored == _decision_aware(demo["report"])
 
 
 def test_config_table_lists_the_keys_of_each_section():

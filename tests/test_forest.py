@@ -160,6 +160,12 @@ class TestTraining:
         with pytest.raises(DegenerateWeightsError):
             train_forest(table(np.ones((0, 2)), np.zeros(0)), small_params())
 
+    def test_mis_shaped_feature_matrix_rejected(self):
+        # `FeatureTable` refuses the matrix, so no table reaches training with it.
+        for X in (np.ones((3, 2)), np.ones(4), np.ones((4, 2, 1))):
+            with pytest.raises(ShapeError, match="feature matrix shape"):
+                train_forest(table(X, np.ones(4)), small_params())
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             train_forest(table(np.ones((3, 2)), np.ones(3), np.array([1.0, -1.0, 1.0])))

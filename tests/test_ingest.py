@@ -555,15 +555,17 @@ class TestSplit:
 
     def test_partition(self):
         t = self._table()
-        train, evaluation = split_train_eval(t, "2021-03")
+        train, evaluation, train_rows = split_train_eval(t, "2021-03")
         assert set(train.periods) == {"2021-01", "2021-02"}
         assert set(evaluation.periods) == {"2021-03"}
         assert len(train) + len(evaluation) == len(t)
+        assert train_rows.tolist() == [i for i, p in enumerate(t.periods) if p < "2021-03"]
+        assert train.X.tobytes() == t.X[train_rows].tobytes()
 
     def test_eval_at_earliest_period(self):
         t = self._table()
-        train, evaluation = split_train_eval(t, "2021-01")
-        assert len(train) == 0 and len(evaluation) == 1
+        train, evaluation, train_rows = split_train_eval(t, "2021-01")
+        assert len(train) == len(train_rows) == 0 and len(evaluation) == 1
 
     def test_absent_period_raises(self):
         with pytest.raises(NotFoundError):
@@ -573,7 +575,7 @@ class TestSplit:
     def test_months_spelled_without_a_zero_match(self, eval_period):
         t = self._table()
         unpadded = replace(t, periods=[p.replace("-0", "-") for p in t.periods])
-        train, evaluation = split_train_eval(unpadded, eval_period)
+        train, evaluation, _ = split_train_eval(unpadded, eval_period)
         assert (set(train.periods), evaluation.periods) == ({"2021-1", "2021-2"}, ["2021-3"])
         with pytest.raises(NotFoundError, match="eval period 2022-01 not present"):
             split_train_eval(unpadded, "2022-1")

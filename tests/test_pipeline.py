@@ -97,7 +97,7 @@ class TestRollingForecasts:
         from stockalloc.pipeline import PreparedRun
         from stockalloc import split_train_eval
 
-        train, ev = split_train_eval(t, "2021-04")
+        train, ev, _ = split_train_eval(t, "2021-04")
         prepared = PreparedRun(
             table=t, train=train, eval_table=ev, eval_period="2021-04",
             budgets_train={}, budgets_eval={},
@@ -118,7 +118,7 @@ class TestRollingForecasts:
             y=np.array([5.0, 7.0]),
             weights=np.ones(2),
         )
-        train, ev = split_train_eval(t, "2021-02")
+        train, ev, _ = split_train_eval(t, "2021-02")
         prepared = PreparedRun(
             table=t, train=train, eval_table=ev, eval_period="2021-02",
             budgets_train={}, budgets_eval={},

@@ -352,6 +352,11 @@ class TestComputeWeights:
         assert (np.abs(report.raw_weights) < 0.05).any()  # the floor decides some weights
         assert np.array_equal(report.final_weights, floored_mean_one(report, 0.05))
 
+    def test_empty_table_raises(self):
+        t = panel_table()
+        with pytest.raises(DegenerateWeightsError, match="empty training table"):
+            compute_weights(t.subset([]), exact_model(t), {}, WeightConfig())
+
     def test_missing_budget_raises(self):
         t = panel_table()
         model = exact_model(t)
