@@ -86,8 +86,8 @@ for name in report["policy_order"]:
 
 # The same run as shell commands, on the ledger above saved as ledger.csv.
 # `train` fits and `weights` weights only the months before the evaluation
-# period, so `evaluate` prints the decision_aware figure above. `allocate`
-# reads no config file: it takes the budget fraction as a flag.
+# period, so `evaluate` prints the decision_aware figure above. Every
+# command reads the budget fraction and evaluation period from run.json.
 print(f"""
 equivalent CLI session:
   echo '{json.dumps(settings)}' > run.json
@@ -99,7 +99,7 @@ equivalent CLI session:
   stockalloc train    --features work/aware/features.csv --config run.json --seed 1 \\
                       --out work/forest_aware.json
   stockalloc allocate --features work/features.csv --model work/forest_aware.json \\
-                      --budget-fraction {settings["budget_fraction"]} --out work/allocation.json
+                      --config run.json --out work/allocation.json
   stockalloc evaluate --allocation work/allocation.json --features work/features.csv
   stockalloc compare  --csv ledger.csv --config run.json --seed 1 --out work/run
 """)

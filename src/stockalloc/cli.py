@@ -279,7 +279,7 @@ def build_parser():
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("allocate", help="solve the allocation for the latest period")
-    add_shared(p, "--budget-fraction")
+    add_shared(p, "--config", "--budget-fraction")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)

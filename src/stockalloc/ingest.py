@@ -6,6 +6,14 @@ only flow that is observable as consumption. Cleaning drops rows whose
 stock-flow identity does not balance, rows where every quantity is zero
 (a tell-tale default entry), and per-series outliers far above the median
 positive demand (dose-vs-vial style reporting mistakes).
+
+Parsed records are held as one columnar `Ledger`: the id, period and
+region columns plus one float array per quantity. `parse_records` reads
+the CSV in chunks of `CHUNK_ROWS` rows and checks the reject rules over
+each chunk's columns; a reason and a `raw` dict are built only for a
+rejected line. Cleaning and featurizing work on the columns. A
+`StockRecord` is the view of one row (`ledger[i]`), made only where one is
+handed out, such as in an `Exclusion`.
 """
 
 import csv
@@ -13,7 +21,9 @@ import io
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
+from itertools import compress, islice
 
 import numpy as np
 
@@ -22,6 +32,10 @@ from .periods import normalize_period, period_index, period_indices, period_str
 
 BALANCE_TOL = 1e-9
 INVENTORY_COLUMN = "prior_inventory"  # the feature that `net_requirement` nets by
+# CSV rows parsed per step. A step holds its rows and their columns, about
+# 0.9 kB per benchmark ledger row; 1024 rows parse as fast as 256 or 512
+# and faster than 2048 or more (test_ingest.py, TestParseRecords.test_heap_peak).
+CHUNK_ROWS = 1024
 
 REQUIRED_FIELDS = (
     "facility_id",
@@ -34,16 +48,21 @@ REQUIRED_FIELDS = (
     "adjustment",
     "closing_balance",
 )
-
-_NUMERIC_FIELDS = (
-    "opening_balance",
-    "quantity_received",
-    "quantity_dispensed",
-    "adjustment",
-    "closing_balance",
-)
+QUANTITY_FIELDS = REQUIRED_FIELDS[4:]
+_ID_FIELDS = REQUIRED_FIELDS[:4]
 
 DEFAULT_SCHEMA = {name: name for name in REQUIRED_FIELDS}
+
+# The reject rules in the order a line is checked; its first failing rule
+# gives its reason (`_reason`).
+_RULES = (
+    ("cells", None),
+    *(("missing", name) for name in REQUIRED_FIELDS),
+    *((kind, name) for name in QUANTITY_FIELDS
+      for kind in ("non-numeric", "non-finite", "negative")),
+    ("period", "period"),
+)
+_EXCLUSION_REASONS = ("unbalanced", "all_zero", "outlier")  # in the order the rules run
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,23 +81,50 @@ class StockRecord:
     def demand(self):
         return self.quantity_dispensed
 
-    def is_balanced(self):
-        lhs = (
-            self.opening_balance
-            + self.quantity_received
-            - self.quantity_dispensed
-            + self.adjustment
-        )
-        return math.isclose(lhs, self.closing_balance, rel_tol=0.0, abs_tol=BALANCE_TOL)
 
-    def all_zero(self):
-        return (
-            self.opening_balance == 0
-            and self.quantity_received == 0
-            and self.quantity_dispensed == 0
-            and self.adjustment == 0
-            and self.closing_balance == 0
-        )
+@dataclass(frozen=True, eq=False)
+class Ledger:
+    """Stock records as columns; record i is `ledger[i]`, a `StockRecord`.
+
+    `quantities` has one float row per `QUANTITY_FIELDS` name, in that order.
+    """
+
+    facility_ids: list
+    product_ids: list
+    periods: list
+    regions: list
+    quantities: np.ndarray
+
+    @classmethod
+    def of(cls, records):
+        """`records` as a Ledger: a Ledger as it is, else StockRecords in order."""
+        if isinstance(records, Ledger):
+            return records
+        records = list(records)
+        columns = [[getattr(rec, name) for rec in records] for name in REQUIRED_FIELDS]
+        quantities = np.array(columns[4:], dtype=float).reshape(len(QUANTITY_FIELDS), -1)
+        return cls(*columns[:4], quantities)
+
+    def __len__(self):
+        return len(self.facility_ids)
+
+    def __getitem__(self, i):
+        return StockRecord(self.facility_ids[i], self.product_ids[i], self.periods[i],
+                           self.regions[i], *self.quantities[:, i].tolist())
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def demand(self):
+        return self.quantities[QUANTITY_FIELDS.index("quantity_dispensed")]
+
+    def subset(self, mask):
+        """The records where the boolean array `mask` is true, in order."""
+        keep = mask.tolist()
+        ids = (self.facility_ids, self.product_ids, self.periods, self.regions)
+        return Ledger(*(list(compress(column, keep)) for column in ids),
+                      self.quantities[:, mask])
 
 
 @dataclass(frozen=True)
@@ -95,11 +141,14 @@ class Exclusion:
 
 
 def _open_text(csv_source):
-    """(name for messages, text stream) of a path, bytes or file-like source."""
+    """(name for messages, text stream) of a path, bytes or file-like source.
+
+    Paths and bytes are decoded as UTF-8, skipping a leading byte-order mark."""
     if isinstance(csv_source, (bytes, bytearray)):
-        return "CSV data", io.TextIOWrapper(io.BytesIO(csv_source), encoding="utf-8", newline="")
+        return "CSV data", io.TextIOWrapper(io.BytesIO(csv_source), encoding="utf-8-sig",
+                                            newline="")
     if isinstance(csv_source, (str, os.PathLike)):
-        return os.fspath(csv_source), open(csv_source, "r", encoding="utf-8", newline="")
+        return os.fspath(csv_source), open(csv_source, "r", encoding="utf-8-sig", newline="")
     return getattr(csv_source, "name", "CSV source"), csv_source  # already a file-like object
 
 
@@ -118,29 +167,14 @@ def _undecodable(source, csv_source, exc, error=SchemaError):
 
 
 def read_text(path, error=SchemaError):
-    """The text of the UTF-8 file `path`; other bytes raise `error` naming the file and line."""
+    """The text of the UTF-8 file `path` without a leading byte-order mark;
+    other bytes raise `error` naming the file and line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _undecodable(path, data, exc, error) from exc
-
-
-def _quantities(cells):
-    """The numeric cells as floats, or the reason the first bad one is rejected."""
-    values = []
-    for name, cell in zip(_NUMERIC_FIELDS, cells):
-        try:
-            value = float(cell)
-        except ValueError:
-            return f"non-numeric {name}: {cell!r}"
-        if not math.isfinite(value):
-            return f"non-finite {name}: {cell!r}"
-        if value < 0 and name != "adjustment":
-            return f"negative {name}: {value!r}"
-        values.append(value)
-    return values
 
 
 def _dict_row(header, row):
@@ -153,14 +187,130 @@ def _dict_row(header, row):
     return raw
 
 
+def _floats(cells):
+    """`float()` of every cell as an array, NaN where it fails, and the
+    positions of the cells it fails on. A failing cell stops `extend`, which
+    keeps the values read before it; reading resumes after it."""
+    values, unread, rest = [], [], iter(cells)
+    while True:
+        try:
+            values.extend(map(float, rest))
+            return np.array(values), unread
+        except ValueError:
+            unread.append(len(values))
+            values.append(math.nan)
+
+
+def _empty(values):
+    """A boolean array: which of `values` (stripped cells, or None) are empty or None."""
+    return np.fromiter(map(operator.not_, values), dtype=bool, count=len(values))
+
+
+def _reason(rule, cell, n_cells, width):
+    """The reject reason of a line whose first failing rule is `rule`;
+    `cell` is the line's stripped cell of the rule's field."""
+    kind, name = rule
+    if kind == "cells":
+        return f"{n_cells} cells, header has {width}"
+    if kind == "missing":
+        return f"missing {name}"
+    if kind == "negative":
+        return f"negative {name}: {float(cell)!r}"
+    if kind == "period":
+        try:
+            normalize_period(cell)
+        except ValueError as exc:
+            return str(exc)
+    return f"{kind} {name}: {cell!r}"
+
+
+class _Parse:
+    """The records and rejects of a ledger CSV, read one chunk of rows at a time."""
+
+    def __init__(self, header, columns):
+        self.header, self.columns = header, columns
+        self.ids = [[] for _ in _ID_FIELDS]
+        self.quantities = [np.empty((len(QUANTITY_FIELDS), 0))]
+        self.rejects = []
+
+    def read(self, reader):
+        """Read the rows of `reader` to its end, `CHUNK_ROWS` at a time, each
+        with its line number (the last line of a quoted multi-line row)."""
+        while True:
+            chunk = [(row, reader.line_num) for row in islice(reader, CHUNK_ROWS)]
+            if not chunk:
+                return
+            self._check(*zip(*chunk))
+            del chunk  # before the next chunk is read
+
+    def _check(self, rows, lines):
+        """Check `rows` against the reject rules, one pass per column: keep
+        the accepted rows, reject the others and skip blank ones."""
+        header, columns, width = self.header, self.columns, len(self.header)
+        n = len(rows)
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+        padded = list(rows)
+        for i in np.flatnonzero(lengths < width).tolist():
+            padded[i] = rows[i] + [""] * (width - len(rows[i]))
+        cells = list(zip(*padded))  # long rows are cut to the header's width
+        # Interned: the records share one string per distinct id, not one per line.
+        ids = [list(map(sys.intern, map(str.strip, cells[j]))) for j in columns[:4]]
+        raw_quantities = [cells[j] for j in columns[4:]]  # `float()` ignores surrounding blanks
+        values, unread = zip(*map(_floats, raw_quantities))
+
+        failed = {("cells", None): lengths > width}
+        for name, column in zip(_ID_FIELDS, ids):
+            failed["missing", name] = _empty(column)
+        for name, column, value, bad in zip(QUANTITY_FIELDS, raw_quantities, values, unread):
+            unreadable = np.zeros(n, dtype=bool)
+            unreadable[bad] = True
+            failed["missing", name] = missing = np.zeros(n, dtype=bool)
+            missing[[i for i in bad if not column[i].strip()]] = True
+            failed["non-numeric", name] = unreadable & ~missing
+            failed["non-finite", name] = ~np.isfinite(value) & ~unreadable
+            if name != "adjustment":
+                failed["negative", name] = value < 0
+        normalized = {}
+        for text in set(ids[2]):
+            try:
+                normalized[text] = normalize_period(text)
+            except ValueError:
+                normalized[text] = None
+        periods = list(map(normalized.__getitem__, ids[2]))
+        failed["period", "period"] = _empty(periods)
+
+        never = np.zeros(n, dtype=bool)
+        failing = np.array([failed.get(rule, never) for rule in _RULES])
+        faulty = failing.any(axis=0)
+        blank = lengths == 0  # a blank line is skipped, not rejected
+        keep = ~faulty & ~blank
+        first = failing.argmax(axis=0)
+        for i in np.flatnonzero(faulty & ~blank).tolist():
+            rule = _RULES[first[i]]
+            cell = padded[i][columns[REQUIRED_FIELDS.index(rule[1])]].strip() if rule[1] else None
+            self.rejects.append(RejectedRow(
+                line_number=lines[i], reason=_reason(rule, cell, len(rows[i]), width),
+                raw=_dict_row(header, rows[i])))
+
+        keep_list = keep.tolist()
+        for out, column in zip(self.ids, (ids[0], ids[1], periods, ids[3])):
+            out.extend(compress(column, keep_list))
+        self.quantities.append(np.array(values)[:, keep])
+
+    def ledger(self):
+        return Ledger(*self.ids, np.concatenate(self.quantities, axis=1))
+
+
 def parse_records(csv_source, schema=None):
-    """Parse a stock-ledger CSV into records plus per-line rejects.
+    """Parse a stock-ledger CSV into a `Ledger` of records plus per-line rejects.
 
     `schema` maps each required field name to its column name in the file.
     Rows with more cells than the header, or with missing, unparseable,
-    non-finite or negative values, are returned as RejectedRow entries
-    carrying the 1-based line number, never silently dropped. A source that
-    is not UTF-8 text or not readable as CSV raises SchemaError naming it.
+    non-finite or negative values, or a bad period, are returned as
+    RejectedRow entries carrying the 1-based line number (the last line of
+    a quoted multi-line row), never silently dropped; blank lines are
+    skipped. A source that is not UTF-8 text or not readable as CSV raises
+    SchemaError naming it.
     """
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     for name in REQUIRED_FIELDS:
@@ -179,33 +329,8 @@ def parse_records(csv_source, schema=None):
                 raise SchemaError(
                     f"required column {schema[name]!r} (field {name!r}) not in header"
                 )
-        columns = [column[schema[name]] for name in REQUIRED_FIELDS]
-        width = len(header)
-
-        records, rejects = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) > width:
-                problem = f"{len(row)} cells, header has {width}"
-            else:
-                padded = row + [""] * (width - len(row))
-                cells = [padded[j].strip() for j in columns]
-                problem = f"missing {REQUIRED_FIELDS[cells.index('')]}" if "" in cells else None
-            if problem is None:
-                quantities = _quantities(cells[4:])
-                if isinstance(quantities, str):
-                    problem = quantities
-            if problem is None:
-                try:
-                    period = normalize_period(cells[2])
-                except ValueError as exc:
-                    problem = str(exc)
-            if problem is None:
-                records.append(StockRecord(cells[0], cells[1], period, cells[3], *quantities))
-            else:
-                rejects.append(RejectedRow(line_number=reader.line_num, reason=problem,
-                                           raw=_dict_row(header, row)))
+        parse = _Parse(header, [column[schema[name]] for name in REQUIRED_FIELDS])
+        parse.read(reader)
     except csv.Error as exc:
         raise SchemaError(f"{source}, line {reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -213,11 +338,12 @@ def parse_records(csv_source, schema=None):
     finally:
         if text is not csv_source:
             text.close()
-    return records, rejects
+    return parse.ledger(), parse.rejects
 
 
 def clean_records(records, outlier_multiplier=10.0):
-    """Apply the cleaning rules, returning (kept, exclusions).
+    """Apply the cleaning rules to a `Ledger` (or StockRecords), returning
+    (kept Ledger, exclusions).
 
     Rules, in order: drop unbalanced rows, drop all-zero rows, then drop
     per-(facility, product) outliers. A record is an outlier when its
@@ -225,38 +351,45 @@ def clean_records(records, outlier_multiplier=10.0):
     surviving positive demands in its series (leave-one-out, so a lone
     huge value cannot vouch for itself). The outlier rule is iterated to
     a fixed point, which makes cleaning idempotent: re-cleaning the kept
-    rows excludes nothing further.
+    rows excludes nothing further. Exclusions run in record order.
     """
     if outlier_multiplier <= 1:
         raise ValueError("outlier_multiplier must be > 1")
 
-    reasons = {}
-    survivors = []
-    for i, rec in enumerate(records):
-        if not rec.is_balanced():
-            reasons[i] = "unbalanced"
-        elif rec.all_zero():
-            reasons[i] = "all_zero"
-        else:
-            survivors.append(i)
+    ledger = Ledger.of(records)
+    opening, received, dispensed, adjustment, closing = ledger.quantities
+    reason = np.zeros(len(ledger), dtype=np.int8)  # 1 + index in _EXCLUSION_REASONS; 0 kept
+    # math.isclose(lhs, closing, rel_tol=0, abs_tol=BALANCE_TOL), NaN and inf included
+    unbalanced = ~(np.abs(opening + received - dispensed + adjustment - closing) <= BALANCE_TOL)
+    reason[unbalanced] = 1
+    reason[~unbalanced & ~ledger.quantities.any(axis=0)] = 2
+    survivors = np.flatnonzero(reason == 0)
+    series = _series(ledger)[1]
+    reason[survivors[_outliers(series[survivors], dispensed[survivors], outlier_multiplier)]] = 3
 
-    series_ids = {}
-    series = np.array(
-        [series_ids.setdefault((records[i].facility_id, records[i].product_id), len(series_ids))
-         for i in survivors],
-        dtype=np.int64,
-    )
-    demand = np.array([records[i].demand for i in survivors], dtype=float)
-    for j in _outliers(series, demand, outlier_multiplier):
-        reasons[survivors[j]] = "outlier"
+    excluded = np.flatnonzero(reason)
+    exclusions = [Exclusion(record=ledger[i], reason=_EXCLUSION_REASONS[code - 1])
+                  for i, code in zip(excluded.tolist(), reason[excluded].tolist())]
+    return ledger.subset(reason == 0), exclusions
 
-    kept = [rec for i, rec in enumerate(records) if i not in reasons]
-    excluded = [
-        Exclusion(record=rec, reason=reasons[i])
-        for i, rec in enumerate(records)
-        if i in reasons
-    ]
-    return kept, excluded
+
+def _codes(values, sort=True):
+    """(distinct values, int64 array of each value's place among them); the
+    distinct values are sorted, or in order of first appearance."""
+    distinct = sorted(set(values)) if sort else list(dict.fromkeys(values))
+    place = {value: k for k, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(place.__getitem__, values), dtype=np.int64,
+                                 count=len(values))
+
+
+def _series(ledger):
+    """(sorted distinct (facility, product) keys, int64 array of each record's
+    place among them)."""
+    facilities, facility = _codes(ledger.facility_ids)
+    products, product = _codes(ledger.product_ids)
+    keys, series = np.unique(facility * len(products) + product, return_inverse=True)
+    return [(facilities[k // len(products)], products[k % len(products)])
+            for k in keys.tolist()], series
 
 
 def _outliers(series, demand, multiplier):
@@ -479,7 +612,8 @@ def net_requirement(table, rows, values):
 
 
 def build_feature_table(records, lag_months=10, periods=None):
-    """Lagged feature rows for every period (default: every record period).
+    """Lagged feature rows of a `Ledger` (or StockRecords) for every period
+    (default: every record period).
 
     A row is one (facility, product) observed at a period. Its features are
     the `lag_months` trailing demands (missing months encoded as -1 with a
@@ -487,16 +621,16 @@ def build_feature_table(records, lag_months=10, periods=None):
     an integer region code. Rows run in period order, then (facility,
     product) order.
     """
-    records = list(records)
+    ledger = Ledger.of(records)
     if periods is None:
-        periods = sorted({r.period for r in records}, key=period_index)
-    table = _lag_table(records, lag_months, periods)
+        periods = sorted(set(ledger.periods), key=period_index)
+    table = _lag_table(ledger, lag_months, periods)
     if not len(table):
         raise EmptyInputError("no records at the requested periods")
     return table
 
 
-def _lag_table(records, lag_months, periods):
+def _lag_table(ledger, lag_months, periods):
     """Key every record by (series, month) once, then look each period's lags up.
 
     A re-reported (facility, product, month) reads its last record. A row
@@ -506,20 +640,16 @@ def _lag_table(records, lag_months, periods):
     """
     if lag_months < 1:
         raise ValueError("lag_months must be >= 1")
-    if not records:
+    if not len(ledger):
         raise EmptyInputError("no records to build features from")
     L = lag_months
-    codes = {r: i for i, r in enumerate(sorted({rec.region for rec in records}))}
-    keys = [(rec.facility_id, rec.product_id) for rec in records]
-    texts = [rec.period for rec in records]
-    series_keys = sorted(set(keys))
-    series_of = {key: s for s, key in enumerate(series_keys)}
-    n = len(records)
-    series = np.fromiter(map(series_of.__getitem__, keys), dtype=np.int64, count=n)
-    month = period_indices(texts)
-    demand = np.array([rec.demand for rec in records], dtype=float)
-    region = np.array([codes[rec.region] for rec in records], dtype=float)
-    is_row = np.fromiter(map(operator.eq, map(normalize_period, texts), texts), bool, n)
+    series_keys, series = _series(ledger)
+    region = _codes(ledger.regions)[1].astype(float)
+    n = len(ledger)
+    texts, spelling = _codes(ledger.periods, sort=False)
+    month = period_indices(texts)[spelling]  # the first bad period, in record order, raises
+    is_row = np.array([normalize_period(text) == text for text in texts])[spelling]
+    demand = ledger.demand
 
     # One key per (series, month), with a stride that keeps every lag of a
     # record month inside its own series: key - j is lag j of the same series.
@@ -542,6 +672,7 @@ def _lag_table(records, lag_months, periods):
     X = np.empty((sum(rows.stop - rows.start for _, rows in blocks), 2 * L + 3))  # in place
     y = np.empty(len(X))
     fac, prod, per = [], [], []
+    facility_of, product_of = zip(*series_keys)
     for t, rows in blocks:
         at, block = row_record[rows], slice(len(fac), len(fac) + rows.stop - rows.start)
         lagged = row_key[rows, None] - np.arange(1, L + 1)
@@ -553,8 +684,9 @@ def _lag_table(records, lag_months, periods):
         X[block, 2 * L + 1] = float(t // 12)
         X[block, 2 * L + 2] = region[at]
         y[block] = demand[at]
-        fac += [series_keys[s][0] for s in series[at].tolist()]
-        prod += [series_keys[s][1] for s in series[at].tolist()]
+        at_series = series[at].tolist()
+        fac += map(facility_of.__getitem__, at_series)
+        prod += map(product_of.__getitem__, at_series)
         per += [period_str(t)] * len(at)
 
     lags = range(1, lag_months + 1)

@@ -42,9 +42,15 @@ def normalize_period(period):
 
 
 def period_indices(periods):
-    """`period_index` of every item, as an int64 array; the first bad item raises."""
-    texts = map(str.strip, map(str, periods))
-    months = np.fromiter(map(_month_count, texts), dtype=np.int64, count=len(periods))
+    """`period_index` of every item, as an int64 array; the first bad item raises.
+
+    Each distinct spelling is parsed once: a table repeats a few dozen."""
+    texts = list(map(str, periods))
+    place = dict.fromkeys(texts)
+    for k, text in enumerate(place):
+        place[text] = k
+    distinct = np.array([_month_count(text.strip()) for text in place], dtype=np.int64)
+    months = distinct[np.fromiter(map(place.__getitem__, texts), dtype=np.intp, count=len(texts))]
     if len(months) and months.min() < 0:
         period_index(periods[int(np.argmax(months < 0))])
     return months

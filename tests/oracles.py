@@ -5,6 +5,8 @@ possible (loops, enumeration, dynamic programming) and shares no code
 with the solvers under test.
 """
 
+import csv
+import io
 import itertools
 import math
 import re
@@ -166,6 +168,70 @@ def reference_period_index(period):
     if not 1 <= month <= 12:
         raise ValueError(f"bad month in period {period!r}")
     return year * 12 + (month - 1)
+
+
+_LEDGER_FIELDS = (
+    "facility_id", "product_id", "period", "region", "opening_balance",
+    "quantity_received", "quantity_dispensed", "adjustment", "closing_balance",
+)
+
+
+def reference_parse(data):
+    """The stock-ledger parser of `ingest.parse_records`, one line at a time.
+
+    `data` is the bytes of a ledger CSV with the default column names; a
+    leading byte-order mark is skipped. Returns (records, rejects): records
+    as tuples in `StockRecord` field order, rejects as (line number,
+    reason, the `csv.DictReader` dict of the row). Each line is checked in
+    rule order: cell count, the first missing field, each quantity field
+    in turn (non-numeric, non-finite, negative), then the period.
+    """
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    header = next(reader)
+    column = {name: j for j, name in enumerate(header)}  # a repeated name: its last
+    columns = [column[name] for name in _LEDGER_FIELDS]
+    width = len(header)
+    records, rejects = [], []
+    for row in reader:
+        if not row:
+            continue
+        problem = None
+        if len(row) > width:
+            problem = f"{len(row)} cells, header has {width}"
+        else:
+            padded = row + [""] * (width - len(row))
+            cells = [padded[j].strip() for j in columns]
+            if "" in cells:
+                problem = f"missing {_LEDGER_FIELDS[cells.index('')]}"
+        quantities = []
+        for name, cell in zip(_LEDGER_FIELDS[4:], [] if problem else cells[4:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                problem = f"non-numeric {name}: {cell!r}"
+                break
+            if not math.isfinite(value):
+                problem = f"non-finite {name}: {cell!r}"
+                break
+            if value < 0 and name != "adjustment":
+                problem = f"negative {name}: {value!r}"
+                break
+            quantities.append(value)
+        if problem is None:
+            try:
+                index = reference_period_index(cells[2])
+            except ValueError as exc:
+                problem = str(exc)
+        if problem is None:
+            records.append((*cells[:2], _month_str(index), cells[3], *quantities))
+            continue
+        raw = dict(zip(header, row))
+        if len(row) > width:
+            raw[None] = row[width:]
+        for name in header[len(row):]:
+            raw[name] = None
+        rejects.append((reader.line_num, problem, raw))
+    return records, rejects
 
 
 def reference_clean(records, outlier_multiplier=10.0):

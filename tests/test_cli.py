@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -450,7 +451,6 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     (("train", "--features", "f", "--out", "o"), ("--budget-fraction", "0.5")),
     (("train", "--features", "f", "--out", "o"), ("--jacobian", "full_fd")),
     (("weights", "--features", "f", "--model", "m", "--out", "o"), ("--seed", "4")),
-    (("allocate", "--features", "f", "--model", "m", "--out", "o"), ("--config", "c.json")),
     (("allocate", "--features", "f", "--model", "m", "--out", "o"), ("--seed", "4")),
     (("allocate", "--features", "f", "--model", "m", "--out", "o"), ("--jacobian", "full_fd")),
 ], ids=lambda v: v[0])
@@ -601,6 +601,45 @@ def test_staged_session_is_compare_cut_into_stages(tmp_path, source, eval_period
             for product, entry in report["products"].items()}, policy
     assert len(report["products"]) == (1 if source == "synth" else 2)
     assert scored["decision_blind"] != scored["decision_aware"]
+
+
+def test_allocate_config_gives_compares_decision_aware_allocation(tmp_path):
+    """`allocate --config` with no other flag budgets at the file's
+    `budget_fraction` and splits at its `eval_period`: after the staged
+    retrain it allocates what `compare` allocates for `decision_aware`.
+    Without the file it solves the latest period at the default fraction."""
+    settings = {"lag_months": 3, "budget_fraction": 0.8, "eval_period": "2021-08",
+                "forest_params": {"n_trees": 12, "max_depth": 5}}
+    cfg, work = tmp_path / "run.json", tmp_path / "work"
+    cfg.write_text(json.dumps(settings))
+    ledger = write_ledger(tmp_path / "ledger.csv", months=9, facilities=8,
+                          products=("ors", "zinc"))
+    run = ("--config", str(cfg), "--seed", "2")
+    assert run_cli("ingest", "--csv", str(ledger), "--config", str(cfg), "--out", str(work)) == 0
+    assert run_cli("compare", "--csv", str(ledger), *run, "--out", str(tmp_path / "run")) == 0
+    features, blind, aware = (str(work / name) for name in ("features.csv", "blind.json",
+                                                             "aware.json"))
+    assert run_cli("train", "--features", features, *run, "--out", blind) == 0
+    assert run_cli("weights", "--features", features, "--model", blind, "--config", str(cfg),
+                   "--out", str(work / "aware")) == 0
+    assert run_cli("train", "--features", str(work / "aware" / "features.csv"), *run,
+                   "--out", aware) == 0
+    with open(tmp_path / "run" / "breakdown.csv", newline="") as fh:
+        expected = {(row["product"], row["facility_id"]): float(row["decision_aware_allocation"])
+                    for row in csv.DictReader(fh)}
+
+    allocated = {}
+    for name, config in (("file", ("--config", str(cfg))), ("default", ())):
+        allocation = work / f"{name}.json"
+        assert run_cli("allocate", "--features", features, "--model", aware, *config,
+                       "--out", str(allocation)) == 0
+        payload = json.loads(allocation.read_text())
+        allocated[name] = {(product, facility): amount
+                           for product, entry in payload["products"].items()
+                           for facility, amount in zip(entry["facility_ids"], entry["allocation"])}
+        assert payload["eval_period"] == {"file": "2021-08", "default": "2021-09"}[name]
+    assert allocated["file"] == expected and len(expected) == 16
+    assert allocated["default"] != expected
 
 
 @pytest.mark.parametrize("spelling", ["same", "dot_dot"])

@@ -1,6 +1,9 @@
+import importlib.util
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +23,16 @@ from stockalloc import (
     split_train_eval,
 )
 
-from stockalloc.ingest import INVENTORY_COLUMN, net_requirement
+from stockalloc import ingest
+from stockalloc.ingest import INVENTORY_COLUMN, Ledger, net_requirement
 from stockalloc.periods import normalize_period, period_index
 
-from oracles import reference_clean, reference_feature_table, reference_period_index
+from oracles import (
+    reference_clean,
+    reference_feature_table,
+    reference_parse,
+    reference_period_index,
+)
 from test_cli import write_ledger
 
 HEADER = (
@@ -56,12 +65,12 @@ class TestParseRecords:
         assert len(records) == 1 and rejects == []
         rec = records[0]
         assert rec.demand == 3.0
-        assert rec.is_balanced()
+        assert clean_records(records)[1] == []  # balanced
 
     def test_non_numeric_cell_rejected_with_line_number(self):
         data = HEADER + "f1,amox,2021-01,north,abc,5,3,0,12\n"
         records, rejects = parse_records(data.encode())
-        assert records == []
+        assert list(records) == []
         assert len(rejects) == 1
         assert rejects[0].line_number == 2
         assert "opening_balance" in rejects[0].reason
@@ -141,7 +150,7 @@ class TestParseRecords:
     def test_extra_cells_rejected_with_the_dict_reader_row(self):
         data = HEADER + "f1,amox,2021-01,north,10,5,3,0,12,late,note\n"
         records, rejects = parse_records(data.encode())
-        assert records == []
+        assert list(records) == []
         assert rejects[0].reason == "11 cells, header has 9"
         assert rejects[0].raw["closing_balance"] == "12"
         assert rejects[0].raw[None] == ["late", "note"]
@@ -165,6 +174,106 @@ class TestParseRecords:
         path.write_text(HEADER + 'f1,"' + "x" * 200_000 + '",2021-01,north,10,5,3,0,12\n')
         with pytest.raises(SchemaError, match=f"^{path}, line 2: field larger than field limit"):
             parse_records(str(path))
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """Spreadsheet "CSV UTF-8" exports start with one."""
+        data = (HEADER + "f1,amox,2021-01,north,10,5,3,0,12\nf1,amox,2021-02,north,x,5,3,0,12\n")
+        path = tmp_path / "ledger.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + data.encode())
+        plain, plain_rejects = parse_records(data.encode())
+        for source in (path, str(path), path.read_bytes()):
+            records, rejects = parse_records(source)
+            assert list(records) == list(plain) and len(records) == 1
+            assert rejects == plain_rejects and rejects[0].line_number == 3
+
+    def test_heap_peak(self, tmp_path):
+        """Parsing holds one chunk of `CHUNK_ROWS` CSV rows at a time, not the
+        whole file: on the benchmark's seed-1 ledger (6,966 records, ~7k
+        lines) the peak was 1.53 MB at 1024 rows a chunk, 2.54 MB at 2048,
+        4.4 MB at 4096, and 2.86 MB for the one-record-object-per-line
+        parser this replaced."""
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        path = tmp_path / "ledger.csv"
+        workloads.generate_ledger(path, 1, n_products=3)
+        parse_records(path)  # fills the period memo
+        tracemalloc.start()
+        try:
+            records, rejects = parse_records(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(records), len(rejects)) == (6966, 35)
+        assert peak < 1.7e6  # 1.53 MB measured
+
+
+_LEDGER_NAMES = HEADER.strip().split(",")
+# (readable cells, faulty cells) per kind of field; a cell is faulty about one time in ten
+_ID_CELLS = (["f1", " f2 ", "a,b", 'say "hi"', "x\ny", "r\r\nq", "é"], ["", "  ", "\t"])
+_PERIOD_CELLS = (["2021-01", "2021-1", " 2021-03 ", "0221-04"],
+                 ["2021-13", " 2021-00", "March", "20x2-01", "", " "])
+_QUANTITY_CELLS = (["0", "5", "3.5", " 7 ", "\t2\t", "5\n", "-0", "1e3", "1_0", "\u00a08", "12"],
+                   ["-5", " -2 ", "nan", " inf", "-inf", "1e400", "x", "x ", "", "  "])
+
+
+def _cells_of(name):
+    good, bad = (_PERIOD_CELLS if name == "period"
+                 else _QUANTITY_CELLS if name in _LEDGER_NAMES[4:] else _ID_CELLS)
+    return st.sampled_from(good * (9 * len(bad) // len(good) + 1) + bad)
+
+
+@st.composite
+def ledger_files(draw):
+    """Ledger CSV bytes with the default column names, shuffled and perhaps
+    with extra columns or a repeated name (its last column counts): rows of
+    valid and invalid cells, short and long rows, blank lines, quoted cells
+    holding commas, quotes and newlines, LF or CRLF per line, perhaps a
+    byte-order mark."""
+    header = draw(st.permutations(
+        _LEDGER_NAMES + draw(st.lists(st.sampled_from(["note", "region", "period"]), max_size=2))
+    ))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append([])  # a blank line
+            continue
+        row = [draw(_cells_of(name)) for name in header]
+        change = draw(st.sampled_from(["keep"] * 12 + ["cut", "extend"]))
+        if change == "cut":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif change == "extend":
+            row += draw(st.lists(st.sampled_from(["late", "", "a,b"]), min_size=1, max_size=2))
+        lines.append(row)
+
+    def quoted(cell):
+        if any(c in cell for c in ',"\r\n') or draw(st.integers(0, 5)) == 0:
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    text = "".join(",".join(map(quoted, row)) + draw(st.sampled_from(["\n", "\r\n"]))
+                   for row in lines)
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+
+
+class TestMatchesReferenceParser:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(ledger_files(), st.sampled_from([1, 2, 3, 5, ingest.CHUNK_ROWS]))
+    def test_same_records_and_rejects(self, data, chunk_rows):
+        ref_records, ref_rejects = reference_parse(data)
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            records, rejects = parse_records(data)
+        assert isinstance(records, Ledger)
+        assert list(records) == [StockRecord(*values) for values in ref_records]
+        assert [(r.line_number, r.reason, r.raw) for r in rejects] == ref_rejects
+
+    def test_multi_line_rows_count_their_last_line(self):
+        data = HEADER + 'f1,"a\nb",2021-01,north,10,5,3,0,12\n\nf1,amox,2021-01,north,x,5,3,0,12\n'
+        ref_records, ref_rejects = reference_parse(data.encode())
+        records, rejects = parse_records(data.encode())
+        assert [r.line_number for r in rejects] == [line for line, _, _ in ref_rejects] == [5]
+        assert records[0].product_id == "a\nb" and len(records) == len(ref_records) == 1
 
 
 class TestCleanRecords:
@@ -206,7 +315,7 @@ class TestCleanRecords:
         assert {e.record.demand for e in excluded} == {25.0, 600.0}
         # idempotence: cleaning the kept rows excludes nothing further
         kept2, excluded2 = clean_records(kept, outlier_multiplier=10.0)
-        assert kept2 == kept and excluded2 == []
+        assert list(kept2) == list(kept) and excluded2 == []
 
     def test_partition_is_permutation_of_input(self):
         rng = np.random.default_rng(0)
@@ -221,8 +330,8 @@ class TestCleanRecords:
             records.append(rec)
         kept, excluded = clean_records(records)
         assert len(kept) + len(excluded) == len(records)
-        combined = sorted(kept + [e.record for e in excluded], key=lambda r: id(r))
-        assert sorted(records, key=lambda r: id(r)) == combined
+        combined = sorted(list(kept) + [e.record for e in excluded], key=astuple)
+        assert sorted(records, key=astuple) == combined
 
     def test_idempotent_on_random_data(self):
         rng = np.random.default_rng(1)
@@ -233,14 +342,15 @@ class TestCleanRecords:
         ]
         kept, _ = clean_records(records)
         kept2, excluded2 = clean_records(kept)
-        assert kept2 == kept and excluded2 == []
+        assert list(kept2) == list(kept) and excluded2 == []
 
     def test_multiplier_must_exceed_one(self):
         with pytest.raises(ValueError):
             clean_records([record()], outlier_multiplier=1.0)
 
     def test_empty_input(self):
-        assert clean_records([]) == ([], [])
+        kept, excluded = clean_records([])
+        assert (list(kept), excluded) == ([], [])
 
 
 class TestBuildFeatures:
@@ -443,10 +553,8 @@ class TestMatchesReferenceCleaner:
         records, multiplier = inputs
         kept, excluded = clean_records(records, outlier_multiplier=multiplier)
         ref_kept, ref_excluded = reference_clean(records, outlier_multiplier=multiplier)
-        assert [id(r) for r in kept] == [id(r) for r in ref_kept]
-        assert [(id(e.record), e.reason) for e in excluded] == [
-            (id(r), reason) for r, reason in ref_excluded
-        ]
+        assert list(kept) == ref_kept
+        assert [(e.record, e.reason) for e in excluded] == ref_excluded
 
     def test_cascade_needs_rounds(self):
         records, multiplier = _cascade()
@@ -468,7 +576,7 @@ class TestMatchesReferenceCleaner:
         ref_kept, ref_excluded = reference_clean(records)
         assert len(rejects) == 1
         assert [reason for _, reason in ref_excluded] == ["outlier", "unbalanced", "all_zero"]
-        assert kept == ref_kept
+        assert list(kept) == ref_kept
         assert [(e.record, e.reason) for e in excluded] == ref_excluded
         table = build_feature_table(kept)
         fac, prod, per, X, y, names = reference_feature_table(ref_kept)

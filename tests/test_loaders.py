@@ -24,6 +24,7 @@ from stockalloc import (
     StockAllocError,
     TwoClassScenario,
     WeightConfig,
+    train_forest,
 )
 from stockalloc.cli import main
 from stockalloc.config import load_config_file, load_section
@@ -131,3 +132,48 @@ def test_allocation_json(payload):
         assert code in (0, 2, 3)
         if code == 0:  # strict JSON: no NaN or Infinity
             json.loads(printed.getvalue(), parse_constant=lambda name: pytest.fail(name))
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A file saved as "UTF-8 with BOM" (a spreadsheet's "CSV UTF-8", some
+    editors' UTF-8) reads as the same file without the mark."""
+
+    @staticmethod
+    def _both(data, load):
+        return [_load(mark + data, load) for mark in (b"", _BOM)]
+
+    def test_feature_csv(self):
+        data = (FEATURE_CSV + "a,p,2021-01,1.5,2,1\n").encode()
+        plain, marked = self._both(data, FeatureTable.from_csv)
+        assert marked.feature_names == plain.feature_names == ["f_0"]
+        assert marked.X.tolist() == plain.X.tolist() == [[1.5]]
+
+    @pytest.mark.parametrize("text", ['{"n_trees": 3}', "n_trees = 3"], ids=["json", "key_value"])
+    def test_config_file(self, text):
+        plain, marked = self._both(text.encode(), load_config_file)
+        assert marked == plain and list(plain) == ["n_trees"]
+
+    def test_forest_json(self):
+        table = FeatureTable.from_arrays([[0.0], [1.0], [2.0], [3.0]], [1.0, 2.0, 3.0, 4.0])
+        forest = train_forest(table, ForestParams(n_trees=2, max_depth=2, min_leaf_weight=1.0))
+        plain, marked = self._both(forest.to_json().encode(), Forest.load)
+        assert marked.to_json() == plain.to_json() == forest.to_json()
+
+    def test_allocation_json(self, tmp_path):
+        features = tmp_path / "features.csv"
+        features.write_text(FEATURE_CSV + "a,p,2021-01,1,2,1\na,p,2021-02,1,3,1\n")
+        payload = json.dumps({"eval_period": "2021-02",
+                              "products": {"p": {"facility_ids": ["a"], "allocation": [2.0]}}})
+        printed = []
+        for mark in (b"", _BOM):
+            allocation = tmp_path / "allocation.json"
+            allocation.write_bytes(mark + payload.encode())
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["evaluate", "--allocation", str(allocation),
+                             "--features", str(features)]) == 0
+            printed.append(out.getvalue())
+        assert printed[0] == printed[1]
