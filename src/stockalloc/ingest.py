@@ -445,6 +445,7 @@ class FeatureTable:
     y: np.ndarray
     weights: np.ndarray
     feature_names: list = field(default_factory=list)
+    months: np.ndarray = field(init=False, repr=False, compare=False)  # `period_index` per row
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -467,7 +468,7 @@ class FeatureTable:
             self.feature_names = [f"f_{j}" for j in range(self.X.shape[1])]
         if len(self.feature_names) != self.X.shape[1]:
             raise ShapeError("feature_names length disagrees with matrix width")
-        period_indices(self.periods)  # the first bad period, in row order, raises
+        self.months = period_indices(self.periods)  # the first bad period, in row order, raises
 
     def __len__(self):
         return len(self.facility_ids)
@@ -716,11 +717,10 @@ def split_train_eval(table, eval_period):
     the rows exactly at eval, and the positions of the former in `table`.
     Months are compared, so "2020-2" and "2020-02" are one period."""
     idx = period_index(eval_period)
-    months = period_indices(table.periods)
-    at_eval = np.flatnonzero(months == idx)
+    at_eval = np.flatnonzero(table.months == idx)
     if not len(at_eval):
         raise NotFoundError(f"eval period {period_str(idx)} not present in table")
-    train_rows = np.flatnonzero(months < idx)
+    train_rows = np.flatnonzero(table.months < idx)
     return table.subset(train_rows), table.subset(at_eval), train_rows
 
 

@@ -9,7 +9,7 @@ Samples are a fixed quantile grid of that Gaussian, so the model is fully
 deterministic. `n_samples=1` degenerates to the pure point forecast.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -29,6 +29,10 @@ class LinearModel:
     intercept: float
     resid_scale: float
     n_samples: int
+    quantiles: np.ndarray = field(init=False, repr=False, compare=False)  # z of each sample
+
+    def __post_init__(self):
+        self.quantiles = _quantile_grid(self.n_samples)
 
     @property
     def feature_dim(self):
@@ -42,8 +46,7 @@ class LinearModel:
     def predict_samples(self, x):
         X, single = feature_rows(x, self.feature_dim)
         point = X @ self.coef + self.intercept
-        z = _quantile_grid(self.n_samples)
-        out = np.clip(point[:, None] + self.resid_scale * z[None, :], 0.0, None)
+        out = np.clip(point[:, None] + self.resid_scale * self.quantiles[None, :], 0.0, None)
         return out[0] if single else out
 
 

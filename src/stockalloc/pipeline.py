@@ -32,7 +32,7 @@ from .ingest import (
     split_train_eval,
 )
 from .linear import train_linear
-from .periods import period_index, period_indices, period_str
+from .periods import period_index, period_str
 from .synth import TwoClassScenario, generate
 from .weights import (
     DEFAULT_BUDGET_FRACTION,
@@ -137,11 +137,10 @@ def split_table(table, eval_period=None):
     if not len(table):
         raise EmptyInputError("feature table has no rows")
     try:
-        eval_period = period_str(
-            period_index(eval_period or max(set(table.periods), key=period_index))
-        )
+        month = period_index(eval_period) if eval_period else int(table.months.max())
     except ValueError as exc:
         raise ConfigError(f"eval period: {exc}") from exc
+    eval_period = period_str(month)
     train, eval_table, train_rows = split_train_eval(table, eval_period)
     return train, eval_table, eval_period, train_rows
 
@@ -287,7 +286,7 @@ def rolling_forecasts(prepared, window):
     """
     train, eval_table = prepared.train, prepared.eval_table
     eval_idx = period_index(prepared.eval_period)
-    months = period_indices(train.periods)
+    months = train.months
     recent = np.flatnonzero((months >= eval_idx - window) & (months < eval_idx))
     history = group_rows((train.facility_ids[i], train.product_ids[i]) for i in recent.tolist())
     forecasts = np.zeros(len(eval_table))

@@ -26,7 +26,7 @@ from .allocator import AllocationProblem, shifted_allocations, solve_greedy
 from .config import check, is_real
 from .errors import ConfigError, DegenerateWeightsError, ShapeError
 from .ingest import group_rows, net_requirement
-from .periods import normalize_period
+from .periods import period_str
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
 DEFAULT_BUDGET_FRACTION = 0.7
@@ -126,7 +126,8 @@ def policy_jacobian(problem, config):
 
 def _groups(table):
     """Row indices per (period, product) group, the period spelled "YYYY-MM"."""
-    return group_rows(zip(map(normalize_period, table.periods), table.product_ids))
+    groups = group_rows(zip(table.months.tolist(), table.product_ids))
+    return {(period_str(month), product): rows for (month, product), rows in groups.items()}
 
 
 def budgets_from_fraction(table, fraction):

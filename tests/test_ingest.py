@@ -17,15 +17,18 @@ from stockalloc import (
     SchemaError,
     StockAllocError,
     StockRecord,
+    TwoClassScenario,
     build_feature_table,
     clean_records,
+    generate,
     parse_records,
     split_train_eval,
 )
 
 from stockalloc import ingest
 from stockalloc.ingest import INVENTORY_COLUMN, Ledger, net_requirement
-from stockalloc.periods import normalize_period, period_index
+from stockalloc.periods import normalize_period, period_index, period_indices
+from stockalloc.pipeline import split_table
 
 from oracles import (
     reference_clean,
@@ -198,7 +201,7 @@ class TestParseRecords:
         spec.loader.exec_module(workloads)
         path = tmp_path / "ledger.csv"
         workloads.generate_ledger(path, 1, n_products=3)
-        parse_records(path)  # fills the period memo
+        parse_records(path)  # keeps first-call setup (about 80 kB) out of the peak
         tracemalloc.start()
         try:
             records, rejects = parse_records(path)
@@ -622,11 +625,11 @@ class TestLoaderFuzz:
         st.integers(),
         st.lists(st.text(max_size=3), max_size=2),
     ))
-    def test_memoized_period_index_matches_uncached(self, value):
+    def test_period_index_matches_reference(self, value):
         try:
             expected = reference_period_index(value)
         except ValueError as exc:
-            for _ in range(2):  # the second call would hit a memo
+            for _ in range(2):  # a call leaves nothing behind for the next
                 with pytest.raises(ValueError) as info:
                     period_index(value)
                 assert str(info.value) == str(exc)
@@ -639,7 +642,7 @@ class TestLoaderFuzz:
         st.text(max_size=10),
         st.integers(),
     ))
-    def test_memoized_normalize_period_matches_uncached(self, value):
+    def test_normalize_period_matches_reference(self, value):
         try:
             index = reference_period_index(value)
         except ValueError as exc:
@@ -650,6 +653,31 @@ class TestLoaderFuzz:
         else:
             expected = f"{index // 12:04d}-{index % 12 + 1:02d}"
             assert normalize_period(value) == normalize_period(value) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.sampled_from([" 2021-3 ", "2021-03", "2021-3", "2020-12", "2021-13", "21-03", ""]),
+        st.from_regex(r"\s?\d{1,5}-\d{1,3}\s?", fullmatch=True),
+        st.integers(),
+        st.text(max_size=6),
+    ), max_size=12))
+    @example(["2021-03", "5", 5])
+    @example([" 2021-3 ", 5, "5"])
+    def test_period_indices_match_reference(self, periods):
+        """Each item parses as `period_index` would; a bad list raises the text
+        of its first bad item, spelled as given, even when a later item shares
+        that item's `str()` spelling."""
+        expected = []
+        for period in periods:
+            try:
+                expected.append(reference_period_index(period))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    period_indices(periods)
+                assert str(info.value) == str(exc)
+                return
+        months = period_indices(periods)
+        assert months.dtype == np.int64 and months.tolist() == expected
 
 
 class TestSplit:
@@ -687,6 +715,38 @@ class TestSplit:
         assert (set(train.periods), evaluation.periods) == ({"2021-1", "2021-2"}, ["2021-3"])
         with pytest.raises(NotFoundError, match="eval period 2022-01 not present"):
             split_train_eval(unpadded, "2022-1")
+
+    @staticmethod
+    def _csv_table(tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("facility_id,product_id,period,f_0,target,weight\n"
+                        "f1,p,2021-9,0.0,1.0,1.0\n"
+                        "f1,p,2021-10,0.0,2.0,1.0\n"
+                        "f2,p,2021-09,0.0,3.0,1.0\n")
+        return FeatureTable.from_csv(path)
+
+    @pytest.mark.parametrize("built_by", ["build_feature_table", "generate", "from_arrays",
+                                          "from_csv", "subset", "with_weights"])
+    def test_months_are_the_periods_parsed(self, built_by, tmp_path):
+        build = {
+            "build_feature_table": self._table,
+            "generate": lambda: generate(TwoClassScenario(n_low=2, n_high=2), periods=13)[0],
+            "from_arrays": lambda: FeatureTable.from_arrays(np.ones((2, 1)), np.ones(2),
+                                                            period=" 2021-3 "),
+            "from_csv": lambda: self._csv_table(tmp_path),
+            "subset": lambda: self._csv_table(tmp_path).subset([2, 1, 1]),
+            "with_weights": lambda: self._csv_table(tmp_path).with_weights([2.0, 0.5, 1.0]),
+        }
+        table = build[built_by]()
+        assert table.months.dtype == np.int64
+        assert table.months.tolist() == period_indices(table.periods).tolist() == [
+            reference_period_index(p) for p in table.periods]
+
+    def test_split_table_defaults_to_the_latest_month(self, tmp_path):
+        """The latest month, "2021-10", not the string maximum "2021-9"."""
+        train, evaluation, eval_period, train_rows = split_table(self._csv_table(tmp_path))
+        assert eval_period == "2021-10" and evaluation.periods == ["2021-10"]
+        assert train.periods == ["2021-9", "2021-09"] and train_rows.tolist() == [0, 2]
 
 
 class TestNetRequirement:

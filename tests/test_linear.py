@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -35,13 +37,16 @@ def test_point_mass_when_residuals_zero():
     assert s[0] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_samples_are_deterministic_quantile_fan():
+def test_samples_are_deterministic_quantile_fan(monkeypatch):
     rng = np.random.default_rng(1)
     X = rng.uniform(size=(40, 1))
     y = 5.0 + X[:, 0] + rng.normal(0, 1.0, 40)
     m = train_linear(table(X, y), n_samples=9)
+    inv_cdf, probed = NormalDist.inv_cdf, []
+    monkeypatch.setattr(NormalDist, "inv_cdf", lambda nd, p: probed.append(p) or inv_cdf(nd, p))
     s1 = m.predict_samples(X[:3])
     s2 = m.predict_samples(X[:3])
+    assert probed == []  # the model derives its quantile grid once, when it is built
     assert np.array_equal(s1, s2)
     assert s1.shape == (3, 9)
     # symmetric grid: sample mean equals the point forecast (pre-clamp)
