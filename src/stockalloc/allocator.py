@@ -202,6 +202,14 @@ def _allocation_at(sums, facilities, segment, leftover):
     return taken + np.where(facilities == binding, leftover, 0.0)
 
 
+def _budget_left(budget, takes):
+    """The budget left after each level-major segment, the budget itself
+    first: the same floats as spending it one segment at a time. The walk
+    runs in place, so it holds one array of K N + 1 floats."""
+    left = np.concatenate(([float(budget)], takes.ravel()))
+    return np.subtract.accumulate(left, out=left)
+
+
 def solve_greedy(problem):
     """Exact optimum by level-wise water-filling, O(K N log K).
 
@@ -222,9 +230,7 @@ def solve_greedy(problem):
     N = samples.shape[1]
     sorted_samples = np.sort(samples, axis=0)
     takes = _segments(sorted_samples)
-    # Budget left after each segment: the same float sequence as spending
-    # it one segment at a time.
-    remaining = np.subtract.accumulate(np.concatenate(([float(problem.budget)], takes.ravel())))
+    remaining = _budget_left(problem.budget, takes)
     segment, leftover = _cut(remaining, np.count_nonzero(remaining > 0.0))
     allocation = _allocation_at(_level_sums(takes), np.arange(N), segment, leftover)
     return AllocationResult(
@@ -234,41 +240,50 @@ def solve_greedy(problem):
     )
 
 
-# Levels past the unshifted cut that a shifted walk covers before it checks
-# whether the budget has run out; if not, the walk goes on to the end. A
-# finite-difference step moves the cut by well under a level (no walk of
-# the synth_linear_fd benchmark inputs went on), and each level walked
-# costs N subtractions.
+# Levels around the unshifted cut that a shifted problem's cut is looked
+# for in: `_certified_cuts` searches them, and a walk of `_shifted_cuts`
+# covers them before it checks whether the budget has run out (if not, it
+# goes on to the end). A finite-difference step moves the cut by well under
+# a level (no walk of the synth_linear_fd benchmark inputs went on), and
+# each level walked costs N subtractions.
 _SHIFT_WINDOW_LEVELS = 2
 
 
-def _shifted_cuts(budget, takes, shifted_takes):
+def _shifted_cuts(remaining, takes, shifted_takes, columns=None):
     """Cuts of the problems in which facility n's segments are those of
     `shifted_takes[s][:, n]`, as (segment, leftover) arrays of shape (S, N).
 
-    One buffer holds the budget and the level-major segments and is walked
-    again for each shifted problem. The entries of a walk before facility
-    n's first segment are those of the unshifted walk, so it starts there.
-    It stops a few levels past the unshifted cut and goes on to the end
-    only if the budget has not run out by then; either way the floats are
-    those of a walk over the whole shifted problem.
+    `remaining` is the unshifted problem's budget walk (`_budget_left`),
+    which this overwrites. Each (s, n) entry that the boolean (S, N) array
+    `columns` marks, every entry by default, is an exact walk of the
+    shifted budget; the others keep the unshifted cut. One buffer holds
+    the budget and the level-major segments and is walked again for each
+    shifted problem. The entries of a walk before facility n's first
+    segment are those of the unshifted walk, so it starts there. It stops
+    a few levels past the unshifted cut and goes on to the end only if the
+    budget has not run out by then; either way the floats are those of a
+    walk over the whole shifted problem.
     """
-    N = takes.shape[1]
-    walk = np.concatenate(([float(budget)], takes.ravel()))
-    remaining = np.subtract.accumulate(walk)
+    S, N = len(shifted_takes), takes.shape[1]
+    walk = np.concatenate((remaining[:1], takes.ravel()))
     unshifted_spent = int(np.count_nonzero(remaining > 0.0))
     unshifted_cut = _cut(remaining, unshifted_spent)
     head = remaining[:N].copy()
     stop = min(walk.size, unshifted_spent + _SHIFT_WINDOW_LEVELS * N)
+    if columns is None:
+        columns = np.ones((S, N), dtype=bool)
+    marks = columns.T.tolist()
 
     # Facilities from unshifted_spent on take nothing before the budget
     # runs out, so their shifts keep the unshifted cut.
-    segment = np.full((len(shifted_takes), N), unshifted_cut[0])
-    leftover = np.full((len(shifted_takes), N), unshifted_cut[1])
-    for n in range(min(N, unshifted_spent)):
+    segment = np.full((S, N), unshifted_cut[0])
+    leftover = np.full((S, N), unshifted_cut[1])
+    for n in np.flatnonzero(columns[:, :unshifted_spent].any(axis=0)).tolist():
         walk[n] = head[n]
-        for s, shifted in enumerate(shifted_takes):
-            walk[n + 1 :: N] = shifted[:, n]
+        for s, marked in enumerate(marks[n]):
+            if not marked:
+                continue
+            walk[n + 1 :: N] = shifted_takes[s][:, n]
             np.subtract.accumulate(walk[n:stop], out=remaining[n:stop])
             end = stop
             if end < walk.size and remaining[end - 1] > 0.0:
@@ -283,6 +298,112 @@ def _shifted_cuts(budget, takes, shifted_takes):
     return segment, leftover
 
 
+def _certified_cuts(budget, sorted_samples, shifts, takes, shifted_takes):
+    """The shifted cuts of `_shifted_cuts` as far as facility n's own
+    allocation needs them: (segment, leftover) arrays of shape (S, N), the
+    leftover exact wherever the own allocation reads it. `shifts[s]` maps
+    sorted samples to those whose segments are `shifted_takes[s]`. The
+    budget is walked once (`_budget_left`); each cut is read off that walk
+    where rounding cannot change it, and only the other entries are walked
+    again (`_shifted_cuts`).
+
+    Shifting facility n changes only its own segments, so the shifted
+    walk's budget left after walk entry p is about `remaining[p] - D_n`,
+    D_n being the running sum of facility n's segment changes (shifted
+    minus unshifted) over its c segments at or before p. A sorted column's
+    segments telescope, so D_n is computed as the change of its c-th
+    sorted sample. How far off: let u = 2**-53,
+    gamma_k = k u / (1 - k u), M = K N, and S, S' the budget plus the sum
+    of the unshifted and of the shifted segments (they are nonnegative, so
+    these are the absolute sums). After m additions a recursive sum is
+    within gamma_m times the sum of its absolute terms of the exact one
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 4.2). So `remaining[p]` is within gamma_M S of the exact
+    budget left, and the shifted walk's float within gamma_M S'. Each
+    segment is the difference of two sorted samples rounded once, so a
+    column's first c segments sum to its c-th sorted sample within gamma_1
+    times their absolute sum; with the change of the sample rounded once
+    more, D_n is within gamma_2 (S + S') of the exact change. The last
+    subtraction rounds by at most u (|remaining[p]| + |D_n|)
+    <= 2u (1 + gamma_M) (S + S') <= (gamma_(M+2) - gamma_M) (S + S'). As
+    gamma_a + gamma_b <= gamma_(a+b), the approximation is within
+    gamma_(M+4) (S + S') of the shifted walk's float. The margin
+    gamma_(2M+2K+4) (S + S') is more than that by a factor of at least
+    1.6, which covers the rounding of the margin itself: when S + S' is
+    below 2**-1022 every sum here is exact, and otherwise the margin is at
+    least four units in the last subnormal place, so that its product
+    rounds by at most an eighth.
+
+    An approximation above the margin is surely positive in the shifted
+    walk, one below -margin surely not. The walk never increases, so a
+    sure positive entry directly followed by a sure nonpositive one is the
+    cut; so is a sure positive last entry (the budget never runs out).
+    The candidate is the first entry in `_SHIFT_WINDOW_LEVELS` levels
+    around the unshifted cut whose approximation is <= 0: D_n is constant
+    between two of facility n's segments, and fl(r - d) <= 0 exactly when
+    r <= d, so one `np.searchsorted` of the window finds it. The own
+    allocation needs the leftover only when facility n binds the cut;
+    those entries, and those not certified, are walked. Facilities from
+    the unshifted cut's spent index on keep the unshifted cut exactly. A
+    scale S + S' within a factor two of overflow certifies nothing.
+    Temporaries are a few arrays of the window's levels by N.
+    """
+    K, N = takes.shape
+    M = K * N
+    remaining = _budget_left(budget, takes)
+    spent = int(np.count_nonzero(remaining > 0.0))
+    cut = _cut(remaining, spent)
+    shape = (len(shifted_takes), N)
+    segment, leftover = np.full(shape, cut[0]), np.full(shape, cut[1])
+    uncertain = np.zeros(shape, dtype=bool)
+    facilities = np.arange(min(N, spent))
+    if not facilities.size:
+        return segment, leftover
+
+    # Run c of facility n: the walk entries from its c-th segment up to the
+    # one before its (c+1)-th, over which D_n sums its first c changes.
+    level = spent // N
+    runs = np.arange(max(0, level - _SHIFT_WINDOW_LEVELS),
+                     min(K, level + _SHIFT_WINDOW_LEVELS) + 1)[:, None]
+    starts = np.maximum((runs - 1) * N + facilities + 1, 0)
+    ends = np.minimum(runs * N + facilities, M)
+    lo = int(starts.min())
+    window = -remaining[lo : int(ends.max()) + 1]  # nondecreasing
+
+    k = 2 * M + 2 * K + 4
+    u = np.finfo(float).eps / 2
+    gamma = k * u / (1.0 - k * u)
+    with np.errstate(over="ignore"):
+        unshifted_scale = float(remaining[0]) + float(takes.sum())
+        scales = [unshifted_scale + float(remaining[0]) + float(t.sum()) for t in shifted_takes]
+    for s, (shift, scale) in enumerate(zip(shifts, scales)):
+        if not np.isfinite(2.0 * scale):
+            uncertain[s, facilities] = True
+            continue
+        margin = gamma * scale
+
+        def change(c):
+            x = sorted_samples[np.maximum(c - 1, 0), facilities]
+            return np.where(c > 0, shift(x) - x, 0.0)
+
+        def approximation(p):
+            return remaining[p] - change((p - 1 - facilities) // N + 1)
+
+        first = lo + np.searchsorted(window, -change(runs))
+        cut_at = np.where(first <= ends, np.maximum(first, starts), M + 1).min(axis=0)
+        found = cut_at <= M
+        sure = (approximation(cut_at - 1) > margin) & np.where(
+            found, approximation(np.minimum(cut_at, M)) < -margin, True)
+        segment[s, facilities] = cut_at - 1
+        leftover[s, facilities] = 0.0
+        uncertain[s, facilities] = ~sure | (found & ((cut_at - 1) % N == facilities))
+    if uncertain.any():
+        walked = _shifted_cuts(remaining, takes, shifted_takes, uncertain)
+        segment = np.where(uncertain, walked[0], segment)
+        leftover = np.where(uncertain, walked[1], leftover)
+    return segment, leftover
+
+
 def shifted_allocations(problem, step, own_only=False):
     """`solve_greedy` allocations with one facility's demand shifted by +-step.
 
@@ -292,19 +413,27 @@ def shifted_allocations(problem, step, own_only=False):
     n's own allocation there. The result is bit for bit that of solving
     the 2N shifted problems, from one sort: both shifts are monotone, so
     the sorted shifted column is the shifted sorted column, and every
-    other column keeps its segments and level sums. Only the
-    remaining-budget walk is redone (`_shifted_cuts`).
+    other column keeps its segments and level sums. The unshifted budget
+    is walked once. Full columns need every shifted cut's exact leftover,
+    so each of the 2N problems is walked again (`_shifted_cuts`). An own
+    allocation needs only the position of its cut unless the facility
+    binds it; `_certified_cuts` reads those positions off the unshifted
+    walk with a rounding margin, and only the entries it cannot settle
+    are walked.
     """
     sorted_samples = np.sort(problem.samples, axis=0)
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(sorted_samples[-1] + step)):
             raise ValueError("shifted samples must be finite")
+    shifts = (lambda x: x + step, lambda x: np.maximum(x - step, 0.0))
     takes = _segments(sorted_samples)
-    shifted_takes = (
-        _segments(sorted_samples + step),
-        _segments(np.maximum(sorted_samples - step, 0.0)),
-    )
-    segment, leftover = _shifted_cuts(problem.budget, takes, shifted_takes)
+    shifted_takes = tuple(_segments(shift(sorted_samples)) for shift in shifts)
+    if own_only:
+        segment, leftover = _certified_cuts(
+            problem.budget, sorted_samples, shifts, takes, shifted_takes)
+    else:
+        segment, leftover = _shifted_cuts(
+            _budget_left(problem.budget, takes), takes, shifted_takes)
     facilities = np.arange(takes.shape[1])
     own = [
         _allocation_at(_level_sums(t), facilities, segment[s], leftover[s])

@@ -557,13 +557,15 @@ class FeatureTable:
             if header[:3] != ["facility_id", "product_id", "period"] or (
                     header[-2:] != ["target", "weight"]):
                 raise SchemaError(f"{path} is not a feature table CSV")
-            cells, values = [], []
+            cells, values, periods = [], [], set()
             for row in reader:
                 where = f"{path}, line {reader.line_num}"
                 if len(row) != len(header):
                     raise SchemaError(f"{where}: {len(row)} cells, header has {len(header)}")
                 try:
-                    period_index(row[2])
+                    if row[2] not in periods:  # each spelling is checked where it first appears
+                        period_index(row[2])
+                        periods.add(row[2])
                     numbers = [float(v) for v in row[3:]]
                 except ValueError as exc:
                     raise SchemaError(f"{where}: {exc}") from exc
@@ -656,8 +658,8 @@ def _lag_table(ledger, lag_months, periods):
     # record month inside its own series: key - j is lag j of the same series.
     first = int(month.min())
     cell = series * (int(month.max()) - first + 1 + L) + (month - first + L)
-    cell_key, cell_record = _last_per_key(cell, np.arange(n))
-    row_key, row_record = _last_per_key(cell[is_row], np.flatnonzero(is_row))
+    cell_key, cell_record = last_per_key(cell, np.arange(n))
+    row_key, row_record = last_per_key(cell[is_row], np.flatnonzero(is_row))
     by_month = np.lexsort((series[row_record], month[row_record]))  # then by series
     row_key, row_record = row_key[by_month], row_record[by_month]
     row_month = month[row_record]
@@ -703,7 +705,7 @@ def _lag_table(ledger, lag_months, periods):
     )
 
 
-def _last_per_key(keys, records):
+def last_per_key(keys, records):
     """Sorted distinct `keys`, each with the last of its `records` (records ascend)."""
     order = np.argsort(keys, kind="stable")
     keys, records = keys[order], records[order]

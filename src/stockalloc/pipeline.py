@@ -27,7 +27,7 @@ from .ingest import (
     REQUIRED_FIELDS,
     build_feature_table,
     clean_records,
-    group_rows,
+    last_per_key,
     parse_records,
     split_train_eval,
 )
@@ -282,20 +282,32 @@ def rolling_forecasts(prepared, window):
 
     Only months actually present count toward the mean (a month with
     several training rows of one series reads the last); rows with no
-    history forecast zero.
+    history forecast zero. The series with k months of history are summed
+    together, in month order, by one row-wise `np.add.reduce` and divided
+    by k: the floats of `np.mean` over each series.
     """
     train, eval_table = prepared.train, prepared.eval_table
-    eval_idx = period_index(prepared.eval_period)
-    months = train.months
-    recent = np.flatnonzero((months >= eval_idx - window) & (months < eval_idx))
-    history = group_rows((train.facility_ids[i], train.product_ids[i]) for i in recent.tolist())
-    forecasts = np.zeros(len(eval_table))
-    for i, key in enumerate(zip(eval_table.facility_ids, eval_table.product_ids)):
-        if key in history:
-            rows = recent[history[key]]
-            series = dict(zip(months[rows].tolist(), train.y[rows].tolist()))
-            forecasts[i] = float(np.mean([series[m] for m in sorted(series)]))
-    return forecasts
+    first = period_index(prepared.eval_period) - window
+    series = {}
+    eval_codes = np.fromiter(
+        (series.setdefault(key, len(series))
+         for key in zip(eval_table.facility_ids, eval_table.product_ids)),
+        dtype=np.int64, count=len(eval_table))
+    recent = np.flatnonzero((train.months >= first) & (train.months < first + window))
+    codes = np.fromiter(
+        (series.get((train.facility_ids[i], train.product_ids[i]), -1) for i in recent.tolist()),
+        dtype=np.int64, count=recent.size)
+    kept = codes >= 0
+    cells, rows = last_per_key(  # the last row of each (series, month), in that order
+        codes[kept] * window + (train.months[recent[kept]] - first), recent[kept])
+    values = train.y[rows]
+    counts = np.bincount(cells // window, minlength=len(series))
+    starts = np.cumsum(counts) - counts
+    means = np.zeros(len(series))
+    for k in set(counts.tolist()) - {0}:
+        have = np.flatnonzero(counts == k)
+        means[have] = np.add.reduce(values[starts[have, None] + np.arange(k)], axis=1) / k
+    return means[eval_codes]
 
 
 def run_rolling_average(config, prepared=None):

@@ -99,9 +99,14 @@ def _fd_columns(problem, h, diagonal=False):
     together: the derivative is with respect to the demand point, not any
     individual scenario. Perturbed samples are clipped at zero to stay a
     valid problem. The 2N perturbed optima come from one sort of the
-    problem and an exact re-walk of its budget (`shifted_allocations`),
-    bit for bit those of solving each perturbed problem. With `diagonal`
-    only J[n, n] is filled."""
+    problem and one walk of its budget (`shifted_allocations`), bit for
+    bit those of solving each perturbed problem. Full columns walk the
+    budget again for each perturbed problem. With `diagonal` only J[n, n]
+    is filled: a perturbed cut is read off the unshifted walk when a
+    rounding margin (gamma_(2M+2K+4) times the budget plus the absolute
+    segment sums, unshifted and shifted; derived at
+    `allocator._certified_cuts`) settles it, and walked again only when
+    it does not or when facility n binds it."""
     up, down = shifted_allocations(problem, h, own_only=diagonal)
     J = (up - down) / (2.0 * h)
     return np.diag(J) if diagonal else J

@@ -176,6 +176,28 @@ _LEDGER_FIELDS = (
 )
 
 
+def reference_rolling_forecasts(prepared, window):
+    """Trailing-mean demand per evaluation row, one row at a time: the
+    months of the row's (facility, product) series among the `window`
+    training months before the evaluation period, each month read from its
+    last training row, averaged by `np.mean` in month order; zero without
+    history."""
+    train, eval_table = prepared.train, prepared.eval_table
+    eval_month = reference_period_index(prepared.eval_period)
+    history = {}
+    for i, period in enumerate(train.periods):
+        month = reference_period_index(period)
+        if eval_month - window <= month < eval_month:
+            key = (train.facility_ids[i], train.product_ids[i])
+            history.setdefault(key, {})[month] = float(train.y[i])
+    forecasts = np.zeros(len(eval_table))
+    for i, key in enumerate(zip(eval_table.facility_ids, eval_table.product_ids)):
+        if key in history:
+            series = history[key]
+            forecasts[i] = float(np.mean([series[m] for m in sorted(series)]))
+    return forecasts
+
+
 def reference_parse(data):
     """The stock-ledger parser of `ingest.parse_records`, one line at a time.
 

@@ -211,22 +211,71 @@ class TestShiftedAllocations:
                     assert a.sum() <= budget + 1e-9 * max(1.0, budget)
                     assert saa_objective(p, a) == pytest.approx(solve_lp(p).objective, abs=1e-9)
 
-    @pytest.mark.parametrize("budget_share", [0.0, 0.05, 0.3, 0.97, 1.0, 2.0])
-    def test_bit_identical_to_solving_each_shifted_problem(self, budget_share):
-        # Shifts of 50 move the cut many levels away from the unshifted one,
-        # past the window the shifted walks first cover.
+    @staticmethod
+    def _shifted_solutions(budget_share):
+        """Yields (h, n, s, problem, allocation): the allocation is
+        `solve_greedy` of `problem` with facility n shifted up (s = 0) or
+        down (s = 1) by h, clipped at zero. Shifts of 50 move the cut many
+        levels away from the unshifted one, past the window the shifted
+        cuts are first looked for in."""
         rng = np.random.default_rng(15)
         samples = np.round(rng.gamma(2.0, 3.0, size=(30, 6)), 1)
         samples[:, 2] = 0.0
         budget = budget_share * float(samples.max(axis=0).sum())
         for h in (0.1, 2.0, 50.0):
-            up, down = shifted_allocations(problem(samples, budget), h)
             for n in range(samples.shape[1]):
-                for columns, shift in ((up, h), (down, -h)):
+                for s, shift in enumerate((h, -h)):
                     shifted = samples.copy()
                     shifted[:, n] = np.maximum(shifted[:, n] + shift, 0.0)
+                    yield h, n, s, problem(samples, budget), solve_greedy(
+                        problem(shifted, budget)).allocation
+
+    @pytest.mark.parametrize("budget_share", [0.0, 0.05, 0.3, 0.97, 1.0, 2.0])
+    def test_bit_identical_to_solving_each_shifted_problem(self, budget_share):
+        for h, n, s, p, expected in self._shifted_solutions(budget_share):
+            columns = shifted_allocations(p, h)[s]
+            assert columns[:, n].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("budget_share", [0.0, 0.05, 0.3, 0.97, 1.0, 2.0])
+    def test_own_only_bit_identical_to_solving_each_shifted_problem(self, budget_share):
+        for h, n, s, p, expected in self._shifted_solutions(budget_share):
+            own = shifted_allocations(p, h, own_only=True)[s]
+            assert own[n : n + 1].tobytes() == expected[n : n + 1].tobytes()
+
+    def test_own_only_near_overflow(self):
+        # The segment sums overflow: no cut is certified, none warns, and
+        # every entry is walked.
+        rng = np.random.default_rng(16)
+        samples = rng.uniform(1e307, 3e307, size=(3, 8))
+        h, budget = 1e306, 1e308
+        own = shifted_allocations(problem(samples, budget), h, own_only=True)
+        for n in range(samples.shape[1]):
+            for s, shift in enumerate((h, -h)):
+                shifted = samples.copy()
+                shifted[:, n] = np.maximum(shifted[:, n] + shift, 0.0)
+                with np.errstate(over="ignore"):  # the objective's sum overflows
                     expected = solve_greedy(problem(shifted, budget)).allocation
-                    assert columns[:, n].tobytes() == expected.tobytes()
+                assert own[s][n : n + 1].tobytes() == expected[n : n + 1].tobytes()
+
+    def test_own_only_walks_only_the_cuts_it_cannot_certify(self, monkeypatch):
+        walked = []
+        exact = allocator._shifted_cuts
+
+        def counting(remaining, takes, shifted_takes, columns=None):
+            walked.append(2 * takes.shape[1] if columns is None
+                          else int(np.count_nonzero(columns)))
+            return exact(remaining, takes, shifted_takes, columns)
+
+        monkeypatch.setattr(allocator, "_shifted_cuts", counting)
+        rng = np.random.default_rng(20)
+        samples = rng.gamma(2.0, 5.0, size=(100, 100))
+        p = problem(samples, 0.6 * float(samples.mean(axis=0).sum()))
+        h = 1e-2 * float(samples.mean())
+        shifted_allocations(p, h)
+        assert walked == [200]  # full columns walk every shifted problem
+        walked.clear()
+        shifted_allocations(p, h, own_only=True)
+        assert sum(walked) <= 4
 
     def test_own_only_is_the_diagonal(self):
         rng = np.random.default_rng(14)

@@ -803,6 +803,22 @@ class TestFeatureTableCsv:
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}, line 3: .*{message}"):
             FeatureTable.from_csv(path)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("2021-13", "bad month in period '2021-13'"),
+        ("21-01", "bad period '21-01', expected YYYY-MM"),
+    ])
+    def test_bad_period_is_reported_at_the_line_it_first_appears(self, tmp_path, bad, message):
+        path = tmp_path / "features.csv"
+        path.write_text("facility_id,product_id,period,f_0,target,weight\n"
+                        "f1,p,2021-01,0.0,1.0,1.0\n"
+                        "f2,p,2021-01,0.0,1.0,1.0\n"
+                        "f1,p,2021-02,0.0,1.0,1.0\n"
+                        f"f2,p,{bad},0.0,1.0,1.0\n"
+                        f"f1,p,{bad},0.0,1.0,1.0\n")
+        with pytest.raises(SchemaError,
+                           match=f"^{re.escape(str(path))}, line 5: {re.escape(message)}$"):
+            FeatureTable.from_csv(path)
+
     def test_foreign_header_is_a_schema_error(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("period,facility_id,product_id,gradient,raw_weight,final_weight\n")

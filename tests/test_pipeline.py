@@ -17,6 +17,8 @@ from stockalloc import (
 )
 from stockalloc.pipeline import compare, prepare, report_to_json, rolling_forecasts
 
+from oracles import reference_rolling_forecasts
+
 SMALL_FOREST = ForestParams(n_trees=12, max_depth=7, min_leaf_weight=2.0)
 
 
@@ -124,6 +126,33 @@ class TestRollingForecasts:
             budgets_train={}, budgets_eval={},
         )
         assert rolling_forecasts(prepared, window=3)[0] == 0.0  # b has no history
+
+    def test_bit_identical_to_reference_loop(self):
+        # Random tables: several rows of one series in a month, months
+        # without rows, evaluation rows without history, series with only
+        # training rows, and history lengths up to 12.
+        from stockalloc import FeatureTable, split_train_eval
+        from stockalloc.pipeline import PreparedRun
+
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(1, 120))
+            months = rng.integers(0, 30, size=n)
+            months[0] = 29  # the evaluation month
+            t = FeatureTable(
+                facility_ids=[f"f{i}" for i in rng.integers(0, 5, n)],
+                product_ids=[f"p{i}" for i in rng.integers(0, 2, n)],
+                periods=[f"{2020 + m // 12}-{m % 12 + 1}" for m in months],
+                X=np.zeros((n, 1)),
+                y=rng.gamma(2.0, 3.0, n) * 10.0 ** rng.integers(-3, 4, n),
+                weights=np.ones(n),
+            )
+            train, ev, _ = split_train_eval(t, "2022-06")
+            prepared = PreparedRun(table=t, train=train, eval_table=ev, eval_period="2022-06",
+                                   budgets_train={}, budgets_eval={})
+            for window in range(1, 13):
+                expected = reference_rolling_forecasts(prepared, window)
+                assert rolling_forecasts(prepared, window).tobytes() == expected.tobytes()
 
 
 class TestPolicies:

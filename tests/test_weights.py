@@ -56,6 +56,32 @@ def fd_instances(draw):
     return samples, budget, h
 
 
+
+@st.composite
+def hard_fd_instances(draw):
+    """Problems whose shifted cuts are hard to read off the unshifted walk:
+    ties and zero segments, values scaled to ~1e-300, ~1e300 or to
+    subnormals, steps that move the cut past the levels around the
+    unshifted one, and budgets equal to a partial level-major sum of the
+    segments of the problem or of one of its shifted problems, or one
+    float either side of it (the budget then runs out at about zero)."""
+    K = draw(st.integers(1, 12))
+    N = draw(st.integers(1, 5))
+    value = st.one_of(st.integers(0, 6).map(float), st.integers(0, 60).map(lambda v: v / 10),
+                      st.floats(0.0, 10.0))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300, 2.0**-1070, 5e-324]))
+    samples = scale * np.array(
+        draw(st.lists(st.lists(value, min_size=N, max_size=N), min_size=K, max_size=K)))
+    h = max(scale * draw(st.sampled_from([1e-3, 0.05, 0.1, 0.3, 1.0, 7.0, 50.0])), 5e-324)
+    walked = samples.copy()
+    n = draw(st.integers(0, N - 1))
+    walked[:, n] = np.maximum(walked[:, n] + draw(st.sampled_from([0.0, h, -h])), 0.0)
+    segments = np.diff(np.sort(walked, axis=0), axis=0, prepend=0.0).ravel()
+    budget = float(np.cumsum(segments)[draw(st.integers(0, segments.size - 1))])
+    budget = draw(st.sampled_from([budget, np.nextafter(budget, 0.0),
+                                   np.nextafter(budget, np.inf)]))
+    return samples, max(float(budget), 0.0), h
+
 class TestLossGradient:
     def test_strict_inequality_at_kink(self):
         g = loss_gradient(np.array([2.0, 1.0]), np.array([4.0, 1.0]))
@@ -144,6 +170,15 @@ class TestPolicyJacobian:
             reference = reference_fd_columns(samples, budget, h, diagonal=mode == "diagonal_fd")
             assert np.array_equal(J, reference)
             assert J.tobytes() == reference.tobytes()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(hard_fd_instances())
+    def test_diagonal_fd_bit_identical_to_reference_loop_on_hard_cases(self, instance):
+        samples, budget, h = instance
+        J = policy_jacobian(AllocationProblem(samples, budget),
+                            WeightConfig(jacobian_mode="diagonal_fd", fd_step=h))
+        reference = reference_fd_columns(samples, budget, h, diagonal=True)
+        assert J.tobytes() == reference.tobytes()
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
