@@ -151,22 +151,28 @@ def saa_objective(problem, a):
             f"allocation has {a.shape[0]} entries, problem has "
             f"{problem.n_facilities} facilities"
         )
-    return float(np.maximum(problem.samples - a[None, :], 0.0).sum() / problem.n_samples)
+    shortfall = np.subtract(problem.samples, a[None, :])
+    return float(np.maximum(shortfall, 0.0, out=shortfall).sum() / problem.n_samples)
 
 
 def _segments(sorted_samples):
     """Segment lengths: each sorted sample minus the one below it, the
     lowest minus zero."""
-    takes = sorted_samples.copy()
-    takes[1:] -= sorted_samples[:-1]
+    takes = np.empty(sorted_samples.shape)
+    takes[0] = sorted_samples[0]
+    np.subtract(sorted_samples[1:], sorted_samples[:-1], out=takes[1:])
     return takes
 
 
-def _level_sums(takes):
+def _level_sums(takes, top):
     """Row j holds each facility's first j segments, summed in level order
-    (row 0 is zero)."""
-    sums = np.zeros((takes.shape[0] + 1, takes.shape[1]))
-    np.cumsum(takes, axis=0, out=sums[1:])
+    (row 0 is zero), for every row that `_allocation_at` reads at cuts up
+    to segment `top`: up to the level of `top` plus one. The rows are
+    those of summing all K levels."""
+    K, N = takes.shape
+    levels = min(int(top) // N + 1, K)
+    sums = np.zeros((levels + 1, N))
+    np.cumsum(takes[:levels], axis=0, out=sums[1:])
     return sums
 
 
@@ -205,8 +211,10 @@ def _allocation_at(sums, facilities, segment, leftover):
 def _budget_left(budget, takes):
     """The budget left after each level-major segment, the budget itself
     first: the same floats as spending it one segment at a time. The walk
-    runs in place, so it holds one array of K N + 1 floats."""
-    left = np.concatenate(([float(budget)], takes.ravel()))
+    runs in place in one level-major array of K N + 1 floats."""
+    left = np.empty(takes.size + 1)
+    left[0] = budget
+    left[1:] = takes.ravel()
     return np.subtract.accumulate(left, out=left)
 
 
@@ -224,7 +232,11 @@ def solve_greedy(problem):
     facility gets its segments below the binding level, and those of the
     binding level up to the binding facility. Allocation never exceeds a
     facility's largest sample (beyond it the marginal value is zero). The
-    sort dominates the cost; the rest is a few vector passes.
+    budget is walked over every segment in one level-major buffer
+    (`_budget_left`); the allocation then sums each facility's segments in
+    level order only up to the cut level plus one (`_level_sums`), the
+    same floats as summing all K levels. The sort and the walk dominate
+    the cost; the rest is a few vector passes.
     """
     samples = problem.samples
     N = samples.shape[1]
@@ -232,7 +244,7 @@ def solve_greedy(problem):
     takes = _segments(sorted_samples)
     remaining = _budget_left(problem.budget, takes)
     segment, leftover = _cut(remaining, np.count_nonzero(remaining > 0.0))
-    allocation = _allocation_at(_level_sums(takes), np.arange(N), segment, leftover)
+    allocation = _allocation_at(_level_sums(takes, segment), np.arange(N), segment, leftover)
     return AllocationResult(
         allocation=allocation,
         objective=saa_objective(problem, allocation),
@@ -419,7 +431,8 @@ def shifted_allocations(problem, step, own_only=False):
     allocation needs only the position of its cut unless the facility
     binds it; `_certified_cuts` reads those positions off the unshifted
     walk with a rounding margin, and only the entries it cannot settle
-    are walked.
+    are walked. The allocations sum segments in level order only up to
+    the highest cut level they read plus one (`_level_sums`).
     """
     sorted_samples = np.sort(problem.samples, axis=0)
     with np.errstate(over="ignore"):
@@ -436,12 +449,12 @@ def shifted_allocations(problem, step, own_only=False):
             _budget_left(problem.budget, takes), takes, shifted_takes)
     facilities = np.arange(takes.shape[1])
     own = [
-        _allocation_at(_level_sums(t), facilities, segment[s], leftover[s])
+        _allocation_at(_level_sums(t, segment[s].max()), facilities, segment[s], leftover[s])
         for s, t in enumerate(shifted_takes)
     ]
     if own_only:
         return own[0], own[1]
-    sums = _level_sums(takes)
+    sums = _level_sums(takes, segment.max())
     columns = []
     for s in range(2):
         a = _allocation_at(sums, facilities[:, None], segment[s], leftover[s])

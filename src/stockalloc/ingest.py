@@ -462,8 +462,7 @@ class FeatureTable:
             raise ValueError("features must be finite")
         if n and not np.all(np.isfinite(self.y)):
             raise ValueError("targets must be finite")
-        if n and (np.any(self.weights < 0) or not np.all(np.isfinite(self.weights))):
-            raise ValueError("weights must be finite and nonnegative")
+        _check_weights(self.weights)
         if not self.feature_names:
             self.feature_names = [f"f_{j}" for j in range(self.X.shape[1])]
         if len(self.feature_names) != self.X.shape[1]:
@@ -484,34 +483,47 @@ class FeatureTable:
         return names.index(INVENTORY_COLUMN) if INVENTORY_COLUMN in names else None
 
     def subset(self, idx):
+        """The rows `idx` (positions or a boolean mask), in that order.
+
+        The rows were checked when this table was built, so the copy skips
+        the checks and takes its `months` from this table's (`_derived`).
+        """
         idx = np.asarray(idx)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         idx = idx.astype(np.int64)
         rows = idx.tolist()
-        return FeatureTable(
-            facility_ids=[self.facility_ids[i] for i in rows],
-            product_ids=[self.product_ids[i] for i in rows],
-            periods=[self.periods[i] for i in rows],
-            X=self.X[idx],
-            y=self.y[idx],
-            weights=self.weights[idx],
-            feature_names=list(self.feature_names),
+        return self._derived(
+            [self.facility_ids[i] for i in rows],
+            [self.product_ids[i] for i in rows],
+            [self.periods[i] for i in rows],
+            self.X[idx], self.y[idx], self.weights[idx], self.months[idx],
         )
 
     def with_weights(self, weights):
+        """A copy of the table with the row weights `weights`; only they are checked."""
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(self),):
             raise ShapeError("weight vector length disagrees with table")
-        return FeatureTable(
-            facility_ids=list(self.facility_ids),
-            product_ids=list(self.product_ids),
-            periods=list(self.periods),
-            X=self.X.copy(),
-            y=self.y.copy(),
-            weights=weights,
-            feature_names=list(self.feature_names),
+        _check_weights(weights)
+        return self._derived(
+            list(self.facility_ids), list(self.product_ids), list(self.periods),
+            self.X.copy(), self.y.copy(), weights, self.months.copy(),
         )
+
+    def _derived(self, facility_ids, product_ids, periods, X, y, weights, months):
+        """A table built without `__post_init__` from rows of this one.
+
+        It trusts only rows that this table has already checked: every
+        argument but `weights` must be a copy of some of this table's rows,
+        `months` their parsed periods, and the caller checks `weights`.
+        """
+        table = object.__new__(FeatureTable)
+        vars(table).update(
+            facility_ids=facility_ids, product_ids=product_ids, periods=periods,
+            X=X, y=y, weights=weights, feature_names=list(self.feature_names), months=months,
+        )
+        return table
 
     @classmethod
     def from_arrays(cls, X, y, weights=None, product_id="p0", period="2020-01"):
@@ -588,12 +600,43 @@ class FeatureTable:
         )
 
 
-def group_rows(keys):
-    """Row indices per distinct key: keys sorted, rows in table order, int64."""
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return {key: np.asarray(groups[key], dtype=np.int64) for key in sorted(groups)}
+def _check_weights(weights):
+    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite and nonnegative")
+
+
+def _column_codes(column):
+    """(sorted values, int64 array of each row's place among them). An
+    integer array, such as `FeatureTable.months`, is placed by its offset
+    from its minimum, its values a `range`; any other column by `_codes`."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu" and len(column):
+        low = int(column.min())
+        return range(low, int(column.max()) + 1), (column - low).astype(np.int64, copy=False)
+    return _codes(column)
+
+
+def group_rows(*columns):
+    """Row indices per distinct key: keys sorted, rows in table order, int64.
+
+    A row's key is its value in the one column given, or the tuple of its
+    values in several equally long columns; keys are Python scalars. Each
+    column is coded once (`_column_codes`); the codes combine into one
+    integer per row whose order is that of the keys, and one stable
+    argsort of it yields every group's rows, each a slice of that one array.
+    """
+    distinct, codes = zip(*map(_column_codes, columns))
+    code = codes[0]
+    for values, column in zip(distinct[1:], codes[1:]):
+        code = code * len(values) + column
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()] if len(code) else []
+    ends = starts[1:] + [len(code)]
+    first = order[starts]  # each group's first row
+    keys = [list(map(values.__getitem__, column[first].tolist()))
+            for values, column in zip(distinct, codes)]
+    keys = keys[0] if len(keys) == 1 else zip(*keys)
+    return dict(zip(keys, (order[start:end] for start, end in zip(starts, ends))))
 
 
 def net_requirement(table, rows, values):

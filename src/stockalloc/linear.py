@@ -61,7 +61,9 @@ def train_linear(table, n_samples=100):
         raise DegenerateWeightsError("all row weights are zero")
 
     sw = np.sqrt(w)
-    A = np.hstack([X, np.ones((len(y), 1))]) * sw[:, None]
+    A = np.empty((len(y), X.shape[1] + 1))  # [X, 1] scaled by row, one array
+    np.multiply(X, sw[:, None], out=A[:, :-1])
+    A[:, -1] = sw
     beta, *_ = np.linalg.lstsq(A, y * sw, rcond=None)
     coef, intercept = beta[:-1], float(beta[-1])
 

@@ -18,14 +18,14 @@ CSV (`WeightReport.to_csv`) is an audit table that nothing reads back.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allocator import AllocationProblem, shifted_allocations, solve_greedy
 from .config import check, is_real
 from .errors import ConfigError, DegenerateWeightsError, ShapeError
-from .ingest import group_rows, net_requirement
+from .ingest import _codes, group_rows, net_requirement
 from .periods import period_str
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
@@ -131,7 +131,7 @@ def policy_jacobian(problem, config):
 
 def _groups(table):
     """Row indices per (period, product) group, the period spelled "YYYY-MM"."""
-    groups = group_rows(zip(table.months.tolist(), table.product_ids))
+    groups = group_rows(table.months, table.product_ids)
     return {(period_str(month), product): rows for (month, product), rows in groups.items()}
 
 
@@ -172,11 +172,14 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
     For every (period, product) group in the training table
     (`group_problems`, netting by inventory when the table holds it):
     solve the scenario problem of the initial model's samples at that
-    group's rows once, take the shortfall subgradient against the realized
-    requirement, push it through the configured Jacobian estimate, floor
-    the absolute values, and scale the result to mean one. Groups whose
-    facility panel is incomplete relative to the product's full panel fall
-    back to the identity Jacobian. An empty table is a DegenerateWeightsError.
+    group's rows once, take the shortfall subgradient g against the
+    realized requirement, push it through the configured Jacobian
+    estimate, floor the absolute values, and scale the result to mean
+    one. The identity Jacobian's product J^T g is g itself, so identity
+    groups take g and build no Jacobian. Groups whose facility panel is
+    incomplete relative to the product's full panel (fewer distinct
+    facilities than the product has over all periods) fall back to the
+    identity. An empty table is a DegenerateWeightsError.
     """
     config = config or WeightConfig()
     n = len(train)
@@ -186,9 +189,14 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
     raw = np.zeros(n)
     modes = {}
 
-    panels = {}
-    for facility, product in zip(train.facility_ids, train.product_ids):
-        panels.setdefault(product, set()).add(facility)
+    if config.jacobian_mode != "identity":
+        facility = _codes(train.facility_ids)[1]
+
+        def facilities(rows):  # distinct facilities among the rows
+            return np.count_nonzero(np.bincount(facility[rows]))
+
+        panel = {product: facilities(rows)
+                 for product, rows in group_rows(train.product_ids).items()}
 
     def samples_of(rows):
         return initial_model.predict_samples(train.X[rows])
@@ -199,13 +207,11 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         g = loss_gradient(a_star, xi_star)
 
         mode = config.jacobian_mode
-        full_panel = {train.facility_ids[i] for i in rows} == panels[product]
-        if mode != "identity" and not full_panel:
+        if mode != "identity" and facilities(rows) != panel[product]:
             mode = "identity"
-        J = policy_jacobian(problem, replace(config, jacobian_mode=mode))
 
         gradients[rows] = g
-        raw[rows] = J.T @ g
+        raw[rows] = g if mode == "identity" else policy_jacobian(problem, config).T @ g
         modes[(period, product)] = mode
 
     final = np.maximum(np.abs(raw), config.weight_floor)

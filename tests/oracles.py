@@ -156,6 +156,15 @@ def reference_fd_columns(samples, budget, h, diagonal=False):
     return np.diag(np.diag(J)) if diagonal else J
 
 
+def reference_group_rows(keys):
+    """Row indices per distinct key, one row at a time: keys sorted, rows
+    in table order, int64."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return {key: np.asarray(groups[key], dtype=np.int64) for key in sorted(groups)}
+
+
 _PERIOD_RE = re.compile(r"^(\d{4})-(\d{1,2})$")
 
 

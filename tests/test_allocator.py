@@ -151,6 +151,37 @@ def greedy_instances(draw):
     return samples, budget
 
 
+@st.composite
+def layout_instances(draw):
+    """Float instances up to K = N = 100, C-ordered or F-ordered as the
+    pipeline passes them (the transpose of a C-ordered (N, K) matrix),
+    with ties, -0.0 and all-zero columns. The budget is a level-major
+    partial sum of the segments or one of its float neighbours, cuts at
+    level 0, or never runs out (a cut at level K)."""
+    K, N = (draw(st.sampled_from([1, 2, 7, 100, 100])) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    samples = rng.gamma(2.0, 5.0, size=(K, N))
+    if draw(st.booleans(), label="ties"):
+        samples = np.round(samples)
+    samples[rng.random((K, N)) < 0.05] = -0.0
+    samples[:, rng.random(N) < 0.1] = 0.0
+    if draw(st.booleans(), label="F-ordered"):
+        samples = np.ascontiguousarray(samples.T).T
+    takes = np.sort(samples, axis=0)
+    takes[1:] -= np.sort(samples, axis=0)[:-1]
+    partial = np.concatenate(([0.0], np.cumsum(takes.ravel())))  # level-major, in order
+    kind = draw(st.sampled_from(["partial", "below", "above", "level 0", "level K"]))
+    if kind == "level 0":
+        budget = float(partial[rng.integers(0, N)])
+    elif kind == "level K":
+        budget = float(partial[-1]) * draw(st.sampled_from([1.0, 1.5]))
+    else:
+        budget = float(partial[rng.integers(0, K * N + 1)])
+        if kind != "partial":
+            budget = max(float(np.nextafter(budget, np.inf if kind == "above" else -np.inf)), 0.0)
+    return samples, budget
+
+
 class TestMatchesReferenceGreedy:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(greedy_instances())
@@ -164,6 +195,28 @@ class TestMatchesReferenceGreedy:
         assert len(res.fill_trace) == len(ref_trace)
         assert [s.to_dict() for s in list(res.fill_trace)] == ref_trace
         assert res.to_dict()["fill_trace"] == ref_trace
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(layout_instances())
+    def test_bit_identical_in_either_layout_up_to_k_n_100(self, instance):
+        samples, budget = instance
+        ref_allocation, ref_objective, ref_trace = reference_greedy(samples, budget)
+        res = solve_greedy(AllocationProblem(samples, budget))
+        assert res.allocation.tobytes() == ref_allocation.tobytes()  # -0.0 included
+        assert res.objective == ref_objective
+        assert [s.to_dict() for s in res.fill_trace] == ref_trace
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(layout_instances(), st.data())
+    def test_level_sums_are_the_rows_of_summing_every_level(self, instance, data):
+        samples, _ = instance
+        takes = allocator._segments(np.sort(samples, axis=0))
+        K, N = takes.shape
+        every = np.vstack([np.zeros((1, N)), np.cumsum(takes, axis=0)])
+        top = data.draw(st.integers(0, K * N), label="highest cut segment")
+        sums = allocator._level_sums(takes, top)
+        assert len(sums) == min(top // N + 1, K) + 1
+        assert sums.tobytes() == every[: len(sums)].tobytes()
 
     def test_trace_length_builds_no_steps(self, monkeypatch):
         res = solve_greedy(problem([[2, 1], [4, 1]], 3))

@@ -15,6 +15,7 @@ from stockalloc import (
     FeatureTable,
     NotFoundError,
     SchemaError,
+    ShapeError,
     StockAllocError,
     StockRecord,
     TwoClassScenario,
@@ -33,6 +34,7 @@ from stockalloc.pipeline import split_table
 from oracles import (
     reference_clean,
     reference_feature_table,
+    reference_group_rows,
     reference_parse,
     reference_period_index,
 )
@@ -747,6 +749,94 @@ class TestSplit:
         train, evaluation, eval_period, train_rows = split_table(self._csv_table(tmp_path))
         assert eval_period == "2021-10" and evaluation.periods == ["2021-10"]
         assert train.periods == ["2021-9", "2021-09"] and train_rows.tolist() == [0, 2]
+
+
+@st.composite
+def key_columns(draw):
+    """One to three equally long key columns in any row order: months, as a
+    table's int64 array or as a list, and text ids such as product ids,
+    from a few to many distinct ones."""
+    n = draw(st.integers(0, 40))
+    kind = st.sampled_from(["months", "month list", "ids"])
+    kinds = draw(st.lists(kind, min_size=1, max_size=3))
+    months = st.integers(24230, 24250)
+    ids = st.text("abAB09_-é", max_size=3)
+    columns = []
+    for kind in kinds:
+        values = draw(st.lists(ids if kind == "ids" else months, min_size=n, max_size=n))
+        columns.append(np.array(values, dtype=np.int64) if kind == "months" else values)
+    return columns
+
+
+class TestGroupRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(key_columns())
+    @example([np.array([], dtype=np.int64), []])  # an empty table
+    @example([[]])
+    @example([np.array([24240]), ["p"]])  # one row
+    @example([["p2", "p10", "b", "p2", "a", "b"]])  # sorted order is not first appearance
+    @example([np.array([24241, 24239, 24241, 24240]), ["q", "p", "p", "q"]])  # months out of order
+    @example([[f"prod_{(7 * i) % 97:02d}" for i in range(300)]])  # many products
+    def test_matches_the_row_by_row_walk(self, columns):
+        got = ingest.group_rows(*columns)
+        lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        expected = reference_group_rows(lists[0] if len(lists) == 1 else zip(*lists))
+        assert repr(list(got)) == repr(list(expected))  # the same keys, Python scalars, in order
+        for key, rows in expected.items():
+            assert got[key].dtype == np.int64
+            assert got[key].tolist() == rows.tolist()
+
+    def test_product_keys_as_evaluate_groups_them(self):
+        t = build_feature_table([record(facility=f, product=p, period=m)
+                                 for m in ("2021-01", "2021-02") for p in ("zinc", "amox")
+                                 for f in ("f2", "f1")], lag_months=1)
+        groups = ingest.group_rows(t.product_ids)
+        assert list(groups) == ["amox", "zinc"]
+        for product, rows in groups.items():
+            assert rows.tolist() == [i for i, p in enumerate(t.product_ids) if p == product]
+
+
+class TestTableCopies:
+    @staticmethod
+    def _table():
+        periods = ["2021-9", "2021-10", "2021-09", " 2022-1 ", "2021-10"]
+        return FeatureTable(
+            facility_ids=[f"f{i}" for i in range(5)], product_ids=["p", "q", "p", "q", "p"],
+            periods=periods, X=np.arange(10.0).reshape(5, 2), y=np.arange(5.0),
+            weights=np.full(5, 0.5),
+        )
+
+    @pytest.mark.parametrize("derive", ["positions", "mask", "empty", "with_weights"])
+    def test_copy_parses_like_a_new_table_and_shares_nothing(self, derive):
+        parent = self._table()
+        child = {
+            "positions": lambda: parent.subset([3, 1, 1, 4]),
+            "mask": lambda: parent.subset(np.array([True, False, True, True, False])),
+            "empty": lambda: parent.subset([]),
+            "with_weights": lambda: parent.with_weights([1.0, 0.0, 2.0, 0.5, 3.0]),
+        }[derive]()
+        built = FeatureTable(child.facility_ids, child.product_ids, child.periods,
+                             child.X, child.y, child.weights, child.feature_names)
+        assert child.months.dtype == np.int64
+        assert child.months.tolist() == period_indices(child.periods).tolist()
+        for name in ("X", "y", "weights", "months"):
+            assert getattr(child, name).tobytes() == getattr(built, name).tobytes()
+            assert getattr(child, name).shape == getattr(built, name).shape
+            assert not np.shares_memory(getattr(child, name), getattr(parent, name))
+        for name in ("facility_ids", "product_ids", "periods", "feature_names"):
+            assert getattr(child, name) == getattr(built, name)
+            assert getattr(child, name) is not getattr(parent, name)
+
+    @pytest.mark.parametrize("bad, error", [
+        ([1.0, np.nan, 1.0, 1.0, 1.0], ValueError),
+        ([1.0, 1.0, np.inf, 1.0, 1.0], ValueError),
+        ([1.0, 1.0, 1.0, -0.5, 1.0], ValueError),
+        ([1.0, 1.0], ShapeError),
+        (np.ones((5, 1)), ShapeError),
+    ], ids=["nan", "inf", "negative", "short", "column"])
+    def test_with_weights_checks_the_new_weights(self, bad, error):
+        with pytest.raises(error, match="weight"):
+            self._table().with_weights(bad)
 
 
 class TestNetRequirement:

@@ -1,5 +1,6 @@
 import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from stockalloc import (
     compute_weights,
     loss_gradient,
     policy_jacobian,
+    solve_greedy,
     train_forest,
 )
 from stockalloc import weights
 from stockalloc.ingest import INVENTORY_COLUMN
-from stockalloc.weights import WEIGHTS_CSV_HEADER, group_problems
+from stockalloc.weights import JACOBIAN_MODES, WEIGHTS_CSV_HEADER, group_problems
 
 from oracles import reference_fd_columns
 
@@ -452,15 +454,49 @@ class TestComputeWeights:
         assert np.all(report.raw_weights[f0] == 0.0)
         assert np.array_equal(report.final_weights, floored_mean_one(report, 0.07))
 
-    def test_incomplete_panel_falls_back_to_identity(self):
+    @pytest.mark.parametrize("mode", ["diagonal_fd", "full_fd"])
+    @pytest.mark.parametrize("gap", ["missing", "duplicated"])
+    def test_incomplete_panel_falls_back_to_identity(self, mode, gap):
+        # In 2021-01 facility f0 is missing, or its row names f1 a second
+        # time: either way two of the product's three facilities are there.
         t = panel_table(n_periods=2, n_fac=3, seed=6)
-        t2 = t.subset([i for i in range(len(t)) if not (t.periods[i] == "2021-01" and t.facility_ids[i] == "f0")])
+        f0 = [i for i in range(len(t)) if t.periods[i] == "2021-01" and t.facility_ids[i] == "f0"]
+        if gap == "missing":
+            t2 = t.subset([i for i in range(len(t)) if i not in f0])
+        else:
+            t2 = replace(t, facility_ids=["f1" if i in f0 else f for i, f in enumerate(t.facility_ids)])
         model = exact_model(t2)
         budgets = budgets_from_fraction(t2, 0.5)
-        cfg = WeightConfig(jacobian_mode="diagonal_fd", fd_step=0.05)
+        cfg = WeightConfig(jacobian_mode=mode, fd_step=0.05)
         report = compute_weights(t2, model, budgets, cfg)
-        assert report.group_jacobian_mode[("2021-01", "p")] == "identity"
-        assert report.group_jacobian_mode[("2021-02", "p")] == "diagonal_fd"
+        assert report.group_jacobian_mode == {("2021-01", "p"): "identity", ("2021-02", "p"): mode}
+        fallback = np.array([p == "2021-01" for p in t2.periods])
+        assert report.raw_weights[fallback].tobytes() == report.gradients[fallback].tobytes()
+
+    def test_full_panel_with_a_duplicated_facility_keeps_the_fd_mode(self):
+        t = panel_table(n_periods=2, n_fac=3, seed=6)
+        t2 = t.subset(list(range(len(t))) + [0])  # f0 twice in 2021-01
+        model = exact_model(t2)
+        cfg = WeightConfig(jacobian_mode="diagonal_fd", fd_step=0.05)
+        report = compute_weights(t2, model, budgets_from_fraction(t2, 0.5), cfg)
+        assert set(report.group_jacobian_mode.values()) == {"diagonal_fd"}
+
+    @pytest.mark.parametrize("mode", JACOBIAN_MODES)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tie_free_weight_instances())
+    def test_raw_weights_are_the_jacobian_product(self, mode, instance):
+        """Every group's raw weights are the bytes of J^T g, the sign of
+        zero included; identity groups take g itself and build no J."""
+        table, model, budgets, config = instance
+        config = replace(config, jacobian_mode=mode, fd_step=0.5)
+        report = compute_weights(table, model, budgets, config)
+        expected = np.zeros(len(table))
+        for key, rows, realized, problem in group_problems(
+                table, budgets, lambda rows: model.predict_samples(table.X[rows])):
+            g = loss_gradient(solve_greedy(problem).allocation, realized)
+            expected[rows] = policy_jacobian(problem, config).T @ g
+        assert report.raw_weights.tobytes() == expected.tobytes()
+        assert report.group_jacobian_mode == {key: mode for key in budgets}  # full panels
 
     def test_inventory_netting_zeroes_covered_class(self):
         t = panel_table(n_periods=1, n_fac=2, seed=10)
