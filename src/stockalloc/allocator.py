@@ -12,8 +12,9 @@ program over (a, c) with c_k >= xi_k - a, c >= 0 is kept as an independent
 cross-check (`solve_lp`).
 """
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,9 +43,10 @@ class AllocationProblem:
             raise ShapeError(f"samples must be (K, N), got shape {samples.shape}")
         if samples.shape[0] < 1 or samples.shape[1] < 1:
             raise ShapeError("need at least one sample and one facility")
-        if not np.all(np.isfinite(samples)):
+        low, high = float(samples.min()), float(samples.max())  # NaN if any is NaN
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError("samples must be finite")
-        if np.any(samples < 0):
+        if low < 0:
             raise ValueError("samples must be nonnegative")
         if not np.isfinite(self.budget) or self.budget < 0:
             raise ConfigError(f"budget must be finite and nonnegative, got {self.budget!r}")
@@ -125,15 +127,20 @@ class FillTrace(Sequence):
 
 @dataclass
 class AllocationResult:
-    """Optimal allocation, its mean shortfall, and the fill order.
+    """Optimal allocation of `problem`, its mean shortfall, and the fill order.
 
+    `objective` is `saa_objective` of the allocation, derived on first read.
     `fill_trace` is a sequence of `FillStep`s; for `solve_greedy` it is a
     `FillTrace`, which builds the steps only when they are read.
     """
 
     allocation: np.ndarray
-    objective: float
+    problem: AllocationProblem = field(repr=False, compare=False)
     fill_trace: Sequence = ()
+
+    @cached_property
+    def objective(self):
+        return saa_objective(self.problem, self.allocation)
 
     def to_dict(self):
         return {
@@ -211,11 +218,40 @@ def _allocation_at(sums, facilities, segment, leftover):
 def _budget_left(budget, takes):
     """The budget left after each level-major segment, the budget itself
     first: the same floats as spending it one segment at a time. The walk
-    runs in place in one level-major array of K N + 1 floats."""
+    runs in place in one level-major array of K N + 1 floats over every
+    segment, past the cut too: the finite-difference cuts
+    (`_shifted_cuts`, `_certified_cuts`) read entries on both sides of it.
+    `_greedy_cut` walks only up to the cut."""
     left = np.empty(takes.size + 1)
     left[0] = budget
     left[1:] = takes.ravel()
     return np.subtract.accumulate(left, out=left)
+
+
+def _greedy_cut(budget, takes):
+    """The cut (`_cut`) of the walk `_budget_left` makes, walked only until
+    the budget runs out.
+
+    The walk goes in blocks of whole levels: the first is one level, each
+    later one as long as all before it together, and it stops after the
+    first block whose last entry is <= 0 (the walk never increases). Each
+    block goes on from the last entry of the one before, and
+    `np.subtract.accumulate` subtracts one segment at a time, so every
+    entry is the float of the full walk. A cut at level j walks fewer than
+    2 (j + 1) levels.
+    """
+    flat = takes.ravel()
+    left = np.empty(flat.size + 1)
+    left[0] = budget
+    start, stop = 0, takes.shape[1]
+    while True:
+        left[start + 1 : stop + 1] = flat[start:stop]
+        np.subtract.accumulate(left[start : stop + 1], out=left[start : stop + 1])
+        if left[stop] <= 0.0 or stop == flat.size:
+            break
+        start, stop = stop, min(2 * stop, flat.size)
+    remaining = left[: stop + 1]
+    return _cut(remaining, int(np.count_nonzero(remaining > 0.0)))
 
 
 def solve_greedy(problem):
@@ -232,22 +268,23 @@ def solve_greedy(problem):
     facility gets its segments below the binding level, and those of the
     binding level up to the binding facility. Allocation never exceeds a
     facility's largest sample (beyond it the marginal value is zero). The
-    budget is walked over every segment in one level-major buffer
-    (`_budget_left`); the allocation then sums each facility's segments in
+    budget is walked segment by segment in one level-major buffer, in
+    blocks of levels, and only until it runs out (`_greedy_cut`): a cut at
+    level j walks fewer than 2 (j + 1) of the K levels, with the floats of
+    walking them all. The allocation then sums each facility's segments in
     level order only up to the cut level plus one (`_level_sums`), the
-    same floats as summing all K levels. The sort and the walk dominate
-    the cost; the rest is a few vector passes.
+    same floats as summing all K levels. The sort dominates the cost; the
+    rest is a few vector passes. The objective is computed only when read.
     """
     samples = problem.samples
     N = samples.shape[1]
     sorted_samples = np.sort(samples, axis=0)
     takes = _segments(sorted_samples)
-    remaining = _budget_left(problem.budget, takes)
-    segment, leftover = _cut(remaining, np.count_nonzero(remaining > 0.0))
+    segment, leftover = _greedy_cut(problem.budget, takes)
     allocation = _allocation_at(_level_sums(takes, segment), np.arange(N), segment, leftover)
     return AllocationResult(
         allocation=allocation,
-        objective=saa_objective(problem, allocation),
+        problem=problem,
         fill_trace=FillTrace(sorted_samples, takes, segment, leftover),
     )
 
@@ -497,7 +534,4 @@ def solve_lp(problem):
 
     x, _ = _simplex.solve_standard_lp(cost, A, b, max_iter=20000)
     allocation = np.clip(x[:N], 0.0, samples.max(axis=0))
-    return AllocationResult(
-        allocation=allocation,
-        objective=saa_objective(problem, allocation),
-    )
+    return AllocationResult(allocation=allocation, problem=problem)

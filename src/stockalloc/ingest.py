@@ -19,10 +19,10 @@ handed out, such as in an `Exclusion`.
 import csv
 import io
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, islice
 
 import numpy as np
@@ -201,9 +201,11 @@ def _floats(cells):
             values.append(math.nan)
 
 
-def _empty(values):
-    """A boolean array: which of `values` (stripped cells, or None) are empty or None."""
-    return np.fromiter(map(operator.not_, values), dtype=bool, count=len(values))
+def _among(cells, chosen):
+    """A boolean array: which of `cells` are in the set `chosen`."""
+    if not chosen:
+        return np.zeros(len(cells), dtype=bool)
+    return np.fromiter(map(chosen.__contains__, cells), dtype=bool, count=len(cells))
 
 
 def _reason(rule, cell, n_cells, width):
@@ -237,11 +239,12 @@ class _Parse:
         """Read the rows of `reader` to its end, `CHUNK_ROWS` at a time, each
         with its line number (the last line of a quoted multi-line row)."""
         while True:
-            chunk = [(row, reader.line_num) for row in islice(reader, CHUNK_ROWS)]
-            if not chunk:
+            rows = []  # each row's line number is read right after the row
+            lines = [reader.line_num for _ in map(rows.append, islice(reader, CHUNK_ROWS))]
+            if not rows:
                 return
-            self._check(*zip(*chunk))
-            del chunk  # before the next chunk is read
+            self._check(rows, lines)
+            del rows, lines  # before the next chunk is read
 
     def _check(self, rows, lines):
         """Check `rows` against the reject rules, one pass per column: keep
@@ -253,14 +256,17 @@ class _Parse:
         for i in np.flatnonzero(lengths < width).tolist():
             padded[i] = rows[i] + [""] * (width - len(rows[i]))
         cells = list(zip(*padded))  # long rows are cut to the header's width
-        # Interned: the records share one string per distinct id, not one per line.
-        ids = [list(map(sys.intern, map(str.strip, cells[j]))) for j in columns[:4]]
+        # A chunk's id cells repeat: each distinct one is stripped once, and
+        # interned, so the records share one string per distinct id.
+        id_cells = [cells[j] for j in columns[:4]]
+        texts = [{cell: sys.intern(cell.strip()) for cell in set(column)} for column in id_cells]
         raw_quantities = [cells[j] for j in columns[4:]]  # `float()` ignores surrounding blanks
         values, unread = zip(*map(_floats, raw_quantities))
 
         failed = {("cells", None): lengths > width}
-        for name, column in zip(_ID_FIELDS, ids):
-            failed["missing", name] = _empty(column)
+        for name, column, text in zip(_ID_FIELDS, id_cells, texts):
+            failed["missing", name] = _among(
+                column, {cell for cell, stripped in text.items() if not stripped})
         for name, column, value, bad in zip(QUANTITY_FIELDS, raw_quantities, values, unread):
             unreadable = np.zeros(n, dtype=bool)
             unreadable[bad] = True
@@ -271,13 +277,13 @@ class _Parse:
             if name != "adjustment":
                 failed["negative", name] = value < 0
         normalized = {}
-        for text in set(ids[2]):
+        for cell, text in texts[2].items():
             try:
-                normalized[text] = normalize_period(text)
+                normalized[cell] = normalize_period(text)
             except ValueError:
-                normalized[text] = None
-        periods = list(map(normalized.__getitem__, ids[2]))
-        failed["period", "period"] = _empty(periods)
+                normalized[cell] = None
+        failed["period", "period"] = _among(
+            id_cells[2], {cell for cell, period in normalized.items() if period is None})
 
         never = np.zeros(n, dtype=bool)
         failing = np.array([failed.get(rule, never) for rule in _RULES])
@@ -293,8 +299,9 @@ class _Parse:
                 raw=_dict_row(header, rows[i])))
 
         keep_list = keep.tolist()
-        for out, column in zip(self.ids, (ids[0], ids[1], periods, ids[3])):
-            out.extend(compress(column, keep_list))
+        record_of = (texts[0], texts[1], normalized, texts[3])  # cell -> the record's value
+        for out, column, of in zip(self.ids, id_cells, record_of):
+            out.extend(map(of.__getitem__, compress(column, keep_list)))
         self.quantities.append(np.array(values)[:, keep])
 
     def ledger(self):
@@ -475,6 +482,14 @@ class FeatureTable:
     @property
     def feature_dim(self):
         return self.X.shape[1]
+
+    @cached_property
+    def groups(self):
+        """Row indices per (period, product) group (`group_rows`), the period
+        spelled "YYYY-MM" however the table spells it. Derived on first read
+        and kept, like `months`: the table's rows are not to change after."""
+        groups = group_rows(self.months, self.product_ids)
+        return {(period_str(month), product): rows for (month, product), rows in groups.items()}
 
     @property
     def inventory_feature(self):

@@ -26,7 +26,6 @@ from .allocator import AllocationProblem, shifted_allocations, solve_greedy
 from .config import check, is_real
 from .errors import ConfigError, DegenerateWeightsError, ShapeError
 from .ingest import _codes, group_rows, net_requirement
-from .periods import period_str
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
 DEFAULT_BUDGET_FRACTION = 0.7
@@ -129,12 +128,6 @@ def policy_jacobian(problem, config):
     return _fd_columns(problem, h, diagonal=config.jacobian_mode == "diagonal_fd")
 
 
-def _groups(table):
-    """Row indices per (period, product) group, the period spelled "YYYY-MM"."""
-    groups = group_rows(table.months, table.product_ids)
-    return {(period_str(month), product): rows for (month, product), rows in groups.items()}
-
-
 def budgets_from_fraction(table, fraction):
     """Per-(period, product) budget as a fraction in (0, 1] of the realized
     requirement (`net_requirement`: demand, net of inventory when the table
@@ -142,7 +135,7 @@ def budgets_from_fraction(table, fraction):
     if not (is_real(fraction) and 0 < fraction <= 1):
         raise ConfigError(f"budget fraction must be in (0, 1], got {fraction!r}")
     budgets = {}
-    for key, rows in _groups(table).items():
+    for key, rows in table.groups.items():
         realized = net_requirement(table, rows, table.y[rows])
         budgets[key] = fraction * float(realized.sum())
     return budgets
@@ -154,11 +147,12 @@ def group_problems(table, budgets, samples_of):
     Yields ((period, product), rows, realized, problem): the group's table
     rows, its realized net requirement, and the problem whose samples are
     the net requirement of `samples_of(rows)`, an (n_rows, K) demand matrix,
-    at budget `budgets[(period, product)]`. The period is spelled "YYYY-MM"
-    however the table spells it, as in `budgets_from_fraction`. A group
-    without a budget is a ConfigError.
+    at budget `budgets[(period, product)]`. The groups are the table's
+    `FeatureTable.groups`, grouped once per table, the period spelled
+    "YYYY-MM" however the table spells it, as in `budgets_from_fraction`.
+    A group without a budget is a ConfigError.
     """
-    for key, rows in _groups(table).items():
+    for key, rows in table.groups.items():
         if key not in budgets:
             raise ConfigError(f"no budget for period {key[0]!r}, product {key[1]!r}")
         realized = net_requirement(table, rows, table.y[rows])

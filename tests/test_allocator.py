@@ -306,8 +306,7 @@ class TestShiftedAllocations:
             for s, shift in enumerate((h, -h)):
                 shifted = samples.copy()
                 shifted[:, n] = np.maximum(shifted[:, n] + shift, 0.0)
-                with np.errstate(over="ignore"):  # the objective's sum overflows
-                    expected = solve_greedy(problem(shifted, budget)).allocation
+                expected = solve_greedy(problem(shifted, budget)).allocation
                 assert own[s][n : n + 1].tobytes() == expected[n : n + 1].tobytes()
 
     def test_own_only_walks_only_the_cuts_it_cannot_certify(self, monkeypatch):
@@ -439,3 +438,112 @@ class TestProperties:
             AllocationProblem(np.zeros((0, 2)), 1.0)
         with pytest.raises(ShapeError):
             saa_objective(problem([[1.0, 2.0]], 1.0), np.array([1.0]))
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan], "samples must be finite"),
+        ([np.inf], "samples must be finite"),
+        ([-np.inf], "samples must be finite"),
+        ([-2.0], "samples must be nonnegative"),
+        ([-5e-324], "samples must be nonnegative"),
+        ([-1.0, np.nan], "samples must be finite"),  # finiteness is checked first
+        ([np.inf, -np.inf], "samples must be finite"),
+    ])
+    def test_rejects_non_finite_and_negative_samples(self, bad, message):
+        samples = np.ones((3, 4))
+        samples.flat[[5, 10][: len(bad)]] = bad
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AllocationProblem(samples, 1.0)
+
+    def test_accepts_negative_zero(self):
+        p = problem([[-0.0, 1.0], [2.0, -0.0]], 1.0)
+        assert np.signbit(p.samples).tolist() == [[True, False], [False, True]]
+
+
+@st.composite
+def walk_instances(draw):
+    """Instances for the budget walk: K and N of 1 and up, with ties, -0.0
+    and all-zero columns, at scales from 1e-300 to 1e300. The budget is
+    zero, a level-major partial sum of the segments or one float either
+    side of it, the total demand or beyond it."""
+    K, N = (draw(st.sampled_from([1, 2, 5, 40])) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    samples = rng.gamma(2.0, 5.0, size=(K, N))
+    if draw(st.booleans(), label="ties"):
+        samples = np.round(samples)
+    samples[rng.random((K, N)) < 0.05] = -0.0
+    samples[:, rng.random(N) < 0.2] = 0.0
+    samples *= draw(st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]), label="scale")
+    takes = np.sort(samples, axis=0)
+    takes[1:] -= np.sort(samples, axis=0)[:-1]
+    partial = np.concatenate(([0.0], np.cumsum(takes.ravel())))  # level-major, in order
+    total = float(samples.max(axis=0).sum())
+    kind = draw(st.sampled_from(["zero", "partial", "below", "above", "total", "beyond"]))
+    if kind == "zero":
+        return samples, 0.0
+    if kind == "total":
+        return samples, total
+    if kind == "beyond":
+        return samples, draw(st.sampled_from([float(np.nextafter(total, np.inf)), 1.5 * total]))
+    budget = float(partial[draw(st.integers(0, K * N), label="partial sum")])
+    if kind != "partial":
+        budget = max(float(np.nextafter(budget, np.inf if kind == "above" else -np.inf)), 0.0)
+    return samples, budget
+
+
+class TestGreedyCut:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(walk_instances())
+    def test_walk_to_the_cut_gives_the_full_walks_cut(self, instance):
+        """`solve_greedy` walks the budget only until it runs out; its cut
+        and allocation are those of the walk over every segment."""
+        samples, budget = instance
+        takes = allocator._segments(np.sort(samples, axis=0))
+        full = allocator._budget_left(budget, takes)
+        segment, leftover = allocator._cut(full, int(np.count_nonzero(full > 0.0)))
+        got_segment, got_leftover = allocator._greedy_cut(budget, takes)
+        assert got_segment == segment
+        assert np.float64(got_leftover).tobytes() == np.float64(leftover).tobytes()
+        facilities = np.arange(samples.shape[1])
+        expected = allocator._allocation_at(
+            allocator._level_sums(takes, segment), facilities, segment, leftover)
+        assert solve_greedy(problem(samples, budget)).allocation.tobytes() == expected.tobytes()
+
+
+class TestObjective:
+    @pytest.mark.parametrize("solve, expected", [
+        (solve_greedy, {
+            "allocation": [2.5, 1.0],
+            "objective": 1.1666666666666667,
+            "fill_trace": [
+                {"facility": 1, "start": 0.0, "end": 1.0, "amount": 1.0, "marginal_value": 1.0},
+                {"facility": 0, "start": 0.0, "end": 2.0, "amount": 2.0,
+                 "marginal_value": 0.6666666666666666},
+                {"facility": 0, "start": 2.0, "end": 2.5, "amount": 0.5,
+                 "marginal_value": 0.3333333333333333},
+            ],
+        }),
+        (solve_lp, {"allocation": [2.0, 1.5], "objective": 1.1666666666666667, "fill_trace": []}),
+    ])
+    def test_objective_is_the_allocations_mean_shortfall(self, solve, expected):
+        p = problem([[2, 1], [4, 1], [0, 3]], 3.5)
+        res = solve(p)
+        assert res.objective == saa_objective(p, res.allocation)
+        assert res.to_dict() == expected
+
+    def test_objective_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+        exact = allocator.saa_objective
+
+        def counting(p, a):
+            calls.append(p)
+            return exact(p, a)
+
+        monkeypatch.setattr(allocator, "saa_objective", counting)
+        p = problem([[2, 1], [4, 1]], 3)
+        res = solve_greedy(p)
+        assert calls == []
+        assert res.objective == 1.0
+        assert res.objective == 1.0
+        assert calls == [p]

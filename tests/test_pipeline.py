@@ -15,6 +15,7 @@ from stockalloc import (
     run_rolling_average,
     unmet_demand_pct,
 )
+from stockalloc import ingest
 from stockalloc.pipeline import compare, prepare, report_to_json, rolling_forecasts
 
 from oracles import reference_rolling_forecasts
@@ -326,6 +327,22 @@ class TestCsvPipeline:
                 stock = closing
         path.write_text("\n".join(lines) + "\n")
         return path
+
+    def test_compare_groups_each_table_once(self, tmp_path, monkeypatch):
+        """Budgets, decision weights and the four policies share each table's
+        (period, product) groups: one `compare` groups the training table
+        once and the evaluation table once."""
+        grouped = []
+        group_rows = ingest.group_rows
+
+        def counting(*columns):
+            grouped.append(len(columns[0]))
+            return group_rows(*columns)
+
+        monkeypatch.setattr(ingest, "group_rows", counting)
+        ledger = self._write_ledger(tmp_path / "ledger.csv", facilities=4)
+        *_, prepared = compare(RunConfig(csv_path=str(ledger), model="linear", lag_months=3))
+        assert sorted(grouped) == sorted([len(prepared.train), len(prepared.eval_table)])
 
     def test_csv_compare_runs(self, tmp_path):
         ledger = self._write_ledger(tmp_path / "ledger.csv")
