@@ -7,13 +7,18 @@ stock-flow identity does not balance, rows where every quantity is zero
 (a tell-tale default entry), and per-series outliers far above the median
 positive demand (dose-vs-vial style reporting mistakes).
 
-Parsed records are held as one columnar `Ledger`: the id, period and
-region columns plus one float array per quantity. `parse_records` reads
-the CSV in chunks of `CHUNK_ROWS` rows and checks the reject rules over
-each chunk's columns; a reason and a `raw` dict are built only for a
-rejected line. Cleaning and featurizing work on the columns. A
-`StockRecord` is the view of one row (`ledger[i]`), made only where one is
-handed out, such as in an `Exclusion`.
+Parsed records are held as one columnar `Ledger`: facility, product and
+region codes into the sorted ids the records hold, a period code into the
+period spellings with each spelling's month, and one float array per
+quantity. `parse_records` reads the CSV in chunks of `CHUNK_ROWS` rows,
+codes each distinct id cell of a chunk once and checks the reject rules
+over each chunk's columns; a reason and a `raw` dict are built only for a
+rejected line. Cleaning and featurizing read the codes and months, and a
+ledger's `FeatureTable` is handed its rows' months and id codes, which its
+copies take along and its groups and readers read: no stage codes an id
+string or parses a period again. A `StockRecord` is the view of one row
+(`ledger[i]`), made only where one is handed out, such as in an
+`Exclusion`.
 """
 
 import csv
@@ -23,7 +28,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, islice
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +69,7 @@ _RULES = (
     ("period", "period"),
 )
 _EXCLUSION_REASONS = ("unbalanced", "all_zero", "outlier")  # in the order the rules run
+_MISSING, _BAD_PERIOD = -1, -2  # the parse's codes of id cells that reject their row
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,17 +89,47 @@ class StockRecord:
         return self.quantity_dispensed
 
 
+class Coded(NamedTuple):
+    """A column as codes into a vocabulary: row i holds `values[codes[i]]`."""
+
+    values: tuple
+    codes: np.ndarray  # int32: cast before arithmetic that may pass 2**31
+
+    def decoded(self):
+        """The column as a list, gathered by numpy from an object array of the values."""
+        values = np.fromiter(self.values, dtype=object, count=len(self.values))
+        return values[self.codes].tolist()
+
+    def take(self, rows):
+        """The column at the positions `rows`, over the same vocabulary."""
+        return Coded(self.values, self.codes[rows])
+
+    def places_in(self, values):
+        """Each row's place among `values`, -1 where its value is not one of them."""
+        if values is self.values:  # two copies of one table's rows
+            return self.codes
+        place = {value: k for k, value in enumerate(values)}
+        places = np.array([place.get(value, -1) for value in self.values], dtype=np.int64)
+        return places[self.codes]
+
+
 @dataclass(frozen=True, eq=False)
 class Ledger:
     """Stock records as columns; record i is `ledger[i]`, a `StockRecord`.
 
-    `quantities` has one float row per `QUANTITY_FIELDS` name, in that order.
+    Each id column is coded (`Coded`) into the sorted ids its records hold,
+    the period column into the distinct period spellings they hold, and
+    `period_months` is the month of each spelling (-1 for one that is not a
+    period, which only `Ledger.of` lets in). The string columns are decoded
+    from the codes on demand. `quantities` has one float row per
+    `QUANTITY_FIELDS` name, in that order.
     """
 
-    facility_ids: list
-    product_ids: list
-    periods: list
-    regions: list
+    facility: Coded
+    product: Coded
+    period: Coded
+    region: Coded
+    period_months: np.ndarray
     quantities: np.ndarray
 
     @classmethod
@@ -103,28 +140,83 @@ class Ledger:
         records = list(records)
         columns = [[getattr(rec, name) for rec in records] for name in REQUIRED_FIELDS]
         quantities = np.array(columns[4:], dtype=float).reshape(len(QUANTITY_FIELDS), -1)
-        return cls(*columns[:4], quantities)
+        facility, product, region = (_codes(columns[j]) for j in (0, 1, 3))
+        period = _codes(columns[2], sort=False)
+        return cls(facility, product, period, region, _months_of(period.values), quantities)
 
     def __len__(self):
-        return len(self.facility_ids)
+        return len(self.facility.codes)
 
     def __getitem__(self, i):
-        return StockRecord(self.facility_ids[i], self.product_ids[i], self.periods[i],
-                           self.regions[i], *self.quantities[:, i].tolist())
+        ids = (column.values[column.codes[i]] for column in self._ids())
+        return StockRecord(*ids, *self.quantities[:, i].tolist())
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        return map(StockRecord, *(column.decoded() for column in self._ids()),
+                   *self.quantities.tolist())
+
+    def _ids(self):
+        return self.facility, self.product, self.period, self.region
+
+    @property
+    def facility_ids(self):
+        return self.facility.decoded()
+
+    @property
+    def product_ids(self):
+        return self.product.decoded()
+
+    @property
+    def periods(self):
+        return self.period.decoded()
+
+    @property
+    def regions(self):
+        return self.region.decoded()
 
     @property
     def demand(self):
         return self.quantities[QUANTITY_FIELDS.index("quantity_dispensed")]
 
+    @property
+    def months(self):
+        """Each record's month; the first record whose period is not one
+        raises, as `period_index` does."""
+        months = self.period_months[self.period.codes]
+        bad = np.flatnonzero(months < 0)
+        if len(bad):
+            period_index(self.period.values[self.period.codes[bad[0]]])
+        return months
+
     def subset(self, mask):
-        """The records where the boolean array `mask` is true, in order."""
-        keep = mask.tolist()
-        ids = (self.facility_ids, self.product_ids, self.periods, self.regions)
-        return Ledger(*(list(compress(column, keep)) for column in ids),
+        """The records where the boolean array `mask` is true, in order; each
+        vocabulary keeps the values those records hold, in its order."""
+        (facility, _), (product, _), (period, spellings), (region, _) = (
+            _used(column.values, column.codes[mask]) for column in self._ids())
+        return Ledger(facility, product, period, region, self.period_months[spellings],
                       self.quantities[:, mask])
+
+
+def _used(values, codes, sort=False):
+    """(`Coded` of `codes` over only the `values` they use, those values'
+    places in `values`). The values keep their order, or are sorted."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(values)))
+    if sort:
+        used = np.array(sorted(used.tolist(), key=values.__getitem__), dtype=np.int64)
+    place = np.empty(len(values), dtype=np.int32)
+    place[used] = np.arange(len(used))
+    return Coded(tuple(map(values.__getitem__, used.tolist())), place[codes]), used
+
+
+def _months_of(spellings):
+    """The month of each period spelling as an int64 array, -1 where it is not a period."""
+    months = []
+    for spelling in spellings:
+        try:
+            months.append(period_index(spelling))
+        except ValueError:
+            months.append(-1)
+    return np.array(months, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -201,13 +293,6 @@ def _floats(cells):
             values.append(math.nan)
 
 
-def _among(cells, chosen):
-    """A boolean array: which of `cells` are in the set `chosen`."""
-    if not chosen:
-        return np.zeros(len(cells), dtype=bool)
-    return np.fromiter(map(chosen.__contains__, cells), dtype=bool, count=len(cells))
-
-
 def _reason(rule, cell, n_cells, width):
     """The reject reason of a line whose first failing rule is `rule`;
     `cell` is the line's stripped cell of the rule's field."""
@@ -231,7 +316,8 @@ class _Parse:
 
     def __init__(self, header, columns):
         self.header, self.columns = header, columns
-        self.ids = [[] for _ in _ID_FIELDS]
+        self.places = [{} for _ in _ID_FIELDS]  # per id column: text -> code, codes in order given
+        self.codes = [[np.empty(0, dtype=np.int32)] for _ in _ID_FIELDS]  # one array per chunk
         self.quantities = [np.empty((len(QUANTITY_FIELDS), 0))]
         self.rejects = []
 
@@ -257,17 +343,29 @@ class _Parse:
             padded[i] = rows[i] + [""] * (width - len(rows[i]))
         cells = list(zip(*padded))  # long rows are cut to the header's width
         # A chunk's id cells repeat: each distinct one is stripped once, and
-        # interned, so the records share one string per distinct id.
+        # interned, so the records share one string per distinct id. A period
+        # cell's value is its "YYYY-MM" spelling, None when it is not a period.
         id_cells = [cells[j] for j in columns[:4]]
-        texts = [{cell: sys.intern(cell.strip()) for cell in set(column)} for column in id_cells]
+        values = [{cell: sys.intern(cell.strip()) for cell in set(column)} for column in id_cells]
+        for cell, text in values[2].items():
+            try:
+                values[2][cell] = normalize_period(text) if text else text
+            except ValueError:
+                values[2][cell] = None
+        # Each distinct value is coded once, a missing one _MISSING and a bad
+        # period _BAD_PERIOD; the rows' codes then give both reject rules.
+        codes = []
+        for places, column, value in zip(self.places, id_cells, values):
+            code = {cell: places.setdefault(v, len(places)) if v else
+                    (_MISSING if v == "" else _BAD_PERIOD) for cell, v in value.items()}
+            codes.append(np.fromiter(map(code.__getitem__, column), dtype=np.int32, count=n))
         raw_quantities = [cells[j] for j in columns[4:]]  # `float()` ignores surrounding blanks
-        values, unread = zip(*map(_floats, raw_quantities))
+        quantities, unread = zip(*map(_floats, raw_quantities))
 
-        failed = {("cells", None): lengths > width}
-        for name, column, text in zip(_ID_FIELDS, id_cells, texts):
-            failed["missing", name] = _among(
-                column, {cell for cell, stripped in text.items() if not stripped})
-        for name, column, value, bad in zip(QUANTITY_FIELDS, raw_quantities, values, unread):
+        failed = {("cells", None): lengths > width, ("period", "period"): codes[2] == _BAD_PERIOD}
+        for name, code in zip(_ID_FIELDS, codes):
+            failed["missing", name] = code == _MISSING
+        for name, column, value, bad in zip(QUANTITY_FIELDS, raw_quantities, quantities, unread):
             unreadable = np.zeros(n, dtype=bool)
             unreadable[bad] = True
             failed["missing", name] = missing = np.zeros(n, dtype=bool)
@@ -276,14 +374,6 @@ class _Parse:
             failed["non-finite", name] = ~np.isfinite(value) & ~unreadable
             if name != "adjustment":
                 failed["negative", name] = value < 0
-        normalized = {}
-        for cell, text in texts[2].items():
-            try:
-                normalized[cell] = normalize_period(text)
-            except ValueError:
-                normalized[cell] = None
-        failed["period", "period"] = _among(
-            id_cells[2], {cell for cell, period in normalized.items() if period is None})
 
         never = np.zeros(n, dtype=bool)
         failing = np.array([failed.get(rule, never) for rule in _RULES])
@@ -298,14 +388,17 @@ class _Parse:
                 line_number=lines[i], reason=_reason(rule, cell, len(rows[i]), width),
                 raw=_dict_row(header, rows[i])))
 
-        keep_list = keep.tolist()
-        record_of = (texts[0], texts[1], normalized, texts[3])  # cell -> the record's value
-        for out, column, of in zip(self.ids, id_cells, record_of):
-            out.extend(map(of.__getitem__, compress(column, keep_list)))
-        self.quantities.append(np.array(values)[:, keep])
+        for chunks, code in zip(self.codes, codes):
+            chunks.append(code[keep])
+        self.quantities.append(np.array(quantities)[:, keep])
 
     def ledger(self):
-        return Ledger(*self.ids, np.concatenate(self.quantities, axis=1))
+        """The accepted records, each id column coded into the sorted texts it holds."""
+        facility, product, period, region = (
+            _used(tuple(places), np.concatenate(codes), sort=True)[0]
+            for places, codes in zip(self.places, self.codes))
+        return Ledger(facility, product, period, region, _months_of(period.values),
+                      np.concatenate(self.quantities, axis=1))
 
 
 def parse_records(csv_source, schema=None):
@@ -371,7 +464,7 @@ def clean_records(records, outlier_multiplier=10.0):
     reason[unbalanced] = 1
     reason[~unbalanced & ~ledger.quantities.any(axis=0)] = 2
     survivors = np.flatnonzero(reason == 0)
-    series = _series(ledger)[1]
+    series = _series(ledger)
     reason[survivors[_outliers(series[survivors], dispensed[survivors], outlier_multiplier)]] = 3
 
     excluded = np.flatnonzero(reason)
@@ -381,22 +474,18 @@ def clean_records(records, outlier_multiplier=10.0):
 
 
 def _codes(values, sort=True):
-    """(distinct values, int64 array of each value's place among them); the
-    distinct values are sorted, or in order of first appearance."""
+    """`Coded` of `values` over their distinct values, sorted, or in order
+    of first appearance."""
     distinct = sorted(set(values)) if sort else list(dict.fromkeys(values))
     place = {value: k for k, value in enumerate(distinct)}
-    return distinct, np.fromiter(map(place.__getitem__, values), dtype=np.int64,
-                                 count=len(values))
+    return Coded(tuple(distinct), np.fromiter(map(place.__getitem__, values), dtype=np.int32,
+                                              count=len(values)))
 
 
 def _series(ledger):
-    """(sorted distinct (facility, product) keys, int64 array of each record's
-    place among them)."""
-    facilities, facility = _codes(ledger.facility_ids)
-    products, product = _codes(ledger.product_ids)
-    keys, series = np.unique(facility * len(products) + product, return_inverse=True)
-    return [(facilities[k // len(products)], products[k % len(products)])
-            for k in keys.tolist()], series
+    """Each record's (facility, product) as one int64, in the order of the pairs."""
+    facility, product = ledger.facility.codes.astype(np.int64), ledger.product.codes
+    return facility * len(ledger.product.values) + product
 
 
 def _outliers(series, demand, multiplier):
@@ -455,6 +544,11 @@ class FeatureTable:
     months: np.ndarray = field(init=False, repr=False, compare=False)  # `period_index` per row
 
     def __post_init__(self):
+        self._check()
+        self.months = period_indices(self.periods)  # the first bad period, in row order, raises
+
+    def _check(self):
+        """Check and convert the fields: all but the periods, which `months` parses."""
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
@@ -474,7 +568,6 @@ class FeatureTable:
             self.feature_names = [f"f_{j}" for j in range(self.X.shape[1])]
         if len(self.feature_names) != self.X.shape[1]:
             raise ShapeError("feature_names length disagrees with matrix width")
-        self.months = period_indices(self.periods)  # the first bad period, in row order, raises
 
     def __len__(self):
         return len(self.facility_ids)
@@ -484,12 +577,28 @@ class FeatureTable:
         return self.X.shape[1]
 
     @cached_property
+    def facility_codes(self):
+        """The facility ids coded (`Coded`) into sorted ids, which hold every
+        row's and perhaps more. A ledger's table is handed them and a copy
+        takes its rows' codes from the table it copies; a table built from
+        lists derives them on first read and keeps them, like `groups`: the
+        table's rows are not to change after."""
+        return _codes(self.facility_ids)
+
+    @cached_property
+    def product_codes(self):
+        """The product ids coded into sorted ids, as `facility_codes`."""
+        return _codes(self.product_ids)
+
+    @cached_property
     def groups(self):
-        """Row indices per (period, product) group (`group_rows`), the period
-        spelled "YYYY-MM" however the table spells it. Derived on first read
-        and kept, like `months`: the table's rows are not to change after."""
-        groups = group_rows(self.months, self.product_ids)
-        return {(period_str(month), product): rows for (month, product), rows in groups.items()}
+        """Row indices per (period, product) group (`group_rows` of the months
+        and product codes), the period spelled "YYYY-MM" however the table
+        spells it. Derived on first read and kept, like `months`."""
+        products = self.product_codes
+        groups = group_rows(self.months, products.codes)
+        return {(period_str(month), products.values[code]): rows
+                for (month, code), rows in groups.items()}
 
     @property
     def inventory_feature(self):
@@ -501,7 +610,8 @@ class FeatureTable:
         """The rows `idx` (positions or a boolean mask), in that order.
 
         The rows were checked when this table was built, so the copy skips
-        the checks and takes its `months` from this table's (`_derived`).
+        the checks and takes its `months` and id codes from this table's
+        (`_derived`).
         """
         idx = np.asarray(idx)
         if idx.dtype == bool:
@@ -513,6 +623,7 @@ class FeatureTable:
             [self.product_ids[i] for i in rows],
             [self.periods[i] for i in rows],
             self.X[idx], self.y[idx], self.weights[idx], self.months[idx],
+            self.facility_codes.take(idx), self.product_codes.take(idx),
         )
 
     def with_weights(self, weights):
@@ -521,23 +632,34 @@ class FeatureTable:
         if weights.shape != (len(self),):
             raise ShapeError("weight vector length disagrees with table")
         _check_weights(weights)
+        facility, product = self.facility_codes, self.product_codes
         return self._derived(
             list(self.facility_ids), list(self.product_ids), list(self.periods),
             self.X.copy(), self.y.copy(), weights, self.months.copy(),
+            Coded(facility.values, facility.codes.copy()),
+            Coded(product.values, product.codes.copy()),
         )
 
-    def _derived(self, facility_ids, product_ids, periods, X, y, weights, months):
+    def _derived(self, facility_ids, product_ids, periods, X, y, weights, months,
+                 facility_codes, product_codes):
         """A table built without `__post_init__` from rows of this one.
 
         It trusts only rows that this table has already checked: every
         argument but `weights` must be a copy of some of this table's rows,
-        `months` their parsed periods, and the caller checks `weights`.
+        `months` and the codes theirs, and the caller checks `weights`.
         """
-        table = object.__new__(FeatureTable)
-        vars(table).update(
+        return FeatureTable._assembled(
             facility_ids=facility_ids, product_ids=product_ids, periods=periods,
             X=X, y=y, weights=weights, feature_names=list(self.feature_names), months=months,
+            facility_codes=facility_codes, product_codes=product_codes,
         )
+
+    @classmethod
+    def _assembled(cls, **columns):
+        """A table of every field and derived column given, built without
+        `__post_init__`: the caller checks what the columns have not passed."""
+        table = object.__new__(cls)
+        vars(table).update(columns)
         return table
 
     @classmethod
@@ -627,7 +749,8 @@ def _column_codes(column):
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu" and len(column):
         low = int(column.min())
         return range(low, int(column.max()) + 1), (column - low).astype(np.int64, copy=False)
-    return _codes(column)
+    values, codes = _codes(column)
+    return values, codes.astype(np.int64)
 
 
 def group_rows(*columns):
@@ -682,10 +805,7 @@ def build_feature_table(records, lag_months=10, periods=None):
     an integer region code. Rows run in period order, then (facility,
     product) order.
     """
-    ledger = Ledger.of(records)
-    if periods is None:
-        periods = sorted(set(ledger.periods), key=period_index)
-    table = _lag_table(ledger, lag_months, periods)
+    table = _lag_table(Ledger.of(records), lag_months, periods)
     if not len(table):
         raise EmptyInputError("no records at the requested periods")
     return table
@@ -695,21 +815,24 @@ def _lag_table(ledger, lag_months, periods):
     """Key every record by (series, month) once, then look each period's lags up.
 
     A re-reported (facility, product, month) reads its last record. A row
-    needs a record whose period string is already "YYYY-MM"; its target and
-    region code come from that record. Work and memory grow with the record
-    count, not with the span of months the records cover.
+    needs a record whose period is spelled "YYYY-MM"; its target and region
+    code come from that record. `periods` None asks for every record
+    period. The ledger's codes and months are read, not derived again, and
+    the table is handed its rows' months and facility and product codes.
+    Work and memory grow with the record count, not with the span of
+    months the records cover.
     """
     if lag_months < 1:
         raise ValueError("lag_months must be >= 1")
     if not len(ledger):
         raise EmptyInputError("no records to build features from")
     L = lag_months
-    series_keys, series = _series(ledger)
-    region = _codes(ledger.regions)[1].astype(float)
+    series = _series(ledger)
+    region = ledger.region.codes.astype(float)
     n = len(ledger)
-    texts, spelling = _codes(ledger.periods, sort=False)
-    month = period_indices(texts)[spelling]  # the first bad period, in record order, raises
-    is_row = np.array([normalize_period(text) == text for text in texts])[spelling]
+    month = ledger.months  # the first bad period, in record order, raises
+    spellings = zip(ledger.period.values, ledger.period_months.tolist())
+    is_row = np.array([period_str(m) == text for text, m in spellings])[ledger.period.codes]
     demand = ledger.demand
 
     # One key per (series, month), with a stride that keeps every lag of a
@@ -722,7 +845,10 @@ def _lag_table(ledger, lag_months, periods):
     row_key, row_record = row_key[by_month], row_record[by_month]
     row_month = month[row_record]
 
-    targets = [period_index(p) for p in periods]  # a bad period raises before an early one
+    if periods is None:
+        targets = sorted(ledger.period_months.tolist())  # the month of each spelling
+    else:
+        targets = [period_index(p) for p in periods]  # a bad period raises before an early one
     blocks = []  # (month, rows of that month in series order) per requested period
     for t in targets:
         if t < first:
@@ -732,10 +858,11 @@ def _lag_table(ledger, lag_months, periods):
 
     X = np.empty((sum(rows.stop - rows.start for _, rows in blocks), 2 * L + 3))  # in place
     y = np.empty(len(X))
-    fac, prod, per = [], [], []
-    facility_of, product_of = zip(*series_keys)
+    record = np.empty(len(X), dtype=np.int64)  # the record each row reads
+    months = np.empty(len(X), dtype=np.int64)
+    per = []
     for t, rows in blocks:
-        at, block = row_record[rows], slice(len(fac), len(fac) + rows.stop - rows.start)
+        at, block = row_record[rows], slice(len(per), len(per) + rows.stop - rows.start)
         lagged = row_key[rows, None] - np.arange(1, L + 1)
         place = np.minimum(np.searchsorted(cell_key, lagged), len(cell_key) - 1)
         present = cell_key[place] == lagged
@@ -745,22 +872,26 @@ def _lag_table(ledger, lag_months, periods):
         X[block, 2 * L + 1] = float(t // 12)
         X[block, 2 * L + 2] = region[at]
         y[block] = demand[at]
-        at_series = series[at].tolist()
-        fac += map(facility_of.__getitem__, at_series)
-        prod += map(product_of.__getitem__, at_series)
+        record[block], months[block] = at, t
         per += [period_str(t)] * len(at)
 
     lags = range(1, lag_months + 1)
     names = [f"lag_{j}" for j in lags] + [f"lag_{j}_present" for j in lags]
-    return FeatureTable(
-        facility_ids=fac,
-        product_ids=prod,
+    facility, product = ledger.facility.take(record), ledger.product.take(record)
+    table = FeatureTable._assembled(
+        facility_ids=facility.decoded(),
+        product_ids=product.decoded(),
         periods=per,
         X=X,
         y=y,
-        weights=np.ones(len(fac)),
+        weights=np.ones(len(X)),
         feature_names=names + ["month", "year", "region_code"],
+        months=months,
+        facility_codes=facility,
+        product_codes=product,
     )
+    table._check()  # StockRecords may hold demands that are not finite
+    return table
 
 
 def last_per_key(keys, records):

@@ -282,22 +282,25 @@ def rolling_forecasts(prepared, window):
 
     Only months actually present count toward the mean (a month with
     several training rows of one series reads the last); rows with no
-    history forecast zero. The series with k months of history are summed
-    together, in month order, by one row-wise `np.add.reduce` and divided
-    by k: the floats of `np.mean` over each series.
+    history forecast zero. A series is a (facility, product) pair of the
+    evaluation table, read off both tables' codes. The series with k
+    months of history are summed together, in month order, by one
+    row-wise `np.add.reduce` and divided by k: the floats of `np.mean`
+    over each series.
     """
     train, eval_table = prepared.train, prepared.eval_table
     first = period_index(prepared.eval_period) - window
-    series = {}
-    eval_codes = np.fromiter(
-        (series.setdefault(key, len(series))
-         for key in zip(eval_table.facility_ids, eval_table.product_ids)),
-        dtype=np.int64, count=len(eval_table))
+    facilities, products = eval_table.facility_codes, eval_table.product_codes
+    width = len(products.values)
+    eval_pairs = facilities.codes.astype(np.int64) * width + products.codes
+    series = last_per_key(eval_pairs, eval_pairs)[0]  # the distinct pairs, sorted
     recent = np.flatnonzero((train.months >= first) & (train.months < first + window))
-    codes = np.fromiter(
-        (series.get((train.facility_ids[i], train.product_ids[i]), -1) for i in recent.tolist()),
-        dtype=np.int64, count=recent.size)
-    kept = codes >= 0
+    facility = train.facility_codes.take(recent).places_in(facilities.values)
+    product = train.product_codes.take(recent).places_in(products.values)
+    pairs = np.where((facility < 0) | (product < 0), -1, facility * width + product)
+    codes = np.searchsorted(series, pairs)
+    kept = codes < len(series)
+    kept[kept] = series[codes[kept]] == pairs[kept]
     cells, rows = last_per_key(  # the last row of each (series, month), in that order
         codes[kept] * window + (train.months[recent[kept]] - first), recent[kept])
     values = train.y[rows]
@@ -307,7 +310,7 @@ def rolling_forecasts(prepared, window):
     for k in set(counts.tolist()) - {0}:
         have = np.flatnonzero(counts == k)
         means[have] = np.add.reduce(values[starts[have, None] + np.arange(k)], axis=1) / k
-    return means[eval_codes]
+    return means[np.searchsorted(series, eval_pairs)]
 
 
 def run_rolling_average(config, prepared=None):

@@ -25,7 +25,7 @@ import numpy as np
 from .allocator import AllocationProblem, shifted_allocations, solve_greedy
 from .config import check, is_real
 from .errors import ConfigError, DegenerateWeightsError, ShapeError
-from .ingest import _codes, group_rows, net_requirement
+from .ingest import group_rows, net_requirement
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
 DEFAULT_BUDGET_FRACTION = 0.7
@@ -184,13 +184,13 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
     modes = {}
 
     if config.jacobian_mode != "identity":
-        facility = _codes(train.facility_ids)[1]
+        facility, products = train.facility_codes.codes, train.product_codes
 
         def facilities(rows):  # distinct facilities among the rows
             return np.count_nonzero(np.bincount(facility[rows]))
 
-        panel = {product: facilities(rows)
-                 for product, rows in group_rows(train.product_ids).items()}
+        panel = {products.values[code]: facilities(rows)
+                 for code, rows in group_rows(products.codes).items()}
 
     def samples_of(rows):
         return initial_model.predict_samples(train.X[rows])

@@ -165,6 +165,45 @@ def reference_group_rows(keys):
     return {key: np.asarray(groups[key], dtype=np.int64) for key in sorted(groups)}
 
 
+def reference_codes(values, sort=True):
+    """(distinct values, int64 array of each value's place among them): the
+    distinct values sorted, or in order of first appearance. The string
+    coder every ingest stage ran before ids were coded once, at the parse."""
+    distinct = sorted(set(values)) if sort else list(dict.fromkeys(values))
+    place = {value: k for k, value in enumerate(distinct)}
+    return distinct, np.array([place[value] for value in values], dtype=np.int64)
+
+
+def reference_series(facility_ids, product_ids):
+    """(sorted distinct (facility, product) pairs, int64 array of each row's
+    place among them), from the string columns."""
+    pairs = sorted(set(zip(facility_ids, product_ids)))
+    place = {pair: k for k, pair in enumerate(pairs)}
+    return pairs, np.array([place[pair] for pair in zip(facility_ids, product_ids)],
+                           dtype=np.int64)
+
+
+def reference_groups(table):
+    """`FeatureTable.groups` from the string columns, one row at a time:
+    row indices per ("YYYY-MM", product id), keys sorted by month, then id."""
+    keys = [(reference_period_index(p), product)
+            for p, product in zip(table.periods, table.product_ids)]
+    return {(_month_str(month), product): rows
+            for (month, product), rows in reference_group_rows(keys).items()}
+
+
+def reference_panels(table):
+    """(distinct facility ids per `reference_groups` group, per product id),
+    counted in sets of the string ids: the facility panels behind the
+    identity fallback of `compute_weights`."""
+    groups, products = {}, {}
+    for f, p, period in zip(table.facility_ids, table.product_ids, table.periods):
+        groups.setdefault((_month_str(reference_period_index(period)), p), set()).add(f)
+        products.setdefault(p, set()).add(f)
+    return ({key: len(ids) for key, ids in groups.items()},
+            {p: len(ids) for p, ids in products.items()})
+
+
 _PERIOD_RE = re.compile(r"^(\d{4})-(\d{1,2})$")
 
 

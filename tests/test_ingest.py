@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -26,17 +27,22 @@ from stockalloc import (
     split_train_eval,
 )
 
-from stockalloc import ingest
+from stockalloc import WeightConfig, budgets_from_fraction, compute_weights, ingest
 from stockalloc.ingest import INVENTORY_COLUMN, Ledger, net_requirement
 from stockalloc.periods import normalize_period, period_index, period_indices
-from stockalloc.pipeline import split_table
+from stockalloc.pipeline import rolling_forecasts, split_table
 
 from oracles import (
     reference_clean,
+    reference_codes,
     reference_feature_table,
     reference_group_rows,
+    reference_groups,
+    reference_panels,
     reference_parse,
     reference_period_index,
+    reference_rolling_forecasts,
+    reference_series,
 )
 from test_cli import write_ledger
 
@@ -61,6 +67,15 @@ def record(facility="f1", product="amox", period="2021-01", region="north",
         adjustment=adjustment,
         closing_balance=closing,
     )
+
+
+def workloads():
+    """The benchmark's input generators (`perfbench/workloads.py`)."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestParseRecords:
@@ -197,12 +212,8 @@ class TestParseRecords:
         lines) the peak was 1.53 MB at 1024 rows a chunk, 2.54 MB at 2048,
         4.4 MB at 4096, and 2.86 MB for the one-record-object-per-line
         parser this replaced."""
-        spec = importlib.util.spec_from_file_location(
-            "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
         path = tmp_path / "ledger.csv"
-        workloads.generate_ledger(path, 1, n_products=3)
+        workloads().generate_ledger(path, 1, n_products=3)
         parse_records(path)  # keeps first-call setup (about 80 kB) out of the peak
         tracemalloc.start()
         try:
@@ -682,6 +693,47 @@ class TestLoaderFuzz:
         assert months.dtype == np.int64 and months.tolist() == expected
 
 
+class TestBadPeriodsKeepTheirError:
+    """A bad period raises at the first bad row in row order, with the text
+    `period_index` gives it; the record months are read before the
+    requested ones. (A table built from lists: `TestFeatureTableCsv`.)"""
+
+    @staticmethod
+    def _records(*periods, unbalanced=()):
+        return [record(facility=f"f{i}", period=p, closing=99.0 if i in unbalanced else None)
+                for i, p in enumerate(periods)]
+
+    @pytest.mark.parametrize("periods, message", [
+        (("2021-01", "2021-13", "2021-02", "21-01"), "bad month in period '2021-13'"),
+        (("2021-01", "21-01", "2021-02", "2021-13", "21-01"),
+         "bad period '21-01', expected YYYY-MM"),
+        (("2021-01", 5, "2021-13"), "bad period 5, expected YYYY-MM"),
+    ])
+    @pytest.mark.parametrize("requested", [None, ["2021-02"], ["2021-13"]])
+    def test_records_of_a_ledger_of_stock_records(self, periods, message, requested):
+        records = self._records(*periods)
+        with pytest.raises(ValueError) as info:
+            Ledger.of(records).months
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            build_feature_table(records, lag_months=2, periods=requested)
+        assert str(info.value) == message
+
+    def test_records_kept_by_cleaning(self):
+        """A bad period among the excluded records is not one of the kept."""
+        records = self._records("x", "2021-01", "21-01", "2021-13", unbalanced=(0,))
+        kept, excluded = clean_records(records)
+        assert [e.record.period for e in excluded] == ["x"]
+        with pytest.raises(ValueError, match=re.escape("bad period '21-01', expected YYYY-MM")):
+            build_feature_table(kept, lag_months=2, periods=["2021-01"])
+
+    def test_requested_periods(self):
+        records = self._records("2021-01", "2021-02")
+        with pytest.raises(ValueError) as info:
+            build_feature_table(records, lag_months=2, periods=["2021-02", "2021-13", "21-01"])
+        assert str(info.value) == "bad month in period '2021-13'"
+
+
 class TestSplit:
     def _table(self):
         records = [
@@ -796,6 +848,181 @@ class TestGroupRows:
             assert rows.tolist() == [i for i, p in enumerate(t.product_ids) if p == product]
 
 
+class _FirstLags:
+    """A model whose demand samples are 1 plus the absolute first three features."""
+
+    @staticmethod
+    def predict_samples(X):
+        return np.abs(X[:, :3]) + 1.0
+
+
+def _assert_coded(coded, column):
+    """`coded` decodes to `column` through sorted values, int32 codes."""
+    assert coded.codes.dtype == np.int32
+    assert coded.decoded() == list(column)
+    assert list(coded.values) == sorted(set(coded.values)) and set(column) <= set(coded.values)
+
+
+def _assert_same_groups(got, expected):
+    assert list(got) == list(expected)  # the same keys, in order
+    for key, rows in expected.items():
+        assert got[key].tolist() == rows.tolist()
+
+
+def _assert_string_path(table):
+    """The codes of `table` and of its split, their groups, the rolling
+    forecasts and the FD panel counts equal what the string columns give."""
+    _assert_coded(table.facility_codes, table.facility_ids)
+    _assert_coded(table.product_codes, table.product_ids)
+    _assert_same_groups(table.groups, reference_groups(table))
+    if len(set(table.months.tolist())) < 2:
+        return
+    train, eval_table, eval_period, _ = split_table(table)
+    for part in (train, eval_table):
+        _assert_coded(part.facility_codes, part.facility_ids)
+        _assert_coded(part.product_codes, part.product_ids)
+        _assert_same_groups(part.groups, reference_groups(part))
+    prepared = SimpleNamespace(train=train, eval_table=eval_table, eval_period=eval_period)
+    for window in (1, 2, 5):
+        got = rolling_forecasts(prepared, window)
+        assert got.tobytes() == reference_rolling_forecasts(prepared, window).tobytes()
+    report = compute_weights(train, _FirstLags(), budgets_from_fraction(train, 0.7),
+                             WeightConfig(jacobian_mode="diagonal_fd"))
+    groups, panels = reference_panels(train)
+    assert report.group_jacobian_mode == {
+        key: "diagonal_fd" if count == panels[key[1]] else "identity"
+        for key, count in groups.items()}
+
+
+def _assert_ledger_columns(ledger, rows, sorted_periods=None):
+    """The Ledger's codes decode to the id columns of `rows` (tuples in
+    `StockRecord` field order) through the vocabularies the string coders
+    make: ids sorted, and the distinct period spellings, sorted, in order
+    of first appearance (`sorted_periods` False) or in either order (None),
+    each with its month."""
+    columns = list(zip(*rows)) or [()] * 4
+    for coded, column in zip((ledger.facility, ledger.product, ledger.period, ledger.region),
+                             columns):
+        assert coded.codes.dtype == np.int32
+        assert coded.decoded() == list(column)
+        if coded is ledger.period and sorted_periods is None:
+            assert sorted(coded.values) == sorted(set(column))
+            continue
+        values, codes = reference_codes(column, sort=coded is not ledger.period or sorted_periods)
+        assert (list(coded.values), coded.codes.tolist()) == (values, codes.tolist())
+    assert [ledger.facility_ids, ledger.product_ids, ledger.periods, ledger.regions] == [
+        list(column) for column in columns[:4]]
+    assert [(r.facility_id, r.product_id, r.period, r.region) for r in ledger] == [
+        row[:4] for row in rows]
+    months = []
+    for spelling in ledger.period.values:
+        try:
+            months.append(reference_period_index(spelling))
+        except ValueError:
+            months.append(-1)
+    assert ledger.period_months.tolist() == months
+    _, series = reference_series(columns[0], columns[1])
+    assert np.array_equal(np.unique(ingest._series(ledger), return_inverse=True)[1], series)
+
+
+_SPELLINGS = ("{:04d}-{:02d}", "{:04d}-{}", " {:04d}-{:02d} ", "{:04d}-{} ")
+
+
+@st.composite
+def respelled_ledgers(draw):
+    """`ledgers()` records, each id perhaps with blanks around it and each
+    period in one of several spellings of its month, so that ids sort in
+    another order than they first appear and a month has several spellings."""
+    records, lag_months, periods = draw(ledgers())
+    out = []
+    for rec in records:
+        month = period_index(rec.period)
+        spelling = draw(st.sampled_from(_SPELLINGS)).format(month // 12, month % 12 + 1)
+        facility = draw(st.sampled_from(["{}", " {}", "{} "])).format(rec.facility_id)
+        out.append(replace(rec, facility_id=facility, period=spelling))
+    return draw(st.permutations(out)), lag_months, periods
+
+
+class TestCodesMatchTheStringPath:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ledger_files())
+    def test_parsed_ledger_and_its_tables(self, data):
+        ref_records, _ = reference_parse(data)
+        records, _ = parse_records(data)
+        _assert_ledger_columns(records, ref_records, sorted_periods=True)
+        kept, _ = clean_records(records)
+        _assert_ledger_columns(kept, [astuple(r) for r in reference_clean(records)[0]],
+                               sorted_periods=True)
+        for lag_months in (1, 3):
+            try:
+                table = build_feature_table(kept, lag_months=lag_months)
+            except EmptyInputError:
+                return
+            _assert_string_path(table)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(respelled_ledgers())
+    def test_ledger_of_records_and_its_tables(self, ledger):
+        records, lag_months, periods = ledger
+        _assert_ledger_columns(Ledger.of(records), [astuple(r) for r in records],
+                               sorted_periods=False)
+        kept, _ = clean_records(records)
+        _assert_ledger_columns(kept, [astuple(r) for r in reference_clean(records)[0]])
+        expected = reference_feature_table(records, lag_months, periods)
+        precedes = periods is not None and min(map(period_index, periods)) < min(
+            period_index(r.period) for r in records)
+        if not expected[0] or precedes:
+            with pytest.raises(EmptyInputError):
+                build_feature_table(records, lag_months=lag_months, periods=periods)
+            return
+        table = build_feature_table(records, lag_months=lag_months, periods=periods)
+        fac, prod, per, X, y, _ = expected
+        assert (table.facility_ids, table.product_ids, table.periods) == (fac, prod, per)
+        assert table.X.tobytes() == X.tobytes() and table.y.tobytes() == y.tobytes()
+        _assert_string_path(table)
+
+    def test_dirty_benchmark_ledger(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        workloads().generate_ledger(path, 3, n_facilities=12, n_products=3, n_months=14)
+        ref_records, ref_rejects = reference_parse(path.read_bytes())
+        records, rejects = parse_records(path)
+        assert len(rejects) == len(ref_rejects) > 0
+        _assert_ledger_columns(records, ref_records, sorted_periods=True)
+        kept, excluded = clean_records(records)
+        assert excluded
+        _assert_ledger_columns(kept, [astuple(r) for r in reference_clean(records)[0]],
+                               sorted_periods=True)
+        _assert_string_path(build_feature_table(kept, lag_months=3))
+
+    @staticmethod
+    def _csv_table(tmp_path):
+        """Ids that sort in another order than they first appear."""
+        path = tmp_path / "features.csv"
+        rows = [("f2", "q", "2021-9"), ("f10", "p", "2021-09"), ("f1", "q", "2021-10"),
+                ("f2", "p", "2021-10"), ("f10", "q", "2021-11"), ("f2", "q", " 2021-11 "),
+                ("f1", "p", "2021-11")]
+        path.write_text("facility_id,product_id,period,f_0,target,weight\n" + "".join(
+            f"{f},{p},{m},{i}.0,{i + 1}.0,1.0\n" for i, (f, p, m) in enumerate(rows)))
+        return FeatureTable.from_csv(path)
+
+    @pytest.mark.parametrize("built_by", ["build_feature_table", "generate", "from_arrays",
+                                          "from_csv", "subset", "with_weights"])
+    def test_tables_built_from_lists_and_their_copies(self, built_by, tmp_path):
+        records = [record(facility=f, product=p, period=m, dispensed=float(len(f + p) + k))
+                   for k, m in enumerate(("2021-01", "2021-02", "2021-03"))
+                   for f in ("f2", "f10", "f1") for p in ("q", "p")]
+        build = {
+            "build_feature_table": lambda: build_feature_table(records, lag_months=2),
+            "generate": lambda: generate(TwoClassScenario(n_low=3, n_high=2), periods=4)[0],
+            "from_arrays": lambda: FeatureTable.from_arrays(np.ones((3, 1)), np.ones(3),
+                                                            period=" 2021-3 "),
+            "from_csv": lambda: self._csv_table(tmp_path),
+            "subset": lambda: self._csv_table(tmp_path).subset([6, 2, 0, 3, 3]),
+            "with_weights": lambda: self._csv_table(tmp_path).with_weights(np.arange(7.0)),
+        }
+        _assert_string_path(build[built_by]())
+
+
 class TestTableCopies:
     @staticmethod
     def _table():
@@ -823,6 +1050,11 @@ class TestTableCopies:
             assert getattr(child, name).tobytes() == getattr(built, name).tobytes()
             assert getattr(child, name).shape == getattr(built, name).shape
             assert not np.shares_memory(getattr(child, name), getattr(parent, name))
+        for name in ("facility_codes", "product_codes"):
+            codes = getattr(child, name)
+            assert codes.decoded() == getattr(built, name).decoded()
+            assert codes.codes.dtype == np.int32 and codes.codes.shape == (len(child),)
+            assert not np.shares_memory(codes.codes, getattr(parent, name).codes)
         for name in ("facility_ids", "product_ids", "periods", "feature_names"):
             assert getattr(child, name) == getattr(built, name)
             assert getattr(child, name) is not getattr(parent, name)
@@ -921,6 +1153,7 @@ class TestFeatureTableCsv:
     @pytest.mark.parametrize("periods, message", [
         (["2022-03", "2022-13", "20x2-01"], "bad month in period '2022-13'"),
         (["2022-03", "20x2-01", "2022-05"], "bad period '20x2-01', expected YYYY-MM"),
+        (["2022-03", "20x2-01", "2022-13"], "bad period '20x2-01', expected YYYY-MM"),
     ])
     def test_first_bad_or_late_row_names_the_fault(self, periods, message):
         with pytest.raises(ValueError) as info:

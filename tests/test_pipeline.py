@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from stockalloc import ingest
 from stockalloc.pipeline import compare, prepare, report_to_json, rolling_forecasts
 
 from oracles import reference_rolling_forecasts
+from test_ingest import workloads
 
 SMALL_FOREST = ForestParams(n_trees=12, max_depth=7, min_leaf_weight=2.0)
 
@@ -343,6 +346,27 @@ class TestCsvPipeline:
         ledger = self._write_ledger(tmp_path / "ledger.csv", facilities=4)
         *_, prepared = compare(RunConfig(csv_path=str(ledger), model="linear", lag_months=3))
         assert sorted(grouped) == sorted([len(prepared.train), len(prepared.eval_table)])
+
+    def test_ledger_compare_heap_peak(self, tmp_path):
+        """One linear-model `compare` of the benchmark's seed-1 ledger (6,966
+        records, 6,888 table rows) peaks while the decision-aware model
+        trains, with the table, its training and evaluation copies and the
+        reweighted copy alive. The peak was 6.63 MB before the tables
+        carried facility and product codes, and is 6.79 MB with them (two
+        int32 columns of the four tables' ~20k rows): another column carried
+        on the tables shows here."""
+        path = tmp_path / "ledger.csv"
+        workloads().generate_ledger(path, 1, n_products=3)
+        config = RunConfig(csv_path=str(path), model="linear", seed=1)
+        compare(config)  # keeps first-call setup out of the peak
+        tracemalloc.start()
+        try:
+            *_, prepared = compare(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(prepared.table) == 6888
+        assert peak < 6.9e6
 
     def test_csv_compare_runs(self, tmp_path):
         ledger = self._write_ledger(tmp_path / "ledger.csv")
