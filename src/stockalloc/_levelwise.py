@@ -21,8 +21,23 @@ after the min_leaf filter and works the gain arithmetic in place, so at
 most five float arrays of cuts are alive at once. Positions stay int64:
 numpy gathers through int32 index arrays about 2.4x slower, and `np.take`
 and `np.bincount` copy them to int64 first.
+
+Trees are independent given (seed, k), so a forest of at least
+`forest.FORK_ROWS` bootstrap rows grows in contiguous, balanced shares of
+trees, one per usable CPU (`os.sched_getaffinity`) and never more shares
+than blocks, as SPRINT spreads its tree growth over processors (Shafer et
+al., VLDB 1996). This process grows the first share; an `os.fork`ed child
+grows each other one in the same blocks, pinned to a CPU of its own, and
+sends its trees' node arrays back over a pipe. The trees are joined in
+tree order, so the forest is byte for byte the serial one. A share whose
+child fails, or sends a short payload, or cannot be forked, is grown here
+after the first. Without `os.fork`, with one usable CPU or below the
+threshold, the forest grows serially in this process.
 """
 
+import contextlib
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +70,15 @@ class _Data:
         return cls(X, y, w, wy, wy * y, rank, int(rank.max()).bit_length() if rank.size else 0)
 
 
-def grow_trees(X, y, w, params, seed, block_rows):
+def grow_trees(X, y, w, params, seed, block_rows, fork_rows):
     """The forest's trees, grown in blocks of as many trees as fit
-    `block_rows` bootstrap rows (at least one); every weight is positive."""
+    `block_rows` bootstrap rows (at least one); every weight is positive.
+
+    A forest of at least `fork_rows` bootstrap rows (rows x trees) is cut
+    into shares grown by forked children (see the module docstring). Every
+    child is reaped, and this thread's CPUs restored, before this returns
+    or raises.
+    """
     # `Generator.choice(n, p=w / w.sum())` draws `cdf.searchsorted(u, "right")`
     # for n uniforms u; drawing so directly builds this CDF once, not per tree.
     cdf = (w / w.sum()).cumsum()
@@ -65,11 +86,119 @@ def grow_trees(X, y, w, params, seed, block_rows):
     data = _Data.of(X, y, w)
 
     per_block = max(1, block_rows // len(y))
-    trees = []
-    for first in range(0, params.n_trees, per_block):
-        block = range(first, min(first + per_block, params.n_trees))
-        trees += _grow_block(data, cdf, params, seed, block)
+    n_trees = params.n_trees
+    n_blocks = -(-n_trees // per_block)
+    cpus = _usable_cpus() if len(y) * n_trees >= fork_rows else []
+    n_shares = max(1, min(len(cpus), n_blocks))
+    cuts = [n_trees * s // n_shares for s in range(n_shares + 1)]
+    shares = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+    def grow(share):
+        trees = []
+        for first in range(share.start, share.stop, per_block):
+            trees += _grow_block(data, cdf, params, seed, range(first, min(first + per_block, share.stop)))
+        return trees
+
+    if n_shares == 1:
+        return grow(shares[0])
+    children = []  # per forked share: (pid, pipe), or None if no fork
+    mask = os.sched_getaffinity(0)
+    try:
+        for share, cpu in zip(shares[1:], cpus[1:]):
+            children.append(_fork(grow, share, cpu))
+        _pin(cpus[0])
+        trees = grow(shares[0])
+        payloads = [child and child[1].read() for child in children]
+    except BaseException:
+        for child in filter(None, children):
+            os.kill(child[0], signal.SIGKILL)
+        raise
+    finally:
+        done = [child is not None and _reap(*child) == 0 for child in children]
+        _pin(*mask)
+    for share, payload, ok in zip(shares[1:], payloads, done):
+        grown = _unpack(payload, len(share)) if ok else None
+        trees += grow(share) if grown is None else grown
     return trees
+
+
+def _usable_cpus():
+    """The CPUs this process may run on, ascending; none where a share
+    cannot be forked."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(*cpus):
+    """Run the calling thread on `cpus` only, or where it ran if they
+    cannot be set. A scheduler that does not balance load keeps a forked
+    child on its parent's CPU, so each share is placed on a CPU of its own."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _fork(grow, share, cpu):
+    """A forked child that grows `share` on `cpu` and writes its trees'
+    node arrays to a pipe: its pid and the pipe's read end, or None if no
+    process could be forked."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:  # the child leaves only through os._exit
+        status = 1
+        try:
+            os.close(read_fd)
+            _pin(cpu)
+            with open(write_fd, "wb") as out:
+                for part in _pack(grow(share)):
+                    out.write(part)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _reap(pid, pipe):
+    """Close the child's pipe, wait for it to end and return its exit code."""
+    pipe.close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+# A tree's node arrays in `Tree` field order, each 8 bytes per node.
+_FIELDS = (("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
+           ("right", np.int64), ("value", np.float64), ("support", np.float64))
+
+
+def _pack(trees):
+    """The trees' node counts, then each field's arrays end to end."""
+    yield np.array([len(tree.feature) for tree in trees], dtype=np.int64).tobytes()
+    for name, _ in _FIELDS:
+        yield np.concatenate([getattr(tree, name) for tree in trees]).tobytes()
+
+
+def _unpack(payload, n_trees):
+    """The `n_trees` trees of a `_pack` payload, or None if it is short."""
+    if len(payload) < 8 * n_trees:
+        return None
+    sizes = np.frombuffer(payload, dtype=np.int64, count=n_trees)
+    total = int(sizes.sum())
+    if len(payload) != 8 * (n_trees + len(_FIELDS) * total):
+        return None
+    fields = [
+        np.frombuffer(payload, dtype=dtype, count=total, offset=8 * (n_trees + i * total))
+        for i, (_, dtype) in enumerate(_FIELDS)
+    ]
+    ends = np.cumsum(sizes)
+    return [
+        Tree(**{name: column[a:b].copy() for (name, _), column in zip(_FIELDS, fields)})
+        for a, b in zip(ends - sizes, ends)
+    ]
 
 
 def _grow_block(data, cdf, params, seed, tree_ids):

@@ -42,6 +42,15 @@ FOREST_VERSION = 1
 # trees of 300 rows a block) training peaks at 1.30 MB, at 10240 rows 1.55 MB.
 BLOCK_ROWS = 8192
 
+# Bootstrap rows (table rows x trees) from which a forest's trees are shared
+# among forked workers, one per usable CPU (`stockalloc._levelwise`); a
+# smaller forest grows in this process. Sharing never changes the forest. A
+# fork and join costs ~2 ms (1.7-2.3 ms in a 30-70 MB process, 2-vCPU
+# Xeon VM) and growth ~2 us per bootstrap row, so 16384 rows are ~15 fork
+# costs of work; two shares of 32 benchmark-shape trees (9,600 rows) broke
+# even, and the benchmark's 30,000-row forests train in ~0.76x the time.
+FORK_ROWS = 16384
+
 # (row, tree) pairs a prediction walks together: a chunk of rows takes as
 # many as fit, and at least one row. It bounds the memory of one chunk's walk
 # and does not change a prediction.
@@ -274,11 +283,17 @@ def train_forest(table, params=None, seed=0):
     pass per depth finds the best split of every open node of the block
     (`stockalloc._levelwise`). Nodes are numbered in level order: the root is 0 and
     each depth's nodes follow the previous depth's, left child before right.
+    A forest of at least `FORK_ROWS` bootstrap rows (rows x trees) is cut
+    into contiguous shares of trees, one per usable CPU and no more than
+    it has blocks; forked children grow every share but the first and send
+    their trees back, and a share whose child fails is grown here. No child
+    outlives the call. With one usable CPU, without `os.fork` or below
+    `FORK_ROWS` the trees grow in this process alone.
 
     Deterministic given (table, params, seed): tree k draws its bootstrap
     and then, once per depth, the feature subsets of its open nodes from an
     RNG stream derived from (seed, k). A tree therefore depends neither on
-    the other trees nor on how many trees share its block.
+    the other trees nor on how many trees share its block or its worker.
     Rows with zero weight are dropped up front; they can neither be
     resampled nor influence any split, and excluding them keeps the RNG
     stream identical to a table that never contained them.
@@ -298,5 +313,5 @@ def train_forest(table, params=None, seed=0):
     # predict with a forest, or for the linear model, does not load it.
     from ._levelwise import grow_trees
 
-    trees = grow_trees(X, y, w, params, seed, BLOCK_ROWS)
+    trees = grow_trees(X, y, w, params, seed, BLOCK_ROWS, FORK_ROWS)
     return Forest(trees=trees, feature_dim=X.shape[1], seed=seed, params=params)

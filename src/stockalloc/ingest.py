@@ -846,7 +846,7 @@ def _lag_table(ledger, lag_months, periods):
     row_month = month[row_record]
 
     if periods is None:
-        targets = sorted(ledger.period_months.tolist())  # the month of each spelling
+        targets = sorted(set(ledger.period_months.tolist()))  # each month once, however spelt
     else:
         targets = [period_index(p) for p in periods]  # a bad period raises before an early one
     blocks = []  # (month, rows of that month in series order) per requested period

@@ -422,7 +422,7 @@ def reference_feature_table(records, lag_months=10, periods=None):
     records = list(records)
     codes = {r: i for i, r in enumerate(sorted({rec.region for rec in records}))}
     if periods is None:
-        periods = sorted({r.period for r in records}, key=_month_index)
+        periods = [_month_str(m) for m in sorted({_month_index(r.period) for r in records})]
     fac, prod, per, rows, targets = [], [], [], [], []
     for period in periods:
         f, p, r, t = reference_features(records, lag_months, period, codes)

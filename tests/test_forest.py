@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 from unittest import mock
@@ -19,6 +20,7 @@ from stockalloc import (
     ShapeError,
     train_forest,
 )
+from stockalloc import _levelwise
 from stockalloc import forest as forest_module
 from stockalloc._levelwise import _best_splits, _Data, _node_sums, _stable_order
 
@@ -671,16 +673,35 @@ class TestBlocks:
         with mock.patch.object(forest_module, "BLOCK_ROWS", block_rows):
             assert train_forest(t, params, seed=seed).to_json() == single_trees
 
-    def test_heap_peak_on_the_benchmark_shape(self):
+    @staticmethod
+    def benchmark_shape_heap_peak(cpus, monkeypatch):
+        """tracemalloc's peak over one default forest on the benchmark's
+        300 x 3 table with `cpus` usable, and the children forked for it."""
+        monkeypatch.setattr(_levelwise, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(17)
         X = rng.uniform(0, 50, size=(300, 3))
         t = table(X, rng.poisson(X[:, 0] + 5).astype(float))
-        tracemalloc.start()
-        try:
-            train_forest(t, seed=18)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with mock.patch.object(_levelwise, "_fork", wraps=_levelwise._fork) as spy:
+            tracemalloc.start()
+            try:
+                train_forest(t, seed=18)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert_nothing_left()
+        return peak, spy.call_count
+
+    def test_heap_peak_on_the_benchmark_shape(self, monkeypatch):
+        # Serial: the bound holds every depth pass of all four blocks.
+        peak, forks = self.benchmark_shape_heap_peak([0], monkeypatch)
+        assert forks == 0
+        assert peak <= 1.5e6
+
+    def test_parent_heap_peak_of_forked_shares_on_the_benchmark_shape(self, monkeypatch):
+        # This process grows one share in the same blocks, then holds the
+        # other share's payload and trees beside its own (1.02 MB measured).
+        peak, forks = self.benchmark_shape_heap_peak([0, 1], monkeypatch)
+        assert forks == 1
         assert peak <= 1.5e6
 
     def test_working_set_of_one_tree_at_the_ledger_shape(self, monkeypatch):
@@ -711,3 +732,125 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak - output <= 2e6
+
+
+FORK_ROWS_DEFAULT = forest_module.FORK_ROWS
+AFFINITY = os.sched_getaffinity(0)
+
+
+def assert_nothing_left():
+    """No child outlives a training, which leaves this process's CPUs as they were."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == AFFINITY
+
+
+class TestForkedShares:
+    """Forests grown in shares by forked workers, each training forced onto
+    two CPUs at any size (`FORK_ROWS` 0) unless a test says otherwise."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(_levelwise, "_usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(forest_module, "FORK_ROWS", 0)
+
+    @staticmethod
+    def forest_json(t, params, seed, **patches):
+        """The forest's JSON and the number of children forked for it."""
+        with mock.patch.object(_levelwise, "_fork", wraps=_levelwise._fork) as spy:
+            with mock.patch.multiple(forest_module, **patches):
+                text = train_forest(t, params, seed=seed).to_json()
+        assert_nothing_left()
+        return text, spy.call_count
+
+    @staticmethod
+    def case():
+        rng = np.random.default_rng(41)
+        X = rng.integers(0, 6, size=(60, 4)).astype(float)
+        y = rng.choice([0.1, 0.7, 2.3, 13.9], size=60)
+        return table(X, y, rng.uniform(0.1, 3.0, 60)), small_params(n_trees=9, max_depth=7)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(forest_inputs(), st.data())
+    def test_any_block_size_grows_the_forest_of_single_trees(self, case, data):
+        X, y, w, params, seed = case
+        params = dataclasses.replace(params, n_trees=data.draw(st.integers(1, 7), label="n_trees"))
+        t = table(X, y, w)
+        block_rows = data.draw(st.integers(1, len(y) * params.n_trees + 1), label="BLOCK_ROWS")
+        single_trees, forks = self.forest_json(t, params, seed, BLOCK_ROWS=1, FORK_ROWS=2**62)
+        assert forks == 0
+        shared, forks = self.forest_json(t, params, seed, BLOCK_ROWS=block_rows)
+        blocks = -(-params.n_trees // max(1, block_rows // int((w > 0).sum())))
+        assert forks == (blocks > 1)
+        assert shared == single_trees
+
+    def test_a_failing_child_share_is_grown_here(self):
+        t, params = self.case()
+        serial, _ = self.forest_json(t, params, 42, BLOCK_ROWS=1, FORK_ROWS=2**62)
+        parent = os.getpid()
+        grow_block = _levelwise._grow_block
+
+        def failing_in_children(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a child's share fails")
+            return grow_block(*args)
+
+        with mock.patch.object(_levelwise, "_grow_block", failing_in_children):
+            assert self.forest_json(t, params, 42, BLOCK_ROWS=1) == (serial, 1)
+
+    def test_a_short_payload_is_grown_here(self):
+        t, params = self.case()
+        serial, _ = self.forest_json(t, params, 43, BLOCK_ROWS=1, FORK_ROWS=2**62)
+        pack = _levelwise._pack
+
+        def short(trees):
+            *parts, last = pack(trees)
+            return [*parts, last[:-1]]
+
+        with mock.patch.object(_levelwise, "_pack", short):
+            assert self.forest_json(t, params, 43, BLOCK_ROWS=1) == (serial, 1)
+
+    def test_no_process_to_fork_grows_every_share_here(self):
+        t, params = self.case()
+        serial, _ = self.forest_json(t, params, 44, BLOCK_ROWS=1, FORK_ROWS=2**62)
+        with mock.patch.object(os, "fork", side_effect=OSError("no process to spare")):
+            assert self.forest_json(t, params, 44, BLOCK_ROWS=1) == (serial, 1)
+
+    def test_a_failing_parent_share_reaps_every_child(self, monkeypatch):
+        t, params = self.case()
+        monkeypatch.setattr(forest_module, "BLOCK_ROWS", 1)
+        parent = os.getpid()
+        grow_block = _levelwise._grow_block
+
+        def failing_here(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("this share fails")
+            return grow_block(*args)
+
+        with mock.patch.object(_levelwise, "_fork", wraps=_levelwise._fork) as spy:
+            with mock.patch.object(_levelwise, "_grow_block", failing_here):
+                with pytest.raises(RuntimeError, match="this share fails"):
+                    train_forest(t, params, seed=45)
+        assert spy.call_count == 1
+        assert_nothing_left()
+
+    def test_one_usable_cpu_grows_the_same_bytes_in_this_process(self, monkeypatch):
+        t, params = self.case()
+        shared, forks = self.forest_json(t, params, 46, BLOCK_ROWS=1)
+        assert forks == 1
+        monkeypatch.setattr(_levelwise, "_usable_cpus", lambda: [0])
+        assert self.forest_json(t, params, 46, BLOCK_ROWS=1) == (shared, 0)
+
+    def test_a_small_forest_stays_in_this_process(self):
+        # At the default FORK_ROWS a forest below it is grown serially.
+        t, params = self.case()
+        assert 60 * params.n_trees < FORK_ROWS_DEFAULT
+        assert self.forest_json(t, params, 47, BLOCK_ROWS=1, FORK_ROWS=FORK_ROWS_DEFAULT)[1] == 0
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+    def test_golden_digests_from_shares(self, case, monkeypatch):
+        monkeypatch.setattr(forest_module, "BLOCK_ROWS", 1)
+        forest = SPECIAL_FORESTS[case]() if case in SPECIAL_FORESTS else golden_forest(case)
+        assert_nothing_left()
+        digest = hashlib.sha256(forest.to_json().encode()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[case]

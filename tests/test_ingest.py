@@ -425,6 +425,15 @@ class TestBuildFeatures:
         assert t.X.tobytes() == X.tobytes() and t.y.tobytes() == y.tobytes()
         assert t.X[0, :4].tolist() == [3.0, 2.0, 1.0, 1.0]
 
+    def test_a_month_spelt_two_ways_is_requested_once(self):
+        records = [record(period="2021-01"), record(period="2021-02"),
+                   record(facility="f2", period="2021-2")]
+        t = build_feature_table(records, lag_months=1)
+        fac, prod, per, X, y, names = reference_feature_table(records, 1)
+        assert t.periods == per == ["2021-01", "2021-02"]
+        assert t.facility_ids == fac == ["f1", "f1"]
+        assert t.X.tobytes() == X.tobytes()
+
     def test_all_values_finite(self):
         rng = np.random.default_rng(2)
         records = [
