@@ -22,7 +22,6 @@ from .forest import Forest, train_forest
 from .ingest import (
     REQUIRED_FIELDS,
     FeatureTable,
-    group_rows,
     net_requirement,
     read_text,
     write_exclusions_csv,
@@ -104,9 +103,9 @@ def cmd_synth(args):
     table.to_csv(os.path.join(out, "features.csv"))
     with open(os.path.join(out, "ground_truth.csv"), "w", encoding="utf-8") as fh:
         fh.write("facility_id,product_id,period,true_mean_demand\n")
-        for i in range(len(table)):
-            fh.write(f"{table.facility_ids[i]},{table.product_ids[i]},"
-                     f"{table.periods[i]},{float(truth[i])!r}\n")
+        for facility, product, period, mean in zip(table.facility_ids, table.product_ids,
+                                                   table.periods, truth.tolist()):
+            fh.write(f"{facility},{product},{period},{mean!r}\n")
     print(f"generated {len(table)} rows over {config.periods} periods")
     return 0
 
@@ -155,7 +154,7 @@ def cmd_allocate(args):
     for product, rows, _, problem, result in solve_products(
             eval_table, budgets, lambda rows: model.predict_samples(eval_table.X[rows])):
         products[product] = dict(result.to_dict(), budget=problem.budget,
-                                 facility_ids=[eval_table.facility_ids[i] for i in rows])
+                                 facility_ids=eval_table.facility_codes.take(rows).decoded())
     payload = {"eval_period": eval_period, "products": products}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
@@ -172,12 +171,15 @@ def _read_allocation(path):
     try:
         if not isinstance(payload.get("eval_period", ""), (str, type(None))):
             raise ValueError("'eval_period' must be a period string")
-        for entry in payload["products"].values():
-            ids, allocation = entry["facility_ids"], np.asarray(entry["allocation"], dtype=float)
+        for product, entry in payload["products"].items():
+            ids, allocation = entry["facility_ids"], entry["allocation"]
             if not (isinstance(ids, list) and all(isinstance(f, str) for f in ids)):
                 raise ValueError("'facility_ids' must be a list of strings")
-            if allocation.shape != (len(ids),):
+            if not (isinstance(allocation, list) and len(allocation) == len(ids)):
                 raise ValueError("'allocation' must be a list as long as 'facility_ids'")
+            if not all(type(v) in (int, float) for v in allocation):  # a bool is not one
+                raise ValueError(f"'allocation' of product {product!r} must hold JSON numbers")
+            allocation = np.array(allocation, dtype=float)
             if not (np.all(np.isfinite(allocation)) and np.all(allocation >= 0)):
                 raise ValueError("'allocation' must be finite and nonnegative")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -189,12 +191,12 @@ def cmd_evaluate(args):
     allocation = _read_allocation(args.allocation)
     table = FeatureTable.from_csv(args.features)
     _, eval_table, *_ = split_table(table, allocation.get("eval_period"))
-    groups = group_rows(eval_table.product_ids)
+    groups = {product: rows for (_, product), rows in eval_table.groups.items()}
     allocations, realized = {}, {}
     for product, entry in sorted(allocation["products"].items()):
         rows = groups.get(product, [])
         demand = net_requirement(eval_table, rows, eval_table.y[rows])
-        by_facility = dict(zip((eval_table.facility_ids[i] for i in rows), demand))
+        by_facility = dict(zip(eval_table.facility_codes.take(rows).decoded(), demand))
         missing = [f for f in entry["facility_ids"] if f not in by_facility]
         if missing:
             more = "..." if len(missing) > 3 else ""

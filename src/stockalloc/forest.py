@@ -82,6 +82,13 @@ class ForestParams:
         return min(self.features_per_split, d)
 
 
+# A tree's node arrays by name, each with the JSON numbers its list in a
+# forest file may hold: integers for the indices. `np.array` would cast any
+# other item (a string, a bool, 0.5 to 0) quietly (`_not_numbers`).
+_NODE_NUMBERS = {"feature": (int,), "threshold": (int, float), "left": (int,),
+                 "right": (int,), "value": (int, float), "support": (int, float)}
+
+
 @dataclass
 class Tree:
     """Flat node arrays; feature == -1 marks a leaf."""
@@ -94,25 +101,12 @@ class Tree:
     support: np.ndarray
 
     def to_dict(self):
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "support": self.support.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in _NODE_NUMBERS}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            feature=np.array(d["feature"], dtype=np.int64),
-            threshold=np.array(d["threshold"], dtype=float),
-            left=np.array(d["left"], dtype=np.int64),
-            right=np.array(d["right"], dtype=np.int64),
-            value=np.array(d["value"], dtype=float),
-            support=np.array(d["support"], dtype=float),
-        )
+        return cls(**{name: np.array(d[name], dtype=np.int64 if kinds == (int,) else float)
+                      for name, kinds in _NODE_NUMBERS.items()})
 
     def problem(self, feature_dim):
         """Why these arrays are not a tree the prediction walk can follow, or None."""
@@ -130,6 +124,18 @@ class Tree:
             if np.any(child <= inner) or np.any(child >= size):
                 return f"child indices must follow their parent and be < {size}"
         return None
+
+
+def _not_numbers(nodes):
+    """Why the node lists of a tree's JSON hold an item that is not a JSON
+    number of its field's kind, or None."""
+    for name, kinds in _NODE_NUMBERS.items():
+        values = nodes[name] if isinstance(nodes[name], list) else [nodes[name]]
+        bad = [v for v in values if type(v) not in kinds]
+        if bad:
+            kind = "integers" if kinds == (int,) else "numbers"
+            return f"{name} must hold JSON {kind}, not {bad[0]!r}"
+    return None
 
 
 def feature_rows(x, feature_dim):
@@ -261,8 +267,8 @@ class Forest:
             trees = [Tree.from_dict(t) for t in payload["trees"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{source}: bad forest: {exc!r}") from exc
-        for k, tree in enumerate(trees):
-            problem = tree.problem(feature_dim)
+        for k, (tree, nodes) in enumerate(zip(trees, payload["trees"])):
+            problem = _not_numbers(nodes) or tree.problem(feature_dim)
             if problem:
                 raise SchemaError(f"{source}: tree {k}: {problem}")
         return cls(trees=trees, feature_dim=feature_dim, seed=seed, params=params)

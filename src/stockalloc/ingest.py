@@ -13,11 +13,13 @@ period spellings with each spelling's month, and one float array per
 quantity. `parse_records` reads the CSV in chunks of `CHUNK_ROWS` rows,
 codes each distinct id cell of a chunk once and checks the reject rules
 over each chunk's columns; a reason and a `raw` dict are built only for a
-rejected line. Cleaning and featurizing read the codes and months, and a
-ledger's `FeatureTable` is handed its rows' months and id codes, which its
-copies take along and its groups and readers read: no stage codes an id
-string or parses a period again. A `StockRecord` is the view of one row
-(`ledger[i]`), made only where one is handed out, such as in an
+rejected line. Cleaning and featurizing read the codes and months. A
+`FeatureTable` holds its ids the same way, each column once as codes and
+its periods with each row's month beside them, and decodes its string
+columns on read: a ledger's table is handed its rows' months and id codes,
+which its copies take along and its groups and readers read, so no stage
+codes an id string or parses a period again. A `StockRecord` is the view
+of one row (`ledger[i]`), made only where one is handed out, such as in an
 `Exclusion`.
 """
 
@@ -26,7 +28,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyInputError, NotFoundError, SchemaError, ShapeError
-from .periods import normalize_period, period_index, period_indices, period_str
+from .periods import normalize_period, period_index, period_str
 
 BALANCE_TOL = 1e-9
 INVENTORY_COLUMN = "prior_inventory"  # the feature that `net_requirement` nets by
@@ -182,11 +184,7 @@ class Ledger:
     def months(self):
         """Each record's month; the first record whose period is not one
         raises, as `period_index` does."""
-        months = self.period_months[self.period.codes]
-        bad = np.flatnonzero(months < 0)
-        if len(bad):
-            period_index(self.period.values[self.period.codes[bad[0]]])
-        return months
+        return _row_months(self.period, self.period_months)
 
     def subset(self, mask):
         """The records where the boolean array `mask` is true, in order; each
@@ -217,6 +215,17 @@ def _months_of(spellings):
         except ValueError:
             months.append(-1)
     return np.array(months, dtype=np.int64)
+
+
+def _row_months(period, months):
+    """Each row's month, read from the `months` of the `Coded` period column's
+    spellings (-1 where one is not a period); the first row whose period is
+    not one raises `period_index`'s error for it, spelled as given."""
+    rows = months[period.codes]
+    bad = np.flatnonzero(rows < 0)
+    if len(bad):
+        period_index(period.values[period.codes[bad[0]]])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -530,32 +539,35 @@ def _outliers(series, demand, multiplier):
         alive[flagged] = False
 
 
-@dataclass
 class FeatureTable:
-    """Row-aligned feature matrix with identity columns and sample weights."""
+    """Row-aligned feature matrix with identity columns and sample weights.
 
-    facility_ids: list
-    product_ids: list
-    periods: list
-    X: np.ndarray
-    y: np.ndarray
-    weights: np.ndarray
-    feature_names: list = field(default_factory=list)
-    months: np.ndarray = field(init=False, repr=False, compare=False)  # `period_index` per row
+    Each identity column is held once, as a `Coded` column: `facility_codes`
+    and `product_codes` into sorted ids (which hold every row's and perhaps
+    more), `period_codes` into period spellings in order of first
+    appearance, with each row's month in `months`. `facility_ids`,
+    `product_ids` and `periods` decode on read, as `Ledger`'s do. The
+    constructor codes each list once; a ledger's table is handed its rows'
+    codes and months, and a copy takes them from the table it copies.
+    `groups` is derived once: the rows are not to change after.
+    """
 
-    def __post_init__(self):
+    def __init__(self, facility_ids, product_ids, periods, X, y, weights, feature_names=None):
+        self.facility_codes, self.product_codes = _codes(facility_ids), _codes(product_ids)
+        self.period_codes = _codes(periods, sort=False)
+        self.X, self.y, self.weights, self.feature_names = X, y, weights, feature_names
         self._check()
-        self.months = period_indices(self.periods)  # the first bad period, in row order, raises
+        self.months = _row_months(self.period_codes, _months_of(self.period_codes.values))
 
     def _check(self):
         """Check and convert the fields: all but the periods, which `months` parses."""
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        n = len(self.facility_ids)
+        n = len(self)
         if self.X.ndim != 2 or self.X.shape[0] != n:
             raise ShapeError(f"feature matrix shape {self.X.shape} for {n} rows")
-        if len(self.product_ids) != n or len(self.periods) != n:
+        if len(self.product_codes.codes) != n or len(self.period_codes.codes) != n:
             raise ShapeError("identity column lengths disagree")
         if self.y.shape != (n,) or self.weights.shape != (n,):
             raise ShapeError("target/weight lengths disagree")
@@ -570,31 +582,29 @@ class FeatureTable:
             raise ShapeError("feature_names length disagrees with matrix width")
 
     def __len__(self):
-        return len(self.facility_ids)
+        return len(self.facility_codes.codes)
+
+    @property
+    def facility_ids(self):
+        return self.facility_codes.decoded()
+
+    @property
+    def product_ids(self):
+        return self.product_codes.decoded()
+
+    @property
+    def periods(self):
+        return self.period_codes.decoded()
 
     @property
     def feature_dim(self):
         return self.X.shape[1]
 
     @cached_property
-    def facility_codes(self):
-        """The facility ids coded (`Coded`) into sorted ids, which hold every
-        row's and perhaps more. A ledger's table is handed them and a copy
-        takes its rows' codes from the table it copies; a table built from
-        lists derives them on first read and keeps them, like `groups`: the
-        table's rows are not to change after."""
-        return _codes(self.facility_ids)
-
-    @cached_property
-    def product_codes(self):
-        """The product ids coded into sorted ids, as `facility_codes`."""
-        return _codes(self.product_ids)
-
-    @cached_property
     def groups(self):
         """Row indices per (period, product) group (`group_rows` of the months
         and product codes), the period spelled "YYYY-MM" however the table
-        spells it. Derived on first read and kept, like `months`."""
+        spells it. Derived on first read and kept."""
         products = self.product_codes
         groups = group_rows(self.months, products.codes)
         return {(period_str(month), products.values[code]): rows
@@ -610,21 +620,12 @@ class FeatureTable:
         """The rows `idx` (positions or a boolean mask), in that order.
 
         The rows were checked when this table was built, so the copy skips
-        the checks and takes its `months` and id codes from this table's
-        (`_derived`).
-        """
+        the checks (`_derived`)."""
         idx = np.asarray(idx)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         idx = idx.astype(np.int64)
-        rows = idx.tolist()
-        return self._derived(
-            [self.facility_ids[i] for i in rows],
-            [self.product_ids[i] for i in rows],
-            [self.periods[i] for i in rows],
-            self.X[idx], self.y[idx], self.weights[idx], self.months[idx],
-            self.facility_codes.take(idx), self.product_codes.take(idx),
-        )
+        return self._derived(idx, self.weights[idx])
 
     def with_weights(self, weights):
         """A copy of the table with the row weights `weights`; only they are checked."""
@@ -632,32 +633,25 @@ class FeatureTable:
         if weights.shape != (len(self),):
             raise ShapeError("weight vector length disagrees with table")
         _check_weights(weights)
-        facility, product = self.facility_codes, self.product_codes
-        return self._derived(
-            list(self.facility_ids), list(self.product_ids), list(self.periods),
-            self.X.copy(), self.y.copy(), weights, self.months.copy(),
-            Coded(facility.values, facility.codes.copy()),
-            Coded(product.values, product.codes.copy()),
-        )
+        return self._derived(np.arange(len(self)), weights)
 
-    def _derived(self, facility_ids, product_ids, periods, X, y, weights, months,
-                 facility_codes, product_codes):
-        """A table built without `__post_init__` from rows of this one.
-
-        It trusts only rows that this table has already checked: every
-        argument but `weights` must be a copy of some of this table's rows,
-        `months` and the codes theirs, and the caller checks `weights`.
-        """
+    def _derived(self, rows, weights):
+        """A table of this one's `rows` (positions) with the row weights
+        `weights`, built without the checks: the rows passed them when this
+        table was built, and the caller checks `weights`. Every other array
+        is a copy; the vocabularies are this table's."""
         return FeatureTable._assembled(
-            facility_ids=facility_ids, product_ids=product_ids, periods=periods,
-            X=X, y=y, weights=weights, feature_names=list(self.feature_names), months=months,
-            facility_codes=facility_codes, product_codes=product_codes,
+            facility_codes=self.facility_codes.take(rows),
+            product_codes=self.product_codes.take(rows),
+            period_codes=self.period_codes.take(rows),
+            X=self.X[rows], y=self.y[rows], weights=weights,
+            feature_names=list(self.feature_names), months=self.months[rows],
         )
 
     @classmethod
     def _assembled(cls, **columns):
-        """A table of every field and derived column given, built without
-        `__post_init__`: the caller checks what the columns have not passed."""
+        """A table of every column given, built without `__init__`: the
+        caller checks what the columns have not passed."""
         table = object.__new__(cls)
         vars(table).update(columns)
         return table
@@ -685,12 +679,10 @@ class FeatureTable:
                 + list(self.feature_names)
                 + ["target", "weight"]
             )
-            for i in range(len(self)):
-                writer.writerow(
-                    [self.facility_ids[i], self.product_ids[i], self.periods[i]]
-                    + [repr(float(v)) for v in self.X[i]]
-                    + [repr(float(self.y[i])), repr(float(self.weights[i]))]
-                )
+            for facility, product, period, x, y, weight in zip(
+                    self.facility_ids, self.product_ids, self.periods,
+                    self.X.tolist(), self.y.tolist(), self.weights.tolist()):
+                writer.writerow([facility, product, period, *map(repr, x), repr(y), repr(weight)])
 
     @classmethod
     def from_csv(cls, path):
@@ -817,10 +809,11 @@ def _lag_table(ledger, lag_months, periods):
     A re-reported (facility, product, month) reads its last record. A row
     needs a record whose period is spelled "YYYY-MM"; its target and region
     code come from that record. `periods` None asks for every record
-    period. The ledger's codes and months are read, not derived again, and
-    the table is handed its rows' months and facility and product codes.
-    Work and memory grow with the record count, not with the span of
-    months the records cover.
+    period. The ledger's codes and months are read, not derived again: the
+    table is handed its rows' months and facility and product codes, and as
+    period codes the index of each row's requested-period block. Work and
+    memory grow with the record count, not with the span of months the
+    records cover.
     """
     if lag_months < 1:
         raise ValueError("lag_months must be >= 1")
@@ -860,9 +853,11 @@ def _lag_table(ledger, lag_months, periods):
     y = np.empty(len(X))
     record = np.empty(len(X), dtype=np.int64)  # the record each row reads
     months = np.empty(len(X), dtype=np.int64)
-    per = []
-    for t, rows in blocks:
-        at, block = row_record[rows], slice(len(per), len(per) + rows.stop - rows.start)
+    period = np.empty(len(X), dtype=np.int32)  # the row's block, its period spelling
+    end = 0
+    for k, (t, rows) in enumerate(blocks):
+        at, block = row_record[rows], slice(end, end + rows.stop - rows.start)
+        end = block.stop
         lagged = row_key[rows, None] - np.arange(1, L + 1)
         place = np.minimum(np.searchsorted(cell_key, lagged), len(cell_key) - 1)
         present = cell_key[place] == lagged
@@ -872,23 +867,19 @@ def _lag_table(ledger, lag_months, periods):
         X[block, 2 * L + 1] = float(t // 12)
         X[block, 2 * L + 2] = region[at]
         y[block] = demand[at]
-        record[block], months[block] = at, t
-        per += [period_str(t)] * len(at)
+        record[block], months[block], period[block] = at, t, k
 
     lags = range(1, lag_months + 1)
     names = [f"lag_{j}" for j in lags] + [f"lag_{j}_present" for j in lags]
-    facility, product = ledger.facility.take(record), ledger.product.take(record)
     table = FeatureTable._assembled(
-        facility_ids=facility.decoded(),
-        product_ids=product.decoded(),
-        periods=per,
+        facility_codes=ledger.facility.take(record),
+        product_codes=ledger.product.take(record),
+        period_codes=Coded(tuple(period_str(t) for t, _ in blocks), period),
         X=X,
         y=y,
         weights=np.ones(len(X)),
         feature_names=names + ["month", "year", "region_code"],
         months=months,
-        facility_codes=facility,
-        product_codes=product,
     )
     table._check()  # StockRecords may hold demands that are not finite
     return table

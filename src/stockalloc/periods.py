@@ -2,8 +2,6 @@
 
 import re
 
-import numpy as np
-
 _PERIOD_RE = re.compile(r"^(\d{4})-(\d{1,2})$")
 
 
@@ -21,20 +19,6 @@ def period_index(period):
 def normalize_period(period):
     """The "YYYY-MM" spelling of `period`; raises as `period_index` does."""
     return period_str(period_index(period))
-
-
-def period_indices(periods):
-    """`period_index` of every item, as an int64 array; the first bad item raises.
-
-    Each distinct `str()` spelling is parsed once: a table repeats a few dozen."""
-    texts = list(map(str, periods))
-    months = {}
-    for text in dict.fromkeys(texts):  # in order of first appearance
-        try:
-            months[text] = period_index(text)
-        except ValueError:
-            period_index(periods[texts.index(text)])  # raises, naming the item as given
-    return np.fromiter(map(months.__getitem__, texts), dtype=np.int64, count=len(texts))
 
 
 def period_str(index):

@@ -238,7 +238,7 @@ def _allocate_policy(name, prepared, samples_of, training, point_of=None):
             "realized_requirement": realized,
             "unmet_demand_pct": unmet_demand_pct(result.allocation, realized),
             "mdape": None if point_of is None else mdape(point_of(rows), eval_table.y[rows]),
-            "facility_ids": [eval_table.facility_ids[i] for i in rows],
+            "facility_ids": eval_table.facility_codes.take(rows).decoded(),
         }
     return PolicyOutcome(policy=name, per_product=per_product, training=training)
 

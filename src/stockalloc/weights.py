@@ -214,9 +214,9 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         final = final / mean
 
     return WeightReport(
-        facility_ids=list(train.facility_ids),
-        product_ids=list(train.product_ids),
-        periods=list(train.periods),
+        facility_ids=train.facility_ids,
+        product_ids=train.product_ids,
+        periods=train.periods,
         gradients=gradients,
         raw_weights=raw,
         final_weights=final,

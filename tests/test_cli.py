@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,7 +231,9 @@ class TestEvalPeriodSplit:
         features, forest_path = synth_forest
         table = FeatureTable.from_csv(features)
         unpadded = tmp_path / "unpadded.csv"
-        replace(table, periods=[p.replace("-0", "-") for p in table.periods]).to_csv(unpadded)
+        FeatureTable(table.facility_ids, table.product_ids,
+                     [p.replace("-0", "-") for p in table.periods], table.X, table.y,
+                     table.weights, table.feature_names).to_csv(unpadded)
         assert "2020-3" in unpadded.read_text()
         runs = []
         for name, path in (("padded", features), ("unpadded", str(unpadded))):
@@ -309,11 +310,17 @@ FOREST_WITH_HUGE_FEATURE = json.dumps({
     *(("evaluate", '{"products": {"p": {"facility_ids": ["a"], "allocation": [%s]}}}' % value,
        ": not an allocation file: ValueError(\"'allocation' must be finite and nonnegative")
       for value in ("NaN", "Infinity", "-1.0")),
+    *(("evaluate", '{"products": {"p": {"facility_ids": ["a"], "allocation": [%s]}}}' % value,
+       ": not an allocation file: ValueError(\"'allocation' of product 'p' must hold JSON numbers")
+      for value in ('"1.5"', "true")),
+    ("allocate", FOREST_WITH_HUGE_FEATURE.replace("[1e400]", "[0.5]"),
+     ": tree 0: feature must hold JSON integers, not 0.5"),
 ], ids=["nan_target", "non_numeric_cell", "short_row", "allocation_without_products",
         "model_not_json", "model_unknown_param", "features_not_utf8",
         "features_field_over_csv_limit", "allocation_not_utf8",
         "allocation_facility_id_a_list", "model_node_overflows", "allocation_nan",
-        "allocation_infinite", "allocation_negative"])
+        "allocation_infinite", "allocation_negative", "allocation_a_string",
+        "allocation_a_bool", "model_feature_a_fraction"])
 def test_malformed_input_is_a_schema_error(tmp_path, capsys, command, text, where):
     bad = tmp_path / "bad"
     bad.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -502,7 +509,8 @@ def test_weights_allocate_evaluate_net_by_the_tables_prior_inventory(tmp_path, s
 
     # The same table with its inventory column under another name is not netted.
     gross_features, gross = tmp_path / "gross.csv", tmp_path / "gross"
-    replace(table, feature_names=["stock", "month", "noise"]).to_csv(gross_features)
+    FeatureTable(table.facility_ids, table.product_ids, table.periods, table.X, table.y,
+                 table.weights, ["stock", "month", "noise"]).to_csv(gross_features)
     assert run_cli("weights", "--features", str(gross_features), "--model", forest_path,
                    "--out", str(gross)) == 0
     assert not np.array_equal(FeatureTable.from_csv(gross / "features.csv").weights[train_rows],

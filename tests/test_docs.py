@@ -8,6 +8,7 @@ command line that fails or a quick start that no longer runs.
 
 import argparse
 import dataclasses
+import glob
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from test_cli import write_ledger
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 DEMO_05 = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "05_ledger_to_report.py")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "stockalloc")
 
 # The config table's rows that read one section dataclass each.
 SECTION_OF_ROW = {"synth": TwoClassScenario, "train": ForestParams, "weights": WeightConfig}
@@ -86,6 +88,21 @@ def test_flags_table_lists_every_flag_of_each_subcommand():
 def test_module_table_lists_the_subcommands():
     listed = re.search(r"\| `stockalloc\.cli` \|[^`]*`([^`]*)`", _readme()).group(1).split()
     assert listed == list(_subcommands())
+
+
+def test_module_table_names_every_public_module():
+    """Each public module (`src/stockalloc/[!_]*.py`) has exactly one row in
+    the README's module table, and each row names a module that exists."""
+    text = _readme()
+    rows = []
+    for line in text[text.index("## What's inside"):].splitlines():
+        if line.startswith("|"):
+            rows += re.findall(r"^\| `stockalloc\.(\w+)` \|", line)
+        elif rows:
+            break
+    modules = [os.path.basename(path)[:-3] for path in glob.glob(os.path.join(SRC, "[!_]*.py"))]
+    assert len(rows) == len(set(rows))
+    assert sorted(rows) == sorted(modules)
 
 
 def _unmet(report, policy="decision_aware"):

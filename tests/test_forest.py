@@ -272,8 +272,26 @@ class TestSerialization:
         (lambda p: p["trees"][0]["left"].__setitem__(0, 99), "tree 0: child indices"),
         (lambda p: p["trees"][0]["right"].__setitem__(0, 0), "tree 0: child indices"),
         (lambda p: p["trees"][0]["feature"].__setitem__(0, 2), "tree 0: feature indices"),
+        # np.array(..., dtype=np.int64) would read these as 0, 1, 1 and 1.
+        (lambda p: p["trees"][0]["feature"].__setitem__(0, 0.5),
+         "tree 0: feature must hold JSON integers, not 0.5"),
+        (lambda p: p["trees"][1]["left"].__setitem__(0, 1.9),
+         "tree 1: left must hold JSON integers, not 1.9"),
+        (lambda p: p["trees"][0]["feature"].__setitem__(0, "1"),
+         "tree 0: feature must hold JSON integers, not '1'"),
+        (lambda p: p["trees"][0]["right"].__setitem__(0, True),
+         "tree 0: right must hold JSON integers, not True"),
+        # np.array(..., dtype=float) would parse these.
+        (lambda p: p["trees"][0]["threshold"].__setitem__(0, "0.5"),
+         "tree 0: threshold must hold JSON numbers, not '0.5'"),
+        (lambda p: p["trees"][1]["value"].__setitem__(0, "2"),
+         "tree 1: value must hold JSON numbers, not '2'"),
+        (lambda p: p["trees"][0]["support"].__setitem__(0, False),
+         "tree 0: support must hold JSON numbers, not False"),
     ], ids=["version", "no_params", "unknown_param", "mae", "feature_dim", "no_trees",
-            "unequal_arrays", "child_out_of_range", "child_cycle", "feature_out_of_range"])
+            "unequal_arrays", "child_out_of_range", "child_cycle", "feature_out_of_range",
+            "feature_a_fraction", "left_a_fraction", "feature_a_string", "right_a_bool",
+            "threshold_a_string", "value_a_string", "support_a_bool"])
     def test_malformed_payload_is_a_schema_error(self, change, message):
         rng = np.random.default_rng(21)
         t = table(rng.uniform(size=(40, 2)), rng.uniform(0, 9, 40))

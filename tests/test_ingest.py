@@ -15,6 +15,7 @@ from stockalloc import (
     EmptyInputError,
     FeatureTable,
     NotFoundError,
+    RunConfig,
     SchemaError,
     ShapeError,
     StockAllocError,
@@ -29,8 +30,8 @@ from stockalloc import (
 
 from stockalloc import WeightConfig, budgets_from_fraction, compute_weights, ingest
 from stockalloc.ingest import INVENTORY_COLUMN, Ledger, net_requirement
-from stockalloc.periods import normalize_period, period_index, period_indices
-from stockalloc.pipeline import rolling_forecasts, split_table
+from stockalloc.periods import normalize_period, period_index
+from stockalloc.pipeline import prepare, rolling_forecasts, split_table
 
 from oracles import (
     reference_clean,
@@ -686,19 +687,25 @@ class TestLoaderFuzz:
     @example(["2021-03", "5", 5])
     @example([" 2021-3 ", 5, "5"])
     def test_period_indices_match_reference(self, periods):
-        """Each item parses as `period_index` would; a bad list raises the text
-        of its first bad item, spelled as given, even when a later item shares
-        that item's `str()` spelling."""
+        """A table's months parse each period as `period_index` would; a bad
+        list raises the text of its first bad item, spelled as given, even
+        when a later item shares that item's `str()` spelling."""
+        n = len(periods)
+
+        def months_of_table():
+            return FeatureTable(["a"] * n, ["p"] * n, periods, np.zeros((n, 1)), np.zeros(n),
+                                np.ones(n)).months
+
         expected = []
         for period in periods:
             try:
                 expected.append(reference_period_index(period))
             except ValueError as exc:
                 with pytest.raises(ValueError) as info:
-                    period_indices(periods)
+                    months_of_table()
                 assert str(info.value) == str(exc)
                 return
-        months = period_indices(periods)
+        months = months_of_table()
         assert months.dtype == np.int64 and months.tolist() == expected
 
 
@@ -773,7 +780,9 @@ class TestSplit:
     @pytest.mark.parametrize("eval_period", ["2021-3", "2021-03"])
     def test_months_spelled_without_a_zero_match(self, eval_period):
         t = self._table()
-        unpadded = replace(t, periods=[p.replace("-0", "-") for p in t.periods])
+        unpadded = FeatureTable(t.facility_ids, t.product_ids,
+                                [p.replace("-0", "-") for p in t.periods],
+                                t.X, t.y, t.weights, t.feature_names)
         train, evaluation, _ = split_train_eval(unpadded, eval_period)
         assert (set(train.periods), evaluation.periods) == ({"2021-1", "2021-2"}, ["2021-3"])
         with pytest.raises(NotFoundError, match="eval period 2022-01 not present"):
@@ -802,8 +811,7 @@ class TestSplit:
         }
         table = build[built_by]()
         assert table.months.dtype == np.int64
-        assert table.months.tolist() == period_indices(table.periods).tolist() == [
-            reference_period_index(p) for p in table.periods]
+        assert table.months.tolist() == [reference_period_index(p) for p in table.periods]
 
     def test_split_table_defaults_to_the_latest_month(self, tmp_path):
         """The latest month, "2021-10", not the string maximum "2021-9"."""
@@ -1054,7 +1062,7 @@ class TestTableCopies:
         built = FeatureTable(child.facility_ids, child.product_ids, child.periods,
                              child.X, child.y, child.weights, child.feature_names)
         assert child.months.dtype == np.int64
-        assert child.months.tolist() == period_indices(child.periods).tolist()
+        assert child.months.tolist() == [reference_period_index(p) for p in child.periods]
         for name in ("X", "y", "weights", "months"):
             assert getattr(child, name).tobytes() == getattr(built, name).tobytes()
             assert getattr(child, name).shape == getattr(built, name).shape
@@ -1067,6 +1075,28 @@ class TestTableCopies:
         for name in ("facility_ids", "product_ids", "periods", "feature_names"):
             assert getattr(child, name) == getattr(built, name)
             assert getattr(child, name) is not getattr(parent, name)
+
+    @pytest.mark.parametrize("copy", ["subset", "with_weights"])
+    def test_copy_holds_only_arrays(self, tmp_path, copy):
+        """A copy of the seed-1 benchmark ledger's training table keeps alive
+        little more than the bytes of its arrays: it holds no per-row list
+        of ids or periods (those lists were another 11%)."""
+        path = tmp_path / "ledger.csv"
+        workloads().generate_ledger(path, 1, n_products=3)
+        train = prepare(RunConfig(csv_path=str(path), model="linear", seed=1)).train
+        rows = np.arange(len(train))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = train.subset(rows) if copy == "subset" else train.with_weights(
+                np.ones(len(train)))
+            alive = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arrays = (table.X, table.y, table.weights, table.months, table.facility_codes.codes,
+                  table.product_codes.codes, table.period_codes.codes)
+        assert len(table) == len(train) > 6000
+        assert alive <= 1.01 * sum(a.nbytes for a in arrays)
 
     @pytest.mark.parametrize("bad, error", [
         ([1.0, np.nan, 1.0, 1.0, 1.0], ValueError),
@@ -1085,8 +1115,9 @@ class TestNetRequirement:
     def test_nets_by_the_inventory_column_wherever_it_sits(self, column):
         names = ["other", "other"]
         names[column] = INVENTORY_COLUMN
-        t = replace(FeatureTable.from_arrays(np.array([[9.0, 0.0], [1.0, 4.0], [0.0, 2.0]]),
-                                             np.array([5.0, 3.0, 1.0])), feature_names=names)
+        t = FeatureTable.from_arrays(np.array([[9.0, 0.0], [1.0, 4.0], [0.0, 2.0]]),
+                                     np.array([5.0, 3.0, 1.0]))
+        t = FeatureTable(t.facility_ids, t.product_ids, t.periods, t.X, t.y, t.weights, names)
         rows = np.array([2, 0, 1])
         stock = t.X[rows, column]
         assert t.inventory_feature == column

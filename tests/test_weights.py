@@ -464,7 +464,8 @@ class TestComputeWeights:
         if gap == "missing":
             t2 = t.subset([i for i in range(len(t)) if i not in f0])
         else:
-            t2 = replace(t, facility_ids=["f1" if i in f0 else f for i, f in enumerate(t.facility_ids)])
+            t2 = FeatureTable(["f1" if i in f0 else f for i, f in enumerate(t.facility_ids)],
+                              t.product_ids, t.periods, t.X, t.y, t.weights, t.feature_names)
         model = exact_model(t2)
         budgets = budgets_from_fraction(t2, 0.5)
         cfg = WeightConfig(jacobian_mode=mode, fd_step=0.05)
