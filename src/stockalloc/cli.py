@@ -136,9 +136,10 @@ def cmd_weights(args):
     model = Forest.load(args.model)
     report = compute_weights(train, model, budgets_from_fraction(train, config.budget_fraction),
                              config.weight_config)
-    table.weights[train_rows] = report.final_weights
+    weights = table.weights.copy()
+    weights[train_rows] = report.final_weights
     _ensure_out(args.out)
-    table.to_csv(features)
+    table.with_weights(weights).to_csv(features)
     report.to_csv(os.path.join(args.out, "weights.csv"))
     print(f"wrote {len(report)} weights -> {features} and weights.csv")
     return 0

@@ -18,9 +18,10 @@ rejected line. Cleaning and featurizing read the codes and months. A
 its periods with each row's month beside them, and decodes its string
 columns on read: a ledger's table is handed its rows' months and id codes,
 which its copies take along and its groups and readers read, so no stage
-codes an id string or parses a period again. A `StockRecord` is the view
-of one row (`ledger[i]`), made only where one is handed out, such as in an
-`Exclusion`.
+codes an id string or parses a period again. A table's arrays are
+read-only, so its copies share them where they can. A `StockRecord` is the
+view of one row (`ledger[i]`), made only where one is handed out, such as
+in an `Exclusion`.
 """
 
 import csv
@@ -103,7 +104,8 @@ class Coded(NamedTuple):
         return values[self.codes].tolist()
 
     def take(self, rows):
-        """The column at the positions `rows`, over the same vocabulary."""
+        """The column at `rows` (positions, or a slice that takes a view), over
+        the same vocabulary."""
         return Coded(self.values, self.codes[rows])
 
     def places_in(self, values):
@@ -549,7 +551,12 @@ class FeatureTable:
     `product_ids` and `periods` decode on read, as `Ledger`'s do. The
     constructor codes each list once; a ledger's table is handed its rows'
     codes and months, and a copy takes them from the table it copies.
-    `groups` is derived once: the rows are not to change after.
+
+    A table is immutable: its arrays (`X`, `y`, `weights`, `months` and the
+    codes) are read-only once it is built, so its copies share its rows. A
+    run of consecutive rows (`subset`) holds views of this table's arrays,
+    a reweighted table (`with_weights`) shares every array but its weights,
+    and only other subsets gather copies. `groups` is derived once.
     """
 
     def __init__(self, facility_ids, product_ids, periods, X, y, weights, feature_names=None):
@@ -558,6 +565,7 @@ class FeatureTable:
         self.X, self.y, self.weights, self.feature_names = X, y, weights, feature_names
         self._check()
         self.months = _row_months(self.period_codes, _months_of(self.period_codes.values))
+        self._freeze()
 
     def _check(self):
         """Check and convert the fields: all but the periods, which `months` parses."""
@@ -619,27 +627,31 @@ class FeatureTable:
     def subset(self, idx):
         """The rows `idx` (positions or a boolean mask), in that order.
 
-        The rows were checked when this table was built, so the copy skips
-        the checks (`_derived`)."""
+        An ascending run of consecutive rows, such as one period of a
+        period-ordered table, is taken as views of this table's arrays;
+        other rows are gathered into new ones. The rows were checked when
+        this table was built, so the copy skips the checks (`_derived`)."""
         idx = np.asarray(idx)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
-        idx = idx.astype(np.int64)
-        return self._derived(idx, self.weights[idx])
+        rows = _run_of(idx.astype(np.int64), len(self))
+        return self._derived(rows, self.weights[rows])
 
     def with_weights(self, weights):
-        """A copy of the table with the row weights `weights`; only they are checked."""
+        """The table with the row weights `weights`, which are checked; it
+        shares every other column with this table."""
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(self),):
             raise ShapeError("weight vector length disagrees with table")
         _check_weights(weights)
-        return self._derived(np.arange(len(self)), weights)
+        return self._derived(slice(None), weights)
 
     def _derived(self, rows, weights):
-        """A table of this one's `rows` (positions) with the row weights
-        `weights`, built without the checks: the rows passed them when this
-        table was built, and the caller checks `weights`. Every other array
-        is a copy; the vocabularies are this table's."""
+        """A table of this one's `rows` (a slice, or positions) with the row
+        weights `weights`, built without the checks: the rows passed them
+        when this table was built, and the caller checks `weights`. A slice
+        takes views of this table's arrays, positions gather copies; the
+        vocabularies are this table's."""
         return FeatureTable._assembled(
             facility_codes=self.facility_codes.take(rows),
             product_codes=self.product_codes.take(rows),
@@ -650,11 +662,22 @@ class FeatureTable:
 
     @classmethod
     def _assembled(cls, **columns):
-        """A table of every column given, built without `__init__`: the
-        caller checks what the columns have not passed."""
+        """A table of every column given, built without `__init__` and made
+        read-only (`_freeze`): the caller checks what the columns have not
+        passed."""
         table = object.__new__(cls)
         vars(table).update(columns)
+        table._freeze()
         return table
+
+    def _freeze(self):
+        """Make every array of the table read-only (`_read_only`). A table
+        is not written after it is built, so its copies can share its rows."""
+        for name in ("X", "y", "weights", "months"):
+            setattr(self, name, _read_only(getattr(self, name)))
+        for name in ("facility_codes", "product_codes", "period_codes"):
+            column = getattr(self, name)
+            setattr(self, name, Coded(column.values, _read_only(column.codes)))
 
     @classmethod
     def from_arrays(cls, X, y, weights=None, product_id="p0", period="2020-01"):
@@ -734,6 +757,24 @@ def _check_weights(weights):
         raise ValueError("weights must be finite and nonnegative")
 
 
+def _read_only(array):
+    """`array` itself when it is read-only, else a read-only view of it: an
+    array a caller passed in keeps its own flags."""
+    if not array.flags.writeable:
+        return array
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _run_of(idx, n):
+    """The positions `idx` as a slice when they are an ascending run of
+    consecutive positions in range(n), else as they are."""
+    if len(idx) and 0 <= idx[0] and idx[-1] < n and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def _column_codes(column):
     """(sorted values, int64 array of each row's place among them). An
     integer array, such as `FeatureTable.months`, is placed by its offset
@@ -789,7 +830,8 @@ def net_requirement(table, rows, values):
 
 def build_feature_table(records, lag_months=10, periods=None):
     """Lagged feature rows of a `Ledger` (or StockRecords) for every period
-    (default: every record period).
+    (default: every record period); a month asked for twice, in any
+    spelling, gives its rows once.
 
     A row is one (facility, product) observed at a period. Its features are
     the `lag_months` trailing demands (missing months encoded as -1 with a
@@ -841,8 +883,9 @@ def _lag_table(ledger, lag_months, periods):
     if periods is None:
         targets = sorted(set(ledger.period_months.tolist()))  # each month once, however spelt
     else:
-        targets = [period_index(p) for p in periods]  # a bad period raises before an early one
-    blocks = []  # (month, rows of that month in series order) per requested period
+        # each month once, however often asked; a bad period raises before an early one
+        targets = list(dict.fromkeys(period_index(p) for p in periods))
+    blocks = []  # (month, rows of that month in series order) per requested month
     for t in targets:
         if t < first:
             raise EmptyInputError(f"as_of {period_str(t)} precedes every record")

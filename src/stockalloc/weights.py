@@ -25,7 +25,7 @@ import numpy as np
 from .allocator import AllocationProblem, shifted_allocations, solve_greedy
 from .config import check, is_real
 from .errors import ConfigError, DegenerateWeightsError, ShapeError
-from .ingest import group_rows, net_requirement
+from .ingest import Coded, group_rows, net_requirement
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
 DEFAULT_BUDGET_FRACTION = 0.7
@@ -51,11 +51,14 @@ class WeightConfig:
 
 @dataclass
 class WeightReport:
-    """Row-aligned weights plus the diagnostics that produced them."""
+    """Row-aligned weights plus the diagnostics that produced them.
 
-    facility_ids: list
-    product_ids: list
-    periods: list
+    The rows' ids are the training table's `Coded` columns (`ingest.Coded`);
+    `facility_ids`, `product_ids` and `periods` decode them on read."""
+
+    facility_codes: Coded
+    product_codes: Coded
+    period_codes: Coded
     gradients: np.ndarray
     raw_weights: np.ndarray
     final_weights: np.ndarray
@@ -63,23 +66,29 @@ class WeightReport:
     config: WeightConfig | None = None
 
     def __len__(self):
-        return len(self.facility_ids)
+        return len(self.final_weights)
+
+    @property
+    def facility_ids(self):
+        return self.facility_codes.decoded()
+
+    @property
+    def product_ids(self):
+        return self.product_codes.decoded()
+
+    @property
+    def periods(self):
+        return self.period_codes.decoded()
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(WEIGHTS_CSV_HEADER)
-            for i in range(len(self)):
-                writer.writerow(
-                    [
-                        self.periods[i],
-                        self.facility_ids[i],
-                        self.product_ids[i],
-                        repr(float(self.gradients[i])),
-                        repr(float(self.raw_weights[i])),
-                        repr(float(self.final_weights[i])),
-                    ]
-                )
+            for period, facility, product, gradient, raw, final in zip(
+                    self.periods, self.facility_ids, self.product_ids, self.gradients.tolist(),
+                    self.raw_weights.tolist(), self.final_weights.tolist()):
+                writer.writerow([period, facility, product, repr(gradient), repr(raw),
+                                 repr(final)])
 
 
 def loss_gradient(a, xi_star):
@@ -214,9 +223,9 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         final = final / mean
 
     return WeightReport(
-        facility_ids=train.facility_ids,
-        product_ids=train.product_ids,
-        periods=train.periods,
+        facility_codes=train.facility_codes,
+        product_codes=train.product_codes,
+        period_codes=train.period_codes,
         gradients=gradients,
         raw_weights=raw,
         final_weights=final,

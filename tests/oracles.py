@@ -423,6 +423,8 @@ def reference_feature_table(records, lag_months=10, periods=None):
     codes = {r: i for i, r in enumerate(sorted({rec.region for rec in records}))}
     if periods is None:
         periods = [_month_str(m) for m in sorted({_month_index(r.period) for r in records})]
+    else:  # each month once, where it is first asked for
+        periods = [_month_str(m) for m in dict.fromkeys(map(_month_index, periods))]
     fac, prod, per, rows, targets = [], [], [], [], []
     for period in periods:
         f, p, r, t = reference_features(records, lag_months, period, codes)

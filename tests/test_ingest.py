@@ -435,6 +435,15 @@ class TestBuildFeatures:
         assert t.facility_ids == fac == ["f1", "f1"]
         assert t.X.tobytes() == X.tobytes()
 
+    @pytest.mark.parametrize("periods", [["2021-02", "2021-2"], ["2021-2", " 2021-02", "2021-02"]])
+    def test_a_month_asked_for_twice_gives_its_rows_once(self, periods):
+        records = [record(period="2021-01", dispensed=3.0), record(period="2021-02")]
+        t = build_feature_table(records, lag_months=1, periods=periods)
+        fac, prod, per, X, y, names = reference_feature_table(records, 1, periods)
+        assert len(t) == 1
+        assert t.periods == per == ["2021-02"] and t.period_codes.values == ("2021-02",)
+        assert t.X.tobytes() == X.tobytes() and t.X[0, :2].tolist() == [3.0, 1.0]
+
     def test_all_values_finite(self):
         rng = np.random.default_rng(2)
         records = [
@@ -1050,15 +1059,9 @@ class TestTableCopies:
             weights=np.full(5, 0.5),
         )
 
-    @pytest.mark.parametrize("derive", ["positions", "mask", "empty", "with_weights"])
-    def test_copy_parses_like_a_new_table_and_shares_nothing(self, derive):
-        parent = self._table()
-        child = {
-            "positions": lambda: parent.subset([3, 1, 1, 4]),
-            "mask": lambda: parent.subset(np.array([True, False, True, True, False])),
-            "empty": lambda: parent.subset([]),
-            "with_weights": lambda: parent.with_weights([1.0, 0.0, 2.0, 0.5, 3.0]),
-        }[derive]()
+    @staticmethod
+    def _check_parses_like_a_new_table(child):
+        """`child` holds what a table built from its decoded columns holds."""
         built = FeatureTable(child.facility_ids, child.product_ids, child.periods,
                              child.X, child.y, child.weights, child.feature_names)
         assert child.months.dtype == np.int64
@@ -1066,37 +1069,82 @@ class TestTableCopies:
         for name in ("X", "y", "weights", "months"):
             assert getattr(child, name).tobytes() == getattr(built, name).tobytes()
             assert getattr(child, name).shape == getattr(built, name).shape
-            assert not np.shares_memory(getattr(child, name), getattr(parent, name))
         for name in ("facility_codes", "product_codes"):
             codes = getattr(child, name)
             assert codes.decoded() == getattr(built, name).decoded()
             assert codes.codes.dtype == np.int32 and codes.codes.shape == (len(child),)
-            assert not np.shares_memory(codes.codes, getattr(parent, name).codes)
         for name in ("facility_ids", "product_ids", "periods", "feature_names"):
             assert getattr(child, name) == getattr(built, name)
+
+    @staticmethod
+    def _arrays(table):
+        return {"X": table.X, "y": table.y, "weights": table.weights, "months": table.months,
+                **{name: getattr(table, name).codes
+                   for name in ("facility_codes", "product_codes", "period_codes")}}
+
+    @pytest.mark.parametrize("derive", ["positions", "mask", "empty"])
+    def test_copy_parses_like_a_new_table_and_shares_nothing(self, derive):
+        parent = self._table()
+        child = {
+            "positions": lambda: parent.subset([3, 1, 1, 4]),
+            "mask": lambda: parent.subset(np.array([True, False, True, True, False])),
+            "empty": lambda: parent.subset([]),
+        }[derive]()
+        self._check_parses_like_a_new_table(child)
+        for name, array in self._arrays(child).items():
+            assert not np.shares_memory(array, self._arrays(parent)[name])
+        for name in ("facility_ids", "product_ids", "periods", "feature_names"):
             assert getattr(child, name) is not getattr(parent, name)
+
+    @pytest.mark.parametrize("derive", ["run", "with_weights"])
+    def test_view_parses_like_a_new_table_and_shares_read_only_columns(self, derive):
+        """A run of consecutive rows and a reweighted table share their
+        parent's columns, all but the new weights; no array of either can
+        be written, so neither can change the other."""
+        parent = self._table()
+        child = {
+            "run": lambda: parent.subset([1, 2, 3]),
+            "with_weights": lambda: parent.with_weights([1.0, 0.0, 2.0, 0.5, 3.0]),
+        }[derive]()
+        self._check_parses_like_a_new_table(child)
+        for name, array in self._arrays(child).items():
+            own = derive == "with_weights" and name == "weights"
+            assert np.shares_memory(array, self._arrays(parent)[name]) != own
+        for array in [*self._arrays(parent).values(), *self._arrays(child).values()]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert child.feature_names is not parent.feature_names
+
+    def test_arrays_passed_in_keep_their_flags(self):
+        X, y, weights = np.zeros((2, 1)), np.ones(2), np.ones(2)
+        table = FeatureTable(["f1", "f2"], ["p", "p"], ["2021-01"] * 2, X, y, weights)
+        reweighted = table.with_weights(weights)
+        assert X.flags.writeable and y.flags.writeable and weights.flags.writeable
+        assert not table.X.flags.writeable and not reweighted.weights.flags.writeable
+        assert np.shares_memory(table.X, X) and np.shares_memory(reweighted.weights, weights)
 
     @pytest.mark.parametrize("copy", ["subset", "with_weights"])
     def test_copy_holds_only_arrays(self, tmp_path, copy):
-        """A copy of the seed-1 benchmark ledger's training table keeps alive
-        little more than the bytes of its arrays: it holds no per-row list
-        of ids or periods (those lists were another 11%)."""
+        """A run of the seed-1 benchmark ledger's training table (here all of
+        its rows) and a reweighted copy keep alive at most 1.01x the bytes
+        of their weights: every other column is a view of the parent's, and
+        a reweighted table holds the weights it is given. Copies of every
+        column kept alive 1.001x their arrays' bytes, and 1.112x with the
+        per-row lists of ids the tables held before."""
         path = tmp_path / "ledger.csv"
         workloads().generate_ledger(path, 1, n_products=3)
         train = prepare(RunConfig(csv_path=str(path), model="linear", seed=1)).train
-        rows = np.arange(len(train))
+        rows, weights = np.arange(len(train)), np.ones(len(train))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            table = train.subset(rows) if copy == "subset" else train.with_weights(
-                np.ones(len(train)))
+            table = train.subset(rows) if copy == "subset" else train.with_weights(weights)
             alive = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        arrays = (table.X, table.y, table.weights, table.months, table.facility_codes.codes,
-                  table.product_codes.codes, table.period_codes.codes)
         assert len(table) == len(train) > 6000
-        assert alive <= 1.01 * sum(a.nbytes for a in arrays)
+        assert alive <= 1.01 * table.weights.nbytes
 
     @pytest.mark.parametrize("bad, error", [
         ([1.0, np.nan, 1.0, 1.0, 1.0], ValueError),

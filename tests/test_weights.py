@@ -231,6 +231,13 @@ def panel_table(n_periods=3, n_fac=4, seed=0, d=2):
     )
 
 
+def rebuilt(t, **columns):
+    """The table `t` built anew, with each column named in `columns` in place of its own."""
+    fields = dict(facility_ids=t.facility_ids, product_ids=t.product_ids, periods=t.periods,
+                  X=t.X, y=t.y, weights=t.weights, feature_names=t.feature_names)
+    return FeatureTable(**dict(fields, **columns))
+
+
 class _PointModel:
     """Stand-in predictor: fixed forecast per row.
 
@@ -320,7 +327,10 @@ def exact_model(table, k=3, spread=False):
 class TestGroupProblems:
     def test_spellings_of_one_month_are_one_group(self):
         t = panel_table(n_periods=2, n_fac=4)
-        t.periods[1], t.periods[6] = "2021-1", " 2021-2"
+        periods = t.periods
+        periods[1], periods[6] = "2021-1", " 2021-2"
+        t = rebuilt(t, periods=periods)
+        assert len(set(t.periods)) == 4  # the table holds both spellings of each month
         budgets = budgets_from_fraction(t, 0.5)
         assert budgets == {("2021-01", "p"): 0.5 * float(t.y[:4].sum()),
                            ("2021-02", "p"): 0.5 * float(t.y[4:].sum())}
@@ -334,8 +344,9 @@ class TestGroupProblems:
 
     def test_nets_samples_and_realized_by_the_inventory_feature(self):
         t = panel_table(n_periods=1, n_fac=3)
-        t.X[:, 0] = [0.0, 5.0, 100.0]
-        t.feature_names[0] = INVENTORY_COLUMN
+        X = t.X.copy()
+        X[:, 0] = [0.0, 5.0, 100.0]
+        t = rebuilt(t, X=X, feature_names=[INVENTORY_COLUMN, "f_1"])
         (_, _, realized, problem), = group_problems(
             t, {("2021-01", "p"): 1.0}, lambda rows: np.stack([t.y[rows], 2 * t.y[rows]], 1))
         assert np.array_equal(realized, np.clip(t.y - t.X[:, 0], 0, None))
@@ -353,8 +364,7 @@ class TestComputeWeights:
         assert np.array_equal(report.final_weights, floored_mean_one(report, 0.05))
 
     def test_identity_gradient_floor_pattern(self):
-        t = panel_table(n_periods=1, n_fac=2)
-        t.y[:] = [4.0, 1.0]
+        t = rebuilt(panel_table(n_periods=1, n_fac=2), y=np.array([4.0, 1.0]))
         model = _PointModel(
             {tuple(np.round(x, 12)): v for x, v in zip(t.X, [2.0, 1.0])}
         )
@@ -446,7 +456,7 @@ class TestComputeWeights:
         t = panel_table(n_periods=3, n_fac=3, seed=5)
         y = t.y.copy()
         y[::3] = 0.5  # facility f0 tiny demand in every period
-        t.y[:] = y
+        t = rebuilt(t, y=y)
         model = exact_model(t)
         budgets = {(p, "p"): 2.0 for p in set(t.periods)}  # covers f0's segment first
         report = compute_weights(t, model, budgets, WeightConfig(weight_floor=0.07))
@@ -501,9 +511,9 @@ class TestComputeWeights:
 
     def test_inventory_netting_zeroes_covered_class(self):
         t = panel_table(n_periods=1, n_fac=2, seed=10)
-        t.X[:, 0] = [100.0, 0.0]  # facility 0 holds plenty of stock
-        t.feature_names[0] = INVENTORY_COLUMN
-        t.y[:] = [20.0, 5.0]
+        X = t.X.copy()
+        X[:, 0] = [100.0, 0.0]  # facility 0 holds plenty of stock
+        t = rebuilt(t, X=X, y=np.array([20.0, 5.0]), feature_names=[INVENTORY_COLUMN, "f_1"])
         model = exact_model(t)
         report = compute_weights(t, model, {("2021-01", "p"): 1.0},
                                  WeightConfig(weight_floor=0.01))
