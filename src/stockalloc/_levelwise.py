@@ -26,18 +26,34 @@ Trees are independent given (seed, k), so a forest of at least
 `forest.FORK_ROWS` bootstrap rows grows in contiguous, balanced shares of
 trees, one per usable CPU (`os.sched_getaffinity`) and never more shares
 than blocks, as SPRINT spreads its tree growth over processors (Shafer et
-al., VLDB 1996). This process grows the first share; an `os.fork`ed child
-grows each other one in the same blocks, pinned to a CPU of its own, and
-sends its trees' node arrays back over a pipe. The trees are joined in
-tree order, so the forest is byte for byte the serial one. A share whose
-child fails, or sends a short payload, or cannot be forked, is grown here
-after the first. Without `os.fork`, with one usable CPU or below the
-threshold, the forest grows serially in this process.
+al., VLDB 1996). This process grows the first share. Each other share goes
+to a worker (`_Worker`): a process forked the first time a forest is shared
+on its CPU, pinned there, and kept for the life of this process. A request
+is a small header followed by the training arrays, written from their own
+buffers (a worker forked for a training already holds its rows); the worker
+grows the share in the same blocks and replies with its trees' node arrays,
+tagged with the request's sequence number. The trees are joined in tree
+order, so the forest is byte for byte the serial one.
+
+A share whose worker cannot be forked, has died, or sends a short, foreign
+or stale reply is grown here after the first; a worker that failed is
+killed, reaped and forgotten, and the next shared forest forks a new one.
+If this process raises while requests are out, every worker with one is
+killed and reaped first. A worker leaves when its request pipe closes: at
+interpreter exit (`close_workers` runs then), when this process dies, or
+when `close_workers` is called. A forked child forgets this process's
+workers and closes their pipes, so it never uses or holds them; it forks
+its own. Without `os.fork`, with one usable CPU or below the threshold,
+the forest grows serially in this process.
 """
 
+import atexit
 import contextlib
+import itertools
 import os
+import pickle
 import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,16 +91,12 @@ def grow_trees(X, y, w, params, seed, block_rows, fork_rows):
     `block_rows` bootstrap rows (at least one); every weight is positive.
 
     A forest of at least `fork_rows` bootstrap rows (rows x trees) is cut
-    into shares grown by forked children (see the module docstring). Every
-    child is reaped, and this thread's CPUs restored, before this returns
-    or raises.
+    into shares, and every share but the first is sent to a worker (see the
+    module docstring). Trainings that share are serialized; each restores
+    this thread's CPUs before it returns or raises, and no worker has a
+    request out after it.
     """
-    # `Generator.choice(n, p=w / w.sum())` draws `cdf.searchsorted(u, "right")`
-    # for n uniforms u; drawing so directly builds this CDF once, not per tree.
-    cdf = (w / w.sum()).cumsum()
-    cdf /= cdf[-1]
-    data = _Data.of(X, y, w)
-
+    data, cdf = _prepared(X, y, w)
     per_block = max(1, block_rows // len(y))
     n_trees = params.n_trees
     n_blocks = -(-n_trees // per_block)
@@ -94,31 +106,44 @@ def grow_trees(X, y, w, params, seed, block_rows, fork_rows):
     shares = [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
     def grow(share):
-        trees = []
-        for first in range(share.start, share.stop, per_block):
-            trees += _grow_block(data, cdf, params, seed, range(first, min(first + per_block, share.stop)))
-        return trees
+        return _grow_share(data, cdf, params, seed, share, per_block)
 
     if n_shares == 1:
         return grow(shares[0])
-    children = []  # per forked share: (pid, pipe), or None if no fork
-    mask = os.sched_getaffinity(0)
-    try:
-        for share, cpu in zip(shares[1:], cpus[1:]):
-            children.append(_fork(grow, share, cpu))
-        _pin(cpus[0])
-        trees = grow(shares[0])
-        payloads = [child and child[1].read() for child in children]
-    except BaseException:
-        for child in filter(None, children):
-            os.kill(child[0], signal.SIGKILL)
-        raise
-    finally:
-        done = [child is not None and _reap(*child) == 0 for child in children]
-        _pin(*mask)
-    for share, payload, ok in zip(shares[1:], payloads, done):
-        grown = _unpack(payload, len(share)) if ok else None
+    with _lock:
+        mask = os.sched_getaffinity(0)
+        try:
+            sent = [_request(cpu, (params, seed, share, block_rows), (X, y, w), (data, cdf))
+                    for share, cpu in zip(shares[1:], cpus[1:])]
+            _pin(cpus[0])
+            trees = grow(shares[0])
+            replies = [worker and worker.reply(len(share)) for worker, share in zip(sent, shares[1:])]
+        except BaseException:
+            for worker in list(_workers.values()):
+                if worker.pending is not None:
+                    worker.drop(kill=True)
+            raise
+        finally:
+            _pin(*mask)
+    for share, grown in zip(shares[1:], replies):
         trees += grow(share) if grown is None else grown
+    return trees
+
+
+def _prepared(X, y, w):
+    """The training rows' `_Data`, and the CDF each tree's bootstrap is drawn from."""
+    # `Generator.choice(n, p=w / w.sum())` draws `cdf.searchsorted(u, "right")`
+    # for n uniforms u; drawing so directly builds this CDF once, not per tree.
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return _Data.of(X, y, w), cdf
+
+
+def _grow_share(data, cdf, params, seed, share, per_block):
+    """The trees `share`, grown `per_block` trees at a time."""
+    trees = []
+    for first in range(share.start, share.stop, per_block):
+        trees += _grow_block(data, cdf, params, seed, range(first, min(first + per_block, share.stop)))
     return trees
 
 
@@ -133,41 +158,213 @@ def _usable_cpus():
 def _pin(*cpus):
     """Run the calling thread on `cpus` only, or where it ran if they
     cannot be set. A scheduler that does not balance load keeps a forked
-    child on its parent's CPU, so each share is placed on a CPU of its own."""
+    worker on its parent's CPU, so each share is placed on a CPU of its own."""
     with contextlib.suppress(OSError):
         os.sched_setaffinity(0, cpus)
 
 
-def _fork(grow, share, cpu):
-    """A forked child that grows `share` on `cpu` and writes its trees'
-    node arrays to a pipe: its pid and the pipe's read end, or None if no
-    process could be forked."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:  # the child leaves only through os._exit
-        status = 1
+_workers = {}  # this process's workers by CPU
+_lock = threading.Lock()  # held by the training that shares
+_sequence = itertools.count(1)  # request numbers
+
+
+def _request(cpu, header, arrays, prepared):
+    """The worker on `cpu` once it has been sent a request for the share
+    `header` describes of the rows `arrays`, or None if no worker could take
+    it. A worker is forked on first use, holding the rows `prepared`."""
+    worker = _workers.get(cpu)
+    if worker is None:
         try:
-            os.close(read_fd)
-            _pin(cpu)
-            with open(write_fd, "wb") as out:
-                for part in _pack(grow(share)):
-                    out.write(part)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+            worker = _workers[cpu] = _Worker(cpu, prepared)
+        except OSError:
+            return None
+        arrays = ()  # it holds the rows already
+    if worker.send(header, arrays):
+        return worker
+    worker.drop(kill=True)
+    return None
 
 
-def _reap(pid, pipe):
-    """Close the child's pipe, wait for it to end and return its exit code."""
-    pipe.close()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+def close_workers():
+    """Close every worker's request pipe and reap it (a worker with a request
+    out is killed first). It runs at interpreter exit; call it only while no
+    training shares."""
+    for worker in list(_workers.values()):
+        worker.drop(kill=worker.pending is not None)
+
+
+def _forget_workers():
+    """In a forked child: close the parent's worker pipes and forget its
+    workers and its lock, none of which the child may use."""
+    global _lock
+    for worker in _workers.values():
+        for fd in (worker.requests, worker.replies):
+            with contextlib.suppress(OSError):
+                os.close(fd)
+    _workers.clear()
+    _lock = threading.Lock()
+
+
+atexit.register(close_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+class _Worker:
+    """A forked process pinned to `cpu` that grows the shares of trees it is
+    sent, one request at a time, until its request pipe closes.
+
+    A request is the 8-byte length of a pickled header (sequence number,
+    params, seed, share, block rows, and each array's dtype and shape), the
+    header, then the bytes of X, y and w, from which the worker prepares the
+    rows itself. Its first request sends no rows: the worker is forked
+    holding `prepared`, the `_Data` and CDF of the training that forks it,
+    as the forked child of each training did before, so a process's first
+    shared training pays neither the copy nor the preparation. A reply is
+    the request's sequence number and the payload's length, 8 bytes each,
+    then the `_pack` payload.
+    """
+
+    def __init__(self, cpu, prepared):
+        request_read, request_write = os.pipe()
+        reply_read, reply_write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (request_read, request_write, reply_read, reply_write):
+                os.close(fd)
+            raise
+        if pid == 0:  # the worker leaves only through os._exit
+            status = 1
+            try:
+                os.close(request_write)
+                os.close(reply_read)
+                _serve(request_read, reply_write, cpu, prepared)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(request_read)
+        os.close(reply_write)
+        self.cpu, self.pid = cpu, pid
+        self.requests, self.replies = request_write, reply_read
+        self.pending = None  # the sequence number of the request out
+
+    def send(self, header, arrays):
+        """Send a request for the share `header` describes of the rows
+        `arrays` (none: the rows it was forked with); False if the worker
+        is gone."""
+        self.pending = next(_sequence)
+        specs = [(a.dtype.str, a.shape) for a in arrays]
+        head = pickle.dumps((self.pending, *header, specs))
+        try:
+            _write(self.requests, len(head).to_bytes(8, "little") + head)
+            for a in arrays:
+                _write(self.requests, _bytes_of(np.ascontiguousarray(a)))
+        except OSError:
+            return False
+        return True
+
+    def reply(self, n_trees):
+        """The `n_trees` trees of the reply to the request out, or None, with
+        this worker dropped, if the reply is short or not that request's."""
+        head = _read(self.replies, 16)
+        trees = None
+        if head is not None:
+            seq, size = np.frombuffer(head, dtype=np.int64).tolist()
+            if seq == self.pending:
+                payload = _read(self.replies, size)
+                trees = None if payload is None else _unpack(payload, n_trees)
+        if trees is None:
+            self.drop(kill=True)
+        self.pending = None
+        return trees
+
+    def drop(self, kill):
+        """Close this worker's pipes, which lets it leave, or `kill` it;
+        reap it and forget it."""
+        if kill:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+        os.close(self.requests)
+        os.close(self.replies)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(self.pid, 0)
+        if _workers.get(self.cpu) is self:
+            del _workers[self.cpu]
+        self.pending = None
+
+
+def _serve(requests, replies, cpu, prepared):
+    """A worker's life: answer each request on `requests` until the pipe
+    closes, the first on the rows `prepared` it was forked with."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends its workers
+    _pin(cpu)
+    # glibc's malloc raises its mmap threshold to the size of a freed mmapped
+    # block, and trims the heap only past twice that. Without one such block
+    # freed first, the first share a worker grew on rows it prepared itself
+    # returned each depth pass's memory to the system and faulted it in
+    # again: ~22,000 page faults and ~15% more time per block at the
+    # 68,504-row ledger shape, against ~0 later.
+    np.empty(_MALLOC_WARM_BYTES, dtype=np.uint8)
+    while _answer(requests, replies, prepared):
+        prepared = None
+
+
+# A block freed at a worker's start (`_serve`): 8 MB sufficed at the ledger
+# shape; glibc adjusts its threshold only to blocks of at most 32 MB.
+_MALLOC_WARM_BYTES = 16 << 20
+
+
+def _answer(requests, replies, prepared):
+    """Read one request, grow its share and write the reply; False if the
+    request pipe has closed. A request without rows is for `prepared`."""
+    size = _read(requests, 8)
+    if size is None:
+        return False
+    seq, params, seed, share, block_rows, specs = pickle.loads(
+        _read(requests, int.from_bytes(size, "little")))
+    if specs:
+        arrays = [np.empty(shape, dtype=dtype) for dtype, shape in specs]
+        if not all(_read_into(requests, _bytes_of(a)) for a in arrays):
+            return False
+        prepared = _prepared(*arrays)
+    data, cdf = prepared
+    per_block = max(1, block_rows // len(data.y))
+    parts = list(_pack(_grow_share(data, cdf, params, seed, share, per_block)))
+    _write(replies, np.array([seq, sum(map(len, parts))], dtype=np.int64).tobytes())
+    for part in parts:
+        _write(replies, part)
+    return True
+
+
+def _bytes_of(array):
+    """A C-contiguous array's bytes, as a flat uint8 view."""
+    return array.reshape(-1).view(np.uint8)
+
+
+def _write(fd, data):
+    """Write all of `data`, a bytes-like object, to `fd`."""
+    view = memoryview(data)
+    while len(view):
+        view = view[os.write(fd, view):]
+
+
+def _read_into(fd, buffer):
+    """Fill the writable bytes-like `buffer` from `fd`; False if the pipe
+    closes first."""
+    view, got = memoryview(buffer), 0
+    while got < len(view):
+        n = os.readv(fd, [view[got:]])
+        if not n:
+            return False
+        got += n
+    return True
+
+
+def _read(fd, size):
+    """The next `size` bytes of `fd`, or None if the pipe closes first."""
+    buffer = bytearray(size)
+    return buffer if _read_into(fd, buffer) else None
 
 
 # A tree's node arrays in `Tree` field order, each 8 bytes per node.

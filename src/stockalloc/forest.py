@@ -43,13 +43,15 @@ FOREST_VERSION = 1
 BLOCK_ROWS = 8192
 
 # Bootstrap rows (table rows x trees) from which a forest's trees are shared
-# among forked workers, one per usable CPU (`stockalloc._levelwise`); a
-# smaller forest grows in this process. Sharing never changes the forest. A
-# fork and join costs ~2 ms (1.7-2.3 ms in a 30-70 MB process, 2-vCPU
-# Xeon VM) and growth ~2 us per bootstrap row, so 16384 rows are ~15 fork
-# costs of work; two shares of 32 benchmark-shape trees (9,600 rows) broke
-# even, and the benchmark's 30,000-row forests train in ~0.76x the time.
-FORK_ROWS = 16384
+# among the workers, one per usable CPU (`stockalloc._levelwise`); a smaller
+# forest grows in this process. Sharing never changes the forest. A worker
+# is forked once, so a share costs only its round trip: on a 2-vCPU Xeon VM
+# two shares broke even near 150 bootstrap rows in one series (100 rows:
+# 1.12x the serial time, 200 rows: 0.82x) and below 50 in another, and took
+# 0.52-0.60x from 600 rows up; 1024 keeps a wide margin over that VM's
+# noise. At the default BLOCK_ROWS a forest of fewer than ~8,192 bootstrap
+# rows is one block and grows here anyway.
+FORK_ROWS = 1024
 
 # (row, tree) pairs a prediction walks together: a chunk of rows takes as
 # many as fit, and at least one row. It bounds the memory of one chunk's walk
@@ -291,10 +293,12 @@ def train_forest(table, params=None, seed=0):
     each depth's nodes follow the previous depth's, left child before right.
     A forest of at least `FORK_ROWS` bootstrap rows (rows x trees) is cut
     into contiguous shares of trees, one per usable CPU and no more than
-    it has blocks; forked children grow every share but the first and send
-    their trees back, and a share whose child fails is grown here. No child
-    outlives the call. With one usable CPU, without `os.fork` or below
-    `FORK_ROWS` the trees grow in this process alone.
+    it has blocks; workers, forked on first use and kept for the life of
+    this process, grow every share but the first and send their trees
+    back, and a share whose worker fails is grown here. No worker has a
+    request out after the call, and none outlives this process. With one
+    usable CPU, without `os.fork` or below `FORK_ROWS` the trees grow in
+    this process alone.
 
     Deterministic given (table, params, seed): tree k draws its bootstrap
     and then, once per depth, the feature subsets of its open nodes from an

@@ -553,10 +553,12 @@ class FeatureTable:
     codes and months, and a copy takes them from the table it copies.
 
     A table is immutable: its arrays (`X`, `y`, `weights`, `months` and the
-    codes) are read-only once it is built, so its copies share its rows. A
-    run of consecutive rows (`subset`) holds views of this table's arrays,
-    a reweighted table (`with_weights`) shares every array but its weights,
-    and only other subsets gather copies. `groups` is derived once.
+    codes) are read-only once it is built, and `feature_names` is a tuple,
+    so its copies share its rows and names. A run of consecutive rows
+    (`subset`) holds views of this table's arrays, a reweighted table
+    (`with_weights`) shares every array but its weights, and only other
+    subsets gather copies. `groups` is derived once, and the row arrays it
+    hands out are read-only too.
     """
 
     def __init__(self, facility_ids, product_ids, periods, X, y, weights, feature_names=None):
@@ -586,6 +588,7 @@ class FeatureTable:
         _check_weights(self.weights)
         if not self.feature_names:
             self.feature_names = [f"f_{j}" for j in range(self.X.shape[1])]
+        self.feature_names = tuple(self.feature_names)
         if len(self.feature_names) != self.X.shape[1]:
             raise ShapeError("feature_names length disagrees with matrix width")
 
@@ -612,10 +615,11 @@ class FeatureTable:
     def groups(self):
         """Row indices per (period, product) group (`group_rows` of the months
         and product codes), the period spelled "YYYY-MM" however the table
-        spells it. Derived on first read and kept."""
+        spells it. Derived on first read and kept; the row arrays are
+        read-only."""
         products = self.product_codes
         groups = group_rows(self.months, products.codes)
-        return {(period_str(month), products.values[code]): rows
+        return {(period_str(month), products.values[code]): _read_only(rows)
                 for (month, code), rows in groups.items()}
 
     @property
@@ -651,13 +655,13 @@ class FeatureTable:
         weights `weights`, built without the checks: the rows passed them
         when this table was built, and the caller checks `weights`. A slice
         takes views of this table's arrays, positions gather copies; the
-        vocabularies are this table's."""
+        vocabularies and the feature names are this table's."""
         return FeatureTable._assembled(
             facility_codes=self.facility_codes.take(rows),
             product_codes=self.product_codes.take(rows),
             period_codes=self.period_codes.take(rows),
             X=self.X[rows], y=self.y[rows], weights=weights,
-            feature_names=list(self.feature_names), months=self.months[rows],
+            feature_names=self.feature_names, months=self.months[rows],
         )
 
     @classmethod

@@ -475,9 +475,9 @@ def test_feature_csv_keeps_the_feature_names(tmp_path):
                    "--lag-months", "2") == 0
     synth = FeatureTable.from_csv(tmp_path / "s" / "features.csv")
     ledger_table = FeatureTable.from_csv(tmp_path / "g" / "features.csv")
-    assert synth.feature_names == ["prior_inventory", "month", "noise"]
-    assert ledger_table.feature_names == ["lag_1", "lag_2", "lag_1_present", "lag_2_present",
-                                          "month", "year", "region_code"]
+    assert synth.feature_names == ("prior_inventory", "month", "noise")
+    assert ledger_table.feature_names == ("lag_1", "lag_2", "lag_1_present", "lag_2_present",
+                                          "month", "year", "region_code")
     assert (synth.inventory_feature, ledger_table.inventory_feature) == (0, None)
 
 

@@ -3,6 +3,9 @@ import hashlib
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -694,32 +697,34 @@ class TestBlocks:
     @staticmethod
     def benchmark_shape_heap_peak(cpus, monkeypatch):
         """tracemalloc's peak over one default forest on the benchmark's
-        300 x 3 table with `cpus` usable, and the children forked for it."""
+        300 x 3 table with `cpus` usable, and the shares sent to workers;
+        the training starts and ends with no worker."""
         monkeypatch.setattr(_levelwise, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(17)
         X = rng.uniform(0, 50, size=(300, 3))
         t = table(X, rng.poisson(X[:, 0] + 5).astype(float))
-        with mock.patch.object(_levelwise, "_fork", wraps=_levelwise._fork) as spy:
+        close_and_assert_nothing_left()
+        with mock.patch.object(_levelwise, "_request", wraps=_levelwise._request) as spy:
             tracemalloc.start()
             try:
                 train_forest(t, seed=18)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert_nothing_left()
+        close_and_assert_nothing_left()
         return peak, spy.call_count
 
     def test_heap_peak_on_the_benchmark_shape(self, monkeypatch):
         # Serial: the bound holds every depth pass of all four blocks.
-        peak, forks = self.benchmark_shape_heap_peak([0], monkeypatch)
-        assert forks == 0
+        peak, shares_sent = self.benchmark_shape_heap_peak([0], monkeypatch)
+        assert shares_sent == 0
         assert peak <= 1.5e6
 
     def test_parent_heap_peak_of_forked_shares_on_the_benchmark_shape(self, monkeypatch):
         # This process grows one share in the same blocks, then holds the
         # other share's payload and trees beside its own (1.02 MB measured).
-        peak, forks = self.benchmark_shape_heap_peak([0, 1], monkeypatch)
-        assert forks == 1
+        peak, shares_sent = self.benchmark_shape_heap_peak([0, 1], monkeypatch)
+        assert shares_sent == 1
         assert peak <= 1.5e6
 
     def test_working_set_of_one_tree_at_the_ledger_shape(self, monkeypatch):
@@ -757,29 +762,47 @@ AFFINITY = os.sched_getaffinity(0)
 
 
 def assert_nothing_left():
-    """No child outlives a training, which leaves this process's CPUs as they were."""
+    """This process has no child, and no training left its CPUs changed."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert os.sched_getaffinity(0) == AFFINITY
 
 
+def close_and_assert_nothing_left():
+    """No worker outlives the close."""
+    _levelwise.close_workers()
+    assert not _levelwise._workers
+    assert_nothing_left()
+
+
 class TestForkedShares:
     """Forests grown in shares by forked workers, each training forced onto
-    two CPUs at any size (`FORK_ROWS` 0) unless a test says otherwise."""
+    two CPUs at any size (`FORK_ROWS` 0) unless a test says otherwise. Every
+    test starts and ends with no worker."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(_levelwise, "_usable_cpus", lambda: [0, 1])
         monkeypatch.setattr(forest_module, "FORK_ROWS", 0)
+        close_and_assert_nothing_left()
+        yield
+        close_and_assert_nothing_left()
 
     @staticmethod
-    def forest_json(t, params, seed, **patches):
-        """The forest's JSON and the number of children forked for it."""
-        with mock.patch.object(_levelwise, "_fork", wraps=_levelwise._fork) as spy:
+    def trained(t, params, seed, **patches):
+        """The forest's JSON and the number of workers forked for it."""
+        with mock.patch.object(_levelwise, "_Worker", wraps=_levelwise._Worker) as spy:
             with mock.patch.multiple(forest_module, **patches):
                 text = train_forest(t, params, seed=seed).to_json()
-        assert_nothing_left()
         return text, spy.call_count
+
+    @classmethod
+    def forest_json(cls, t, params, seed, **patches):
+        """The forest's JSON and the number of workers forked for it, every
+        worker closed after."""
+        trained = cls.trained(t, params, seed, **patches)
+        close_and_assert_nothing_left()
+        return trained
 
     @staticmethod
     def case():
@@ -802,6 +825,15 @@ class TestForkedShares:
         assert forks == (blocks > 1)
         assert shared == single_trees
 
+    def test_one_worker_grows_the_shares_of_every_training(self):
+        t, params = self.case()
+        serial, _ = self.forest_json(t, params, 40, BLOCK_ROWS=1, FORK_ROWS=2**62)
+        assert self.trained(t, params, 40, BLOCK_ROWS=1) == (serial, 1)
+        pid = _levelwise._workers[1].pid
+        assert self.trained(t, params, 40, BLOCK_ROWS=1) == (serial, 0)
+        assert _levelwise._workers[1].pid == pid
+        assert _levelwise._workers[1].pending is None
+
     def test_a_failing_child_share_is_grown_here(self):
         t, params = self.case()
         serial, _ = self.forest_json(t, params, 42, BLOCK_ROWS=1, FORK_ROWS=2**62)
@@ -814,7 +846,9 @@ class TestForkedShares:
             return grow_block(*args)
 
         with mock.patch.object(_levelwise, "_grow_block", failing_in_children):
-            assert self.forest_json(t, params, 42, BLOCK_ROWS=1) == (serial, 1)
+            assert self.trained(t, params, 42, BLOCK_ROWS=1) == (serial, 1)
+        assert not _levelwise._workers  # the failed worker was reaped and dropped
+        assert_nothing_left()
 
     def test_a_short_payload_is_grown_here(self):
         t, params = self.case()
@@ -826,7 +860,34 @@ class TestForkedShares:
             return [*parts, last[:-1]]
 
         with mock.patch.object(_levelwise, "_pack", short):
-            assert self.forest_json(t, params, 43, BLOCK_ROWS=1) == (serial, 1)
+            assert self.trained(t, params, 43, BLOCK_ROWS=1) == (serial, 1)
+        assert not _levelwise._workers
+        assert_nothing_left()
+
+    def test_a_stale_reply_is_not_joined(self):
+        # A reply left in the pipe by an earlier request, for the same share
+        # of another forest, must not be taken for this training's.
+        t, params = self.case()
+        serial, _ = self.forest_json(t, params, 48, BLOCK_ROWS=1, FORK_ROWS=2**62)
+        other, _ = self.forest_json(t, params, 49, BLOCK_ROWS=1, FORK_ROWS=2**62)
+        assert other != serial
+        rows = (t.X, t.y, t.weights)
+        stale = _levelwise._request(1, (params, 49, range(4, 9), 1), rows, _levelwise._prepared(*rows))
+        assert stale is not None
+        assert self.trained(t, params, 48, BLOCK_ROWS=1) == (serial, 0)
+        assert not _levelwise._workers
+        assert_nothing_left()
+
+    def test_a_worker_killed_between_trainings_is_replaced(self):
+        t, params = self.case()
+        serial, _ = self.forest_json(t, params, 39, BLOCK_ROWS=1, FORK_ROWS=2**62)
+        assert self.trained(t, params, 39, BLOCK_ROWS=1) == (serial, 1)
+        os.kill(_levelwise._workers[1].pid, signal.SIGKILL)
+        # The dead worker's share is grown here; the next training forks anew.
+        assert self.trained(t, params, 39, BLOCK_ROWS=1) == (serial, 0)
+        assert not _levelwise._workers
+        assert_nothing_left()
+        assert self.trained(t, params, 39, BLOCK_ROWS=1) == (serial, 1)
 
     def test_no_process_to_fork_grows_every_share_here(self):
         t, params = self.case()
@@ -834,23 +895,82 @@ class TestForkedShares:
         with mock.patch.object(os, "fork", side_effect=OSError("no process to spare")):
             assert self.forest_json(t, params, 44, BLOCK_ROWS=1) == (serial, 1)
 
-    def test_a_failing_parent_share_reaps_every_child(self, monkeypatch):
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_failing_parent_share_reaps_every_child(self, error, monkeypatch):
+        # A raise here while a request is out kills and reaps its worker, so
+        # no reply of it can be joined to a later forest.
         t, params = self.case()
+        serial, _ = self.forest_json(t, params, 45, BLOCK_ROWS=1, FORK_ROWS=2**62)
         monkeypatch.setattr(forest_module, "BLOCK_ROWS", 1)
         parent = os.getpid()
         grow_block = _levelwise._grow_block
 
         def failing_here(*args):
             if os.getpid() == parent:
-                raise RuntimeError("this share fails")
+                raise error("this share fails")
             return grow_block(*args)
 
-        with mock.patch.object(_levelwise, "_fork", wraps=_levelwise._fork) as spy:
+        with mock.patch.object(_levelwise, "_Worker", wraps=_levelwise._Worker) as spy:
             with mock.patch.object(_levelwise, "_grow_block", failing_here):
-                with pytest.raises(RuntimeError, match="this share fails"):
+                with pytest.raises(error, match="this share fails"):
                     train_forest(t, params, seed=45)
         assert spy.call_count == 1
+        assert not _levelwise._workers
         assert_nothing_left()
+        assert self.trained(t, params, 45, BLOCK_ROWS=1) == (serial, 1)
+
+    def test_a_forked_child_trains_without_the_parents_worker(self):
+        t, params = self.case()
+        serial, _ = self.forest_json(t, params, 38, BLOCK_ROWS=1, FORK_ROWS=2**62)
+        assert self.trained(t, params, 38, BLOCK_ROWS=1) == (serial, 1)
+        worker = _levelwise._workers[1]
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child leaves only through os._exit
+            status = 1
+            try:
+                os.close(read_fd)
+                # The parent's worker is neither known nor held here.
+                closed = []
+                for fd in (worker.requests, worker.replies):
+                    try:
+                        os.fstat(fd)
+                    except OSError:
+                        closed.append(fd)
+                forgotten = not _levelwise._workers
+                text, forks = self.trained(t, params, 38, BLOCK_ROWS=1)
+                _levelwise.close_workers()
+                with open(write_fd, "w") as out:
+                    json.dump([len(closed), forgotten, forks, text == serial], out)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        with open(read_fd) as pipe:
+            seen = pipe.read()
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert json.loads(seen) == [2, True, 1, True]
+        # The parent's worker still serves the parent alone.
+        assert self.trained(t, params, 38, BLOCK_ROWS=1) == (serial, 0)
+        assert _levelwise._workers[1] is worker and worker.pending is None
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_no_worker_outlives_its_process(self):
+        script = (
+            "import numpy as np\n"
+            "from stockalloc import FeatureTable, ForestParams, _levelwise, forest\n"
+            "_levelwise._usable_cpus = lambda: [0, 1]\n"
+            "forest.FORK_ROWS, forest.BLOCK_ROWS = 0, 1\n"
+            "t = FeatureTable.from_arrays(np.arange(40.0).reshape(20, 2), np.arange(20.0) % 7)\n"
+            "forest.train_forest(t, ForestParams(n_trees=4), seed=37)\n"
+            "print(_levelwise._workers[1].pid)\n"
+        )
+        src = os.path.dirname(os.path.dirname(_levelwise.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert not os.path.exists(f"/proc/{int(done.stdout)}")
 
     def test_one_usable_cpu_grows_the_same_bytes_in_this_process(self, monkeypatch):
         t, params = self.case()
@@ -869,6 +989,6 @@ class TestForkedShares:
     def test_golden_digests_from_shares(self, case, monkeypatch):
         monkeypatch.setattr(forest_module, "BLOCK_ROWS", 1)
         forest = SPECIAL_FORESTS[case]() if case in SPECIAL_FORESTS else golden_forest(case)
-        assert_nothing_left()
+        close_and_assert_nothing_left()
         digest = hashlib.sha256(forest.to_json().encode()).hexdigest()
         assert digest == GOLDEN_DIGESTS[case]

@@ -499,7 +499,7 @@ class TestMatchesReferenceFeaturizer:
             return
         t = build_feature_table(records, lag_months=lag_months, periods=periods)
         assert (t.facility_ids, t.product_ids, t.periods) == (fac, prod, per)
-        assert t.feature_names == names
+        assert t.feature_names == tuple(names)
         assert t.X.shape == X.shape and t.X.tobytes() == X.tobytes()
         assert t.y.tobytes() == y.tobytes()
 
@@ -1093,8 +1093,9 @@ class TestTableCopies:
         self._check_parses_like_a_new_table(child)
         for name, array in self._arrays(child).items():
             assert not np.shares_memory(array, self._arrays(parent)[name])
-        for name in ("facility_ids", "product_ids", "periods", "feature_names"):
+        for name in ("facility_ids", "product_ids", "periods"):
             assert getattr(child, name) is not getattr(parent, name)
+        assert child.feature_names is parent.feature_names  # a tuple, which cannot change
 
     @pytest.mark.parametrize("derive", ["run", "with_weights"])
     def test_view_parses_like_a_new_table_and_shares_read_only_columns(self, derive):
@@ -1114,7 +1115,24 @@ class TestTableCopies:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
-        assert child.feature_names is not parent.feature_names
+        assert child.feature_names is parent.feature_names
+
+    def test_feature_names_cannot_be_written(self):
+        table = self._table()
+        assert table.feature_names == ("f_0", "f_1")
+        with pytest.raises(TypeError):
+            table.feature_names[0] = INVENTORY_COLUMN
+        assert table.inventory_feature is None
+
+    def test_group_rows_cannot_be_written(self):
+        table = self._table()
+        assert {key: rows.tolist() for key, rows in table.groups.items()} == {
+            ("2021-09", "p"): [0, 2], ("2021-10", "p"): [4], ("2021-10", "q"): [1],
+            ("2022-01", "q"): [3]}
+        for rows in table.groups.values():
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[...] = 0
 
     def test_arrays_passed_in_keep_their_flags(self):
         X, y, weights = np.zeros((2, 1)), np.ones(2), np.ones(2)

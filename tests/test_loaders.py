@@ -148,7 +148,7 @@ class TestByteOrderMark:
     def test_feature_csv(self):
         data = (FEATURE_CSV + "a,p,2021-01,1.5,2,1\n").encode()
         plain, marked = self._both(data, FeatureTable.from_csv)
-        assert marked.feature_names == plain.feature_names == ["f_0"]
+        assert marked.feature_names == plain.feature_names == ("f_0",)
         assert marked.X.tolist() == plain.X.tolist() == [[1.5]]
 
     @pytest.mark.parametrize("text", ['{"n_trees": 3}', "n_trees = 3"], ids=["json", "key_value"])

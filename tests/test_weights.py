@@ -289,6 +289,8 @@ def tie_free_weight_instances(draw):
     samples = np.array(draw(ints), dtype=float).reshape(n, K)
     y = np.array(draw(ints)[:n], dtype=float)
     stock = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float)
+    config = WeightConfig(weight_floor=draw(st.sampled_from([0.0, 0.05, 0.5])))
+    netted = draw(st.booleans(), label="netted")
     table = FeatureTable(
         facility_ids=[f"f{i}" for _ in keys for i in range(n_fac)],
         product_ids=[product for _, product in keys for _ in range(n_fac)],
@@ -296,13 +298,9 @@ def tie_free_weight_instances(draw):
         X=np.column_stack([stock, np.arange(n) + 0.5]),
         y=y,
         weights=np.ones(n),
+        feature_names=[INVENTORY_COLUMN if netted else "f_0", "f_1"],
     )
-    config = WeightConfig(weight_floor=draw(st.sampled_from([0.0, 0.05, 0.5])))
-    if draw(st.booleans(), label="netted"):
-        table.feature_names[0] = INVENTORY_COLUMN
-        net = np.maximum(samples - stock[:, None], 0.0)
-    else:
-        net = samples
+    net = np.maximum(samples - stock[:, None], 0.0) if netted else samples
     levels = np.sort(net, axis=1)
     budgets = {}
     for g, key in enumerate(keys):
