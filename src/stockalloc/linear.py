@@ -10,6 +10,7 @@ deterministic. `n_samples=1` degenerates to the pure point forecast.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -18,9 +19,14 @@ from .errors import DegenerateWeightsError
 from .forest import feature_rows
 
 
+@lru_cache
 def _quantile_grid(k):
+    """The k standard normal quantiles at (i + 0.5) / k, computed once per k
+    and shared, read-only, by every model of that size."""
     nd = NormalDist()
-    return np.array([nd.inv_cdf((i + 0.5) / k) for i in range(k)])
+    grid = np.array([nd.inv_cdf((i + 0.5) / k) for i in range(k)])
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass

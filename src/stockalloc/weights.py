@@ -9,7 +9,8 @@ covers contribute zero and are kept alive only by the configurable floor.
 
 The reference allocation is solved once per (period, product) group on the
 initial (uniformly weighted) model's scenario samples, so the optimizer
-runs a fixed, small number of times regardless of model size.
+runs a fixed, small number of times regardless of model size. Every group
+runs the configured Jacobian over the facilities it holds.
 
 The weights reach training through the feature table's own `weight`
 column (`FeatureTable.with_weights`): `stockalloc weights` writes the
@@ -25,7 +26,7 @@ import numpy as np
 from .allocator import AllocationProblem, shifted_allocations, solve_greedy
 from .config import check, is_real
 from .errors import ConfigError, DegenerateWeightsError, ShapeError
-from .ingest import Coded, group_rows, net_requirement
+from .ingest import Coded, net_requirement
 
 JACOBIAN_MODES = ("identity", "diagonal_fd", "full_fd")
 DEFAULT_BUDGET_FRACTION = 0.7
@@ -54,7 +55,9 @@ class WeightReport:
     """Row-aligned weights plus the diagnostics that produced them.
 
     The rows' ids are the training table's `Coded` columns (`ingest.Coded`);
-    `facility_ids`, `product_ids` and `periods` decode them on read."""
+    `facility_ids`, `product_ids` and `periods` decode them on read.
+    `group_jacobian_mode` maps each (period, product) group to the mode it
+    ran, which is the configured one."""
 
     facility_codes: Coded
     product_codes: Coded
@@ -178,11 +181,10 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
     group's rows once, take the shortfall subgradient g against the
     realized requirement, push it through the configured Jacobian
     estimate, floor the absolute values, and scale the result to mean
-    one. The identity Jacobian's product J^T g is g itself, so identity
-    groups take g and build no Jacobian. Groups whose facility panel is
-    incomplete relative to the product's full panel (fewer distinct
-    facilities than the product has over all periods) fall back to the
-    identity. An empty table is a DegenerateWeightsError.
+    one. Every group runs the configured mode, whichever facilities it
+    holds: its problem is defined over its own rows. The identity
+    Jacobian's product J^T g is g itself, so identity groups take g and
+    build no Jacobian. An empty table is a DegenerateWeightsError.
     """
     config = config or WeightConfig()
     n = len(train)
@@ -190,32 +192,17 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         raise DegenerateWeightsError("empty training table")
     gradients = np.zeros(n)
     raw = np.zeros(n)
-    modes = {}
-
-    if config.jacobian_mode != "identity":
-        facility, products = train.facility_codes.codes, train.product_codes
-
-        def facilities(rows):  # distinct facilities among the rows
-            return np.count_nonzero(np.bincount(facility[rows]))
-
-        panel = {products.values[code]: facilities(rows)
-                 for code, rows in group_rows(products.codes).items()}
 
     def samples_of(rows):
         return initial_model.predict_samples(train.X[rows])
 
-    for (period, product), rows, xi_star, problem in group_problems(
-            train, budget_per_period, samples_of):
+    mode = config.jacobian_mode
+    for _, rows, xi_star, problem in group_problems(train, budget_per_period, samples_of):
         a_star = solve_greedy(problem).allocation
         g = loss_gradient(a_star, xi_star)
 
-        mode = config.jacobian_mode
-        if mode != "identity" and facilities(rows) != panel[product]:
-            mode = "identity"
-
         gradients[rows] = g
         raw[rows] = g if mode == "identity" else policy_jacobian(problem, config).T @ g
-        modes[(period, product)] = mode
 
     final = np.maximum(np.abs(raw), config.weight_floor)
     mean = final.mean()
@@ -229,7 +216,7 @@ def compute_weights(train, initial_model, budget_per_period, config=None):
         gradients=gradients,
         raw_weights=raw,
         final_weights=final,
-        group_jacobian_mode=modes,
+        group_jacobian_mode=dict.fromkeys(train.groups, mode),
         config=config,
     )
 

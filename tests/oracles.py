@@ -192,18 +192,6 @@ def reference_groups(table):
             for (month, product), rows in reference_group_rows(keys).items()}
 
 
-def reference_panels(table):
-    """(distinct facility ids per `reference_groups` group, per product id),
-    counted in sets of the string ids: the facility panels behind the
-    identity fallback of `compute_weights`."""
-    groups, products = {}, {}
-    for f, p, period in zip(table.facility_ids, table.product_ids, table.periods):
-        groups.setdefault((_month_str(reference_period_index(period)), p), set()).add(f)
-        products.setdefault(p, set()).add(f)
-    return ({key: len(ids) for key, ids in groups.items()},
-            {p: len(ids) for p, ids in products.items()})
-
-
 _PERIOD_RE = re.compile(r"^(\d{4})-(\d{1,2})$")
 
 

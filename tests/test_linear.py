@@ -46,7 +46,11 @@ def test_samples_are_deterministic_quantile_fan(monkeypatch):
     monkeypatch.setattr(NormalDist, "inv_cdf", lambda nd, p: probed.append(p) or inv_cdf(nd, p))
     s1 = m.predict_samples(X[:3])
     s2 = m.predict_samples(X[:3])
-    assert probed == []  # the model derives its quantile grid once, when it is built
+    other = train_linear(table(X, 2 * y), n_samples=9)
+    assert probed == []  # the grid of each size is derived once, and models share it
+    assert other.quantiles is m.quantiles and not m.quantiles.flags.writeable
+    grid = [NormalDist().inv_cdf((i + 0.5) / 9) for i in range(9)]
+    assert m.quantiles.tobytes() == np.array(grid).tobytes()
     assert np.array_equal(s1, s2)
     assert s1.shape == (3, 9)
     # symmetric grid: sample mean equals the point forecast (pre-clamp)

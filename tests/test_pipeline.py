@@ -15,6 +15,7 @@ from stockalloc import (
     run_decision_blind,
     run_oracle,
     run_rolling_average,
+    train_linear,
     unmet_demand_pct,
 )
 from stockalloc import ingest
@@ -22,6 +23,7 @@ from stockalloc.pipeline import compare, prepare, report_to_json, rolling_foreca
 
 from oracles import reference_rolling_forecasts
 from test_ingest import workloads
+from test_weights import jacobian_products
 
 SMALL_FOREST = ForestParams(n_trees=12, max_depth=7, min_leaf_weight=2.0)
 
@@ -346,6 +348,26 @@ class TestCsvPipeline:
         ledger = self._write_ledger(tmp_path / "ledger.csv", facilities=4)
         *_, prepared = compare(RunConfig(csv_path=str(ledger), model="linear", lag_months=3))
         assert sorted(grouped) == sorted([len(prepared.train), len(prepared.eval_table)])
+
+    def test_ledger_groups_run_the_configured_jacobian(self, tmp_path):
+        """On a dirty ledger, where some training groups lack facilities of
+        their product, every group's raw weights are its J^T g under the
+        configured FD Jacobian."""
+        path = tmp_path / "ledger.csv"
+        workloads().generate_ledger(path, 3, n_facilities=12, n_products=3, n_months=14)
+        config = RunConfig(csv_path=str(path), model="linear", lag_months=3, seed=1,
+                           weight_config=WeightConfig(jacobian_mode="diagonal_fd"))
+        *_, weight_report, prepared = compare(config)
+        train = prepared.train
+        facilities = {}
+        for (_, product), rows in train.groups.items():
+            facilities.setdefault(product, set()).update(train.facility_codes.codes[rows].tolist())
+        assert any(len(set(train.facility_codes.codes[rows].tolist())) < len(facilities[product])
+                   for (_, product), rows in train.groups.items())
+        assert weight_report.group_jacobian_mode == dict.fromkeys(train.groups, "diagonal_fd")
+        model = train_linear(train, n_samples=config.linear_samples)  # compare's initial model
+        expected = jacobian_products(train, model, prepared.budgets_train, config.weight_config)
+        assert weight_report.raw_weights.tobytes() == expected.tobytes()
 
     def test_ledger_compare_heap_peak(self, tmp_path):
         """One linear-model `compare` of the benchmark's seed-1 ledger (6,966

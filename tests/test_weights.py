@@ -278,13 +278,17 @@ def tie_free_weight_instances(draw):
     """A table, a model, budgets and a weight config whose every allocation
     is unique whatever the row order: integer samples and stock keep the
     sums exact, and each (period, product) budget spends whole water-fill
-    levels (none, some, all, or more than all), so the budget never runs
-    out inside a level shared by several facilities, where facility order
-    would pick the binding one. Feature 0 is the stock on hand, netted when
-    it is named `INVENTORY_COLUMN`; feature 1 identifies the row."""
+    levels of the group's rows (none, some, all, or more than all), so the
+    budget never runs out inside a level shared by several facilities,
+    where facility order would pick the binding one. A group may lack some
+    of its product's facilities, as a ledger's groups do, but keeps at
+    least one. Feature 0 is the stock on hand, netted when it is named
+    `INVENTORY_COLUMN`; feature 1 identifies the row."""
     n_products, n_periods, n_fac, K = (draw(st.integers(1, hi)) for hi in (2, 3, 6, 4))
     keys = [(f"2021-{t + 1:02d}", f"p{p}") for p in range(n_products) for t in range(n_periods)]
-    n = len(keys) * n_fac
+    reported = [sorted(draw(st.sets(st.integers(0, n_fac - 1), min_size=1), label="facilities"))
+                for _ in keys]
+    n = sum(map(len, reported))
     ints = st.lists(st.integers(0, 20), min_size=n * K, max_size=n * K)
     samples = np.array(draw(ints), dtype=float).reshape(n, K)
     y = np.array(draw(ints)[:n], dtype=float)
@@ -292,9 +296,9 @@ def tie_free_weight_instances(draw):
     config = WeightConfig(weight_floor=draw(st.sampled_from([0.0, 0.05, 0.5])))
     netted = draw(st.booleans(), label="netted")
     table = FeatureTable(
-        facility_ids=[f"f{i}" for _ in keys for i in range(n_fac)],
-        product_ids=[product for _, product in keys for _ in range(n_fac)],
-        periods=[period for period, _ in keys for _ in range(n_fac)],
+        facility_ids=[f"f{i}" for facilities in reported for i in facilities],
+        product_ids=[p for (_, p), facilities in zip(keys, reported) for _ in facilities],
+        periods=[t for (t, _), facilities in zip(keys, reported) for _ in facilities],
         X=np.column_stack([stock, np.arange(n) + 0.5]),
         y=y,
         weights=np.ones(n),
@@ -303,11 +307,25 @@ def tie_free_weight_instances(draw):
     net = np.maximum(samples - stock[:, None], 0.0) if netted else samples
     levels = np.sort(net, axis=1)
     budgets = {}
-    for g, key in enumerate(keys):
+    stop = 0
+    for key, facilities in zip(keys, reported):
+        start, stop = stop, stop + len(facilities)
         spent = draw(st.integers(0, K + 1), label="levels spent")  # K + 1: slack
-        top = levels[g * n_fac:(g + 1) * n_fac, min(spent, K) - 1]
+        top = levels[start:stop, min(spent, K) - 1]
         budgets[key] = float(top.sum()) + 3.0 * (spent > K) if spent else 0.0
     return table, _SampleModel(table.X, samples), budgets, config
+
+
+def jacobian_products(table, model, budgets, config):
+    """Every group's J^T g, placed at its rows: g is the shortfall subgradient
+    at the greedy optimum of the model's samples, J the configured
+    `policy_jacobian` of the group's problem."""
+    expected = np.zeros(len(table))
+    for _, rows, realized, problem in group_problems(
+            table, budgets, lambda rows: model.predict_samples(table.X[rows])):
+        g = loss_gradient(solve_greedy(problem).allocation, realized)
+        expected[rows] = policy_jacobian(problem, config).T @ g
+    return expected
 
 
 def floored_mean_one(report, floor):
@@ -463,32 +481,26 @@ class TestComputeWeights:
         assert np.array_equal(report.final_weights, floored_mean_one(report, 0.07))
 
     @pytest.mark.parametrize("mode", ["diagonal_fd", "full_fd"])
-    @pytest.mark.parametrize("gap", ["missing", "duplicated"])
-    def test_incomplete_panel_falls_back_to_identity(self, mode, gap):
-        # In 2021-01 facility f0 is missing, or its row names f1 a second
-        # time: either way two of the product's three facilities are there.
+    @pytest.mark.parametrize("gap", ["missing", "renamed", "duplicated"])
+    def test_incomplete_panel_runs_the_configured_mode(self, mode, gap):
+        # In 2021-01 facility f0 is missing, its row names f1 a second time,
+        # or it has a second row: each group's problem is over its own rows,
+        # so every group runs the configured Jacobian.
         t = panel_table(n_periods=2, n_fac=3, seed=6)
         f0 = [i for i in range(len(t)) if t.periods[i] == "2021-01" and t.facility_ids[i] == "f0"]
         if gap == "missing":
             t2 = t.subset([i for i in range(len(t)) if i not in f0])
+        elif gap == "renamed":
+            t2 = rebuilt(t, facility_ids=["f1" if i in f0 else f
+                                          for i, f in enumerate(t.facility_ids)])
         else:
-            t2 = FeatureTable(["f1" if i in f0 else f for i, f in enumerate(t.facility_ids)],
-                              t.product_ids, t.periods, t.X, t.y, t.weights, t.feature_names)
-        model = exact_model(t2)
+            t2 = t.subset(list(range(len(t))) + f0)
+        model = exact_model(t2, spread=True)
         budgets = budgets_from_fraction(t2, 0.5)
         cfg = WeightConfig(jacobian_mode=mode, fd_step=0.05)
         report = compute_weights(t2, model, budgets, cfg)
-        assert report.group_jacobian_mode == {("2021-01", "p"): "identity", ("2021-02", "p"): mode}
-        fallback = np.array([p == "2021-01" for p in t2.periods])
-        assert report.raw_weights[fallback].tobytes() == report.gradients[fallback].tobytes()
-
-    def test_full_panel_with_a_duplicated_facility_keeps_the_fd_mode(self):
-        t = panel_table(n_periods=2, n_fac=3, seed=6)
-        t2 = t.subset(list(range(len(t))) + [0])  # f0 twice in 2021-01
-        model = exact_model(t2)
-        cfg = WeightConfig(jacobian_mode="diagonal_fd", fd_step=0.05)
-        report = compute_weights(t2, model, budgets_from_fraction(t2, 0.5), cfg)
-        assert set(report.group_jacobian_mode.values()) == {"diagonal_fd"}
+        assert report.group_jacobian_mode == {("2021-01", "p"): mode, ("2021-02", "p"): mode}
+        assert report.raw_weights.tobytes() == jacobian_products(t2, model, budgets, cfg).tobytes()
 
     @pytest.mark.parametrize("mode", JACOBIAN_MODES)
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -499,13 +511,9 @@ class TestComputeWeights:
         table, model, budgets, config = instance
         config = replace(config, jacobian_mode=mode, fd_step=0.5)
         report = compute_weights(table, model, budgets, config)
-        expected = np.zeros(len(table))
-        for key, rows, realized, problem in group_problems(
-                table, budgets, lambda rows: model.predict_samples(table.X[rows])):
-            g = loss_gradient(solve_greedy(problem).allocation, realized)
-            expected[rows] = policy_jacobian(problem, config).T @ g
-        assert report.raw_weights.tobytes() == expected.tobytes()
-        assert report.group_jacobian_mode == {key: mode for key in budgets}  # full panels
+        assert report.raw_weights.tobytes() == jacobian_products(
+            table, model, budgets, config).tobytes()
+        assert report.group_jacobian_mode == {key: mode for key in budgets}
 
     def test_inventory_netting_zeroes_covered_class(self):
         t = panel_table(n_periods=1, n_fac=2, seed=10)
